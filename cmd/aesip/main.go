@@ -46,18 +46,7 @@ func main() {
 	stuckAt := flag.Int("stuckat", 0, "weld one stuck-at ROM bit into each of M shards during the chaos run (EDAC-masked: only the background scrubber can find them)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /trace, /debug/vars and /debug/pprof on this address during engine and chaos runs (e.g. :9100)")
 	traceDump := flag.Bool("trace-dump", false, "print the supervision event trace after an engine or chaos run")
-	simName := flag.String("sim", "compiled", "cycle-simulation backend for engine and chaos shards: compiled or interpreted")
 	flag.Parse()
-
-	var backend rijndaelip.SimBackend
-	switch strings.ToLower(*simName) {
-	case "compiled":
-		backend = rijndaelip.SimCompiled
-	case "interpreted":
-		backend = rijndaelip.SimInterpreted
-	default:
-		fail("unknown sim backend %q (want compiled or interpreted)", *simName)
-	}
 
 	key, err := hex.DecodeString(*keyHex)
 	if err != nil || len(key) != 16 {
@@ -118,12 +107,12 @@ func main() {
 	}
 
 	if *chaosRate > 0 {
-		runChaos(impl, key, *shards, *lanes, *chaosRate, *chaosBlocks, *chaosWaves, *stuckAt, *chaosSeed, backend, *metricsAddr, *traceDump)
+		runChaos(impl, key, *shards, *lanes, *chaosRate, *chaosBlocks, *chaosWaves, *stuckAt, *chaosSeed, *metricsAddr, *traceDump)
 		return
 	}
 
 	if *shards > 0 {
-		runEngine(impl, key, blocks, ref, *shards, *lanes, *dec, backend, *metricsAddr, *traceDump)
+		runEngine(impl, key, blocks, ref, *shards, *lanes, *dec, *metricsAddr, *traceDump)
 		return
 	}
 
@@ -191,7 +180,7 @@ func dumpTrace(events []obs.Event, overwritten uint64) {
 // chaos injector strikes live shards (and optionally welds stuck-at ROM
 // bits), then prints the triage report, localization log and per-shard
 // health.
-func runChaos(impl *rijndaelip.Implementation, key []byte, shards, lanes, rate, blocks, waves, stuckAt int, seed int64, backend rijndaelip.SimBackend, metricsAddr string, traceDump bool) {
+func runChaos(impl *rijndaelip.Implementation, key []byte, shards, lanes, rate, blocks, waves, stuckAt int, seed int64, metricsAddr string, traceDump bool) {
 	closeMetrics := func() {}
 	rc := chaos.RunConfig{
 		Shards:   shards, // 0 takes the harness default of 4
@@ -199,7 +188,6 @@ func runChaos(impl *rijndaelip.Implementation, key []byte, shards, lanes, rate, 
 		Blocks:   blocks,
 		Waves:    waves,
 		Baseline: true,
-		Backend:  backend,
 		Chaos:    chaos.Config{Seed: seed, Period: rate, StuckAt: stuckAt},
 		OnEngine: func(eng *rijndaelip.Engine) { closeMetrics = serveMetrics(metricsAddr, eng) },
 	}
@@ -244,8 +232,8 @@ func runChaos(impl *rijndaelip.Implementation, key []byte, shards, lanes, rate, 
 func runEngine(impl *rijndaelip.Implementation, key []byte, blocks [][]byte, ref interface {
 	Encrypt(dst, src []byte)
 	Decrypt(dst, src []byte)
-}, shards, lanes int, dec bool, backend rijndaelip.SimBackend, metricsAddr string, traceDump bool) {
-	eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{Shards: shards, MaxLanes: lanes, Backend: backend})
+}, shards, lanes int, dec bool, metricsAddr string, traceDump bool) {
+	eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{Shards: shards, MaxLanes: lanes})
 	if err != nil {
 		fail("engine: %v", err)
 	}
@@ -254,8 +242,8 @@ func runEngine(impl *rijndaelip.Implementation, key []byte, blocks [][]byte, ref
 	if lanes <= 0 || lanes > 64 {
 		lanes = 64
 	}
-	fmt.Printf("engine: %d shards (each a fresh keyed %s simulation of %s, up to %d blocks per lane-packed submission)\n",
-		shards, backend, impl.Core.Design.Name, lanes)
+	fmt.Printf("engine: %d shards (each a fresh keyed simulation of %s, up to %d blocks per lane-packed submission)\n",
+		shards, impl.Core.Design.Name, lanes)
 
 	outs, err := eng.Process(context.Background(), blocks, !dec)
 	if err != nil {

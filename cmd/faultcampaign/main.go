@@ -86,18 +86,7 @@ func main() {
 	watchdog := flag.Int("watchdog", 0, "watchdog budget in cycles (0 = driver default)")
 	romStuck := flag.Int("romstuck", 4, "welded stuck-at ROM bits per device for the rom-stuck row (0 disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve campaign progress on /metrics, /debug/vars and /debug/pprof at this address while the sweep runs (e.g. :9100)")
-	simName := flag.String("sim", "compiled", "cycle-simulation backend for the DUT and lockstep shadow: compiled or interpreted")
 	flag.Parse()
-
-	var compiled bool
-	switch *simName {
-	case "compiled":
-		compiled = true
-	case "interpreted":
-	default:
-		fmt.Fprintf(os.Stderr, "faultcampaign: unknown sim backend %q (want compiled or interpreted)\n", *simName)
-		os.Exit(2)
-	}
 
 	prog := newProgress()
 	defer prog.serve(*metricsAddr)()
@@ -135,7 +124,6 @@ func main() {
 			Seed:     *seed,
 			MultiBit: *multibit,
 			Watchdog: *watchdog,
-			Compiled: compiled,
 		}
 		// The plain row carries the transient-vs-persistent breakdown:
 		// classification re-runs each struck transaction once, exactly like

@@ -91,33 +91,6 @@ type Engine struct {
 }
 
 // EngineOptions tunes the shard pool.
-// SimBackend selects the evaluation backend of the cycle simulators an
-// engine's shards run on. The zero value is SimCompiled: shards simulate
-// through the fused instruction tape with activity-gated cycle skipping,
-// which the differential equivalence suite holds bit-identical to the
-// interpreter (net values, fault semantics and EDAC counters included).
-type SimBackend int
-
-// Evaluation backends.
-const (
-	// SimCompiled compiles the netlist/RTL evaluation order into a flat
-	// word-op tape at construction and skips quiescent logic cones per
-	// cycle. The default.
-	SimCompiled SimBackend = iota
-	// SimInterpreted walks the levelized order through the original
-	// switch-dispatch interpreter every cycle. Kept selectable for A/B
-	// equivalence and performance comparisons.
-	SimInterpreted
-)
-
-// String names the backend the way the bench grid's sim column does.
-func (b SimBackend) String() string {
-	if b == SimInterpreted {
-		return "interpreted"
-	}
-	return "compiled"
-}
-
 type EngineOptions struct {
 	// Shards is the number of replicated core instances. Default 1.
 	Shards int
@@ -147,17 +120,12 @@ type EngineOptions struct {
 	Supervise *SupervisorOptions
 	// DisableObs turns off the metrics registry and event-trace ring.
 	// The default (observability on) costs only atomic increments and two
-	// clock reads per submission; the overhead gate in bench-smoke holds
-	// it under 5%. Disable only for A/B overhead measurements.
+	// clock reads per submission; BenchmarkObsOverhead reports it against
+	// a 5% budget. Disable only for A/B overhead measurements.
 	DisableObs bool
 	// TraceDepth is the event-trace ring capacity (default 1024 events;
 	// the ring overwrites oldest-first when full).
 	TraceDepth int
-	// Backend selects the shard simulators' evaluation backend. The zero
-	// value (SimCompiled) runs the compiled tape with activity gating on
-	// every shard — RTL clones on a plain engine, post-synthesis netlist
-	// simulations (and lockstep shadows) on a supervised one.
-	Backend SimBackend
 }
 
 // ErrEngineClosed is returned for blocks submitted after Close.
@@ -319,7 +287,6 @@ func (im *Implementation) NewEngine(key []byte, opts EngineOptions) (*Engine, er
 	if err != nil {
 		return nil, err
 	}
-	factory.Compiled = opts.Backend == SimCompiled
 	sup, err := normalizedSupervisor(im, opts.Supervise)
 	if err != nil {
 		return nil, err

@@ -38,7 +38,6 @@ import (
 type benchRow struct {
 	Bench          string  `json:"bench"`
 	Mode           string  `json:"mode"`
-	Sim            string  `json:"sim"`
 	Shards         int     `json:"shards"`
 	Lanes          int     `json:"lanes"`
 	Blocks         uint64  `json:"blocks"`
@@ -206,7 +205,7 @@ func benchLoop(b *testing.B, eng *rijndaelip.Engine, iter func() error) rijndael
 // measured rate (the interleaved harness's per-point best); <= 0 derives
 // the rate from the timed-window block delta over b.Elapsed, which is
 // only correct when the whole window belongs to this one point.
-func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStats, blocksPerSec float64, bench, mode, sim string, shards, lanes int) *benchRow {
+func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStats, blocksPerSec float64, bench, mode string, shards, lanes int) *benchRow {
 	st := eng.Stats()
 	external := blocksPerSec > 0
 	if !external {
@@ -216,8 +215,8 @@ func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStat
 		// Interleaved families share one parent benchmark; per-point
 		// numbers go to the log instead of ReportMetric (which would
 		// overwrite across points).
-		b.Logf("%s/%s sim=%s shards=%d lanes=%d: %.1f blocks/s (peak over %d rounds), %.3f cycles/block, %.0f Mbps",
-			bench, mode, sim, shards, lanes, blocksPerSec, b.N, st.AggregateCyclesPerBlock, eng.Throughput())
+		b.Logf("%s/%s shards=%d lanes=%d: %.1f blocks/s (peak over %d rounds), %.3f cycles/block, %.0f Mbps",
+			bench, mode, shards, lanes, blocksPerSec, b.N, st.AggregateCyclesPerBlock, eng.Throughput())
 	} else {
 		b.ReportMetric(st.AggregateCyclesPerBlock, "cycles/block")
 		b.ReportMetric(eng.Throughput(), "Mbps")
@@ -230,7 +229,6 @@ func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStat
 	row := benchRow{
 		Bench:           bench,
 		Mode:            mode,
-		Sim:             sim,
 		Shards:          shards,
 		Lanes:           lanes,
 		Blocks:          st.Blocks - st0.Blocks,
@@ -258,7 +256,7 @@ func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStat
 	}
 	for i := range benchRows {
 		prev := &benchRows[i]
-		if prev.Bench != bench || prev.Mode != mode || prev.Sim != sim || prev.Shards != shards || prev.Lanes != lanes {
+		if prev.Bench != bench || prev.Mode != mode || prev.Shards != shards || prev.Lanes != lanes {
 			continue
 		}
 		if external {
@@ -289,7 +287,6 @@ func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStat
 // engine, its iteration body, and the best single-iteration rate seen.
 type benchPoint struct {
 	bench, mode   string
-	sim           string
 	shards, lanes int
 	eng           *rijndaelip.Engine
 	iter          func() error
@@ -365,7 +362,7 @@ func runInterleaved(b *testing.B, points []*benchPoint) {
 		sample(p)
 	}
 	for _, p := range points {
-		benchReport(b, p.eng, p.st0, p.rate(), p.bench, p.mode, p.sim, p.shards, p.lanes)
+		benchReport(b, p.eng, p.st0, p.rate(), p.bench, p.mode, p.shards, p.lanes)
 	}
 }
 
@@ -375,7 +372,7 @@ func runInterleaved(b *testing.B, points []*benchPoint) {
 func laggingPoint(points []*benchPoint) *benchPoint {
 	for _, a := range points {
 		for _, p := range points {
-			if p.bench == a.bench && p.mode == a.mode && p.sim == a.sim && p.lanes == a.lanes &&
+			if p.bench == a.bench && p.mode == a.mode && p.lanes == a.lanes &&
 				p.shards > a.shards && p.rate() < a.rate() {
 				return p
 			}
@@ -396,34 +393,30 @@ func BenchmarkEngine(b *testing.B) {
 		msg[i] = byte(i * 3)
 	}
 	var points []*benchPoint
-	for _, backend := range []rijndaelip.SimBackend{rijndaelip.SimCompiled, rijndaelip.SimInterpreted} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{Shards: shards, MaxLanes: 1, Backend: backend})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			points = append(points, &benchPoint{
-				bench: "engine", mode: "ctr", sim: backend.String(), shards: shards, lanes: 1,
-				eng: eng, blocksPerIter: 64,
-				iter: func() error {
-					_, err := eng.CTR(context.Background(), iv, msg)
-					return err
-				},
-			})
+	for _, shards := range []int{1, 2, 4, 8} {
+		eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{Shards: shards, MaxLanes: 1})
+		if err != nil {
+			b.Fatal(err)
 		}
+		defer eng.Close()
+		points = append(points, &benchPoint{
+			bench: "engine", mode: "ctr", shards: shards, lanes: 1,
+			eng: eng, blocksPerIter: 64,
+			iter: func() error {
+				_, err := eng.CTR(context.Background(), iv, msg)
+				return err
+			},
+		})
 	}
 	runInterleaved(b, points)
 }
 
-// BenchmarkVectorLanes sweeps the sim × shards × lanes grid: the same
-// 64-block ECB message through 1/2/4/8 shards at 1/16/64 blocks packed
-// per lane-parallel submission, on both the compiled-tape and the
-// interpreted backend. The lanes=1 rows are the scalar baseline; the
+// BenchmarkVectorLanes sweeps the shards × lanes grid: the same 64-block
+// ECB message through 1/2/4/8 shards at 1/16/64 blocks packed per
+// lane-parallel submission. The lanes=1 rows are the scalar baseline; the
 // lanes=64 single-shard row is the lane acceptance gate (>= 10x
-// blocks/sec over scalar), the compiled-vs-interpreted pair at 8
-// shards × 64 lanes is the compiled-backend gate (>= 2x blocks/sec),
-// and the corners show that lanes and shards compound.
+// blocks/sec over scalar), and the corners show that lanes and shards
+// compound.
 func BenchmarkVectorLanes(b *testing.B) {
 	impl, err := rijndaelip.Build(rijndaelip.Encrypt, rijndaelip.Acex1K())
 	if err != nil {
@@ -435,23 +428,21 @@ func BenchmarkVectorLanes(b *testing.B) {
 		msg[i] = byte(i * 5)
 	}
 	var points []*benchPoint
-	for _, backend := range []rijndaelip.SimBackend{rijndaelip.SimCompiled, rijndaelip.SimInterpreted} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			for _, lanes := range []int{1, 16, 64} {
-				eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{Shards: shards, MaxLanes: lanes, Backend: backend})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer eng.Close()
-				points = append(points, &benchPoint{
-					bench: "vector_lanes", mode: "ecb", sim: backend.String(), shards: shards, lanes: lanes,
-					eng: eng, blocksPerIter: 64,
-					iter: func() error {
-						_, err := eng.EncryptECB(context.Background(), msg)
-						return err
-					},
-				})
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, lanes := range []int{1, 16, 64} {
+			eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{Shards: shards, MaxLanes: lanes})
+			if err != nil {
+				b.Fatal(err)
 			}
+			defer eng.Close()
+			points = append(points, &benchPoint{
+				bench: "vector_lanes", mode: "ecb", shards: shards, lanes: lanes,
+				eng: eng, blocksPerIter: 64,
+				iter: func() error {
+					_, err := eng.EncryptECB(context.Background(), msg)
+					return err
+				},
+			})
 		}
 	}
 	runInterleaved(b, points)
@@ -510,10 +501,7 @@ func BenchmarkChaosRecovery(b *testing.B) {
 				_, err := eng.EncryptECB(context.Background(), msg)
 				return err
 			})
-			// Supervised recovery rows run on the default compiled backend
-			// only: the recovery tax is dominated by retries and respawns,
-			// not evaluation speed, so one backend tracks it.
-			row := benchReport(b, eng, st0, 0, "chaos_recovery", tc.name, rijndaelip.SimCompiled.String(), 4, 8)
+			row := benchReport(b, eng, st0, 0, "chaos_recovery", tc.name, 4, 8)
 			if inj != nil {
 				row.Strikes = inj.Strikes()
 				b.ReportMetric(float64(row.Strikes)/float64(b.N), "strikes/op")

@@ -64,20 +64,13 @@ type Driver struct {
 }
 
 // New builds a fresh simulator for a Rijndael IP core and returns a
-// driver. The simulation uses the interpreted RTL backend; NewCompiled
-// returns the tape-compiled, activity-gated equivalent.
+// driver. The RTL simulation runs the design's compiled instruction tape.
 func New(core *rijndael.Core) *Driver {
-	return newCore(core, core.Design.NewSimulator())
+	return newCore(core, core.Design.NewSimulator(), core.Design.Name)
 }
 
-// NewCompiled is New over the compiled evaluation backend: the same core,
-// protocol and observable behaviour, simulated through the design's fused
-// instruction tape with activity-gated cycle skipping.
-func NewCompiled(core *rijndael.Core) *Driver {
-	return newCore(core, core.Design.NewCompiledSimulator())
-}
-
-func newCore(core *rijndael.Core, sim Sim) *Driver {
+// newCore returns a driver for the core's Table 1 interface over sim.
+func newCore(core *rijndael.Core, sim Sim, name string) *Driver {
 	return NewDUT(DUT{
 		Sim:            sim,
 		BlockLatency:   core.BlockLatency,
@@ -85,7 +78,7 @@ func newCore(core *rijndael.Core, sim Sim) *Driver {
 		HasEncrypt:     core.Config.Variant != rijndael.Decrypt,
 		HasDecrypt:     core.Config.Variant != rijndael.Encrypt,
 		HasEncDecPin:   core.Config.Variant == rijndael.Both,
-		Name:           core.Design.Name,
+		Name:           name,
 	})
 }
 
@@ -320,12 +313,6 @@ func (d *Driver) pendingSet() bool {
 type KeyedFactory struct {
 	core *rijndael.Core
 	key  []byte
-
-	// Compiled selects the tape-compiled, activity-gated RTL backend for
-	// the simulators Clone and CloneVector build. Set it before the first
-	// clone; caller-built simulators (CloneSim/CloneVectorSim) choose their
-	// own backend.
-	Compiled bool
 }
 
 // NewKeyedFactory validates the key against the bus protocol (16 bytes, or
@@ -342,12 +329,7 @@ func NewKeyedFactory(core *rijndael.Core, key []byte) (*KeyedFactory, error) {
 // load and setup walk over the bus, and returns the ready-to-process
 // driver together with the key-setup cycles it spent.
 func (f *KeyedFactory) Clone() (*Driver, int, error) {
-	var d *Driver
-	if f.Compiled {
-		d = NewCompiled(f.core)
-	} else {
-		d = New(f.core)
-	}
+	d := New(f.core)
 	cycles, err := d.LoadKey(f.key)
 	if err != nil {
 		return nil, 0, err
@@ -360,13 +342,5 @@ func (f *KeyedFactory) Clone() (*Driver, int, error) {
 // of the RTL. This is the flow's sign-off check — the same vectors must
 // come back from the mapped design.
 func NewPostSynthesis(core *rijndael.Core, sim Sim) *Driver {
-	return NewDUT(DUT{
-		Sim:            sim,
-		BlockLatency:   core.BlockLatency,
-		KeySetupCycles: core.KeySetupCycles,
-		HasEncrypt:     core.Config.Variant != rijndael.Decrypt,
-		HasDecrypt:     core.Config.Variant != rijndael.Encrypt,
-		HasEncDecPin:   core.Config.Variant == rijndael.Both,
-		Name:           core.Design.Name + "(mapped)",
-	})
+	return newCore(core, sim, core.Design.Name+"(mapped)")
 }

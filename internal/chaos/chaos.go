@@ -175,10 +175,6 @@ type RunConfig struct {
 	// policy that catches persistent key-schedule corruption, which is
 	// what random strikes mostly produce).
 	Check rijndaelip.CheckPolicy
-	// Backend selects the cycle-simulation backend for every shard (and
-	// the strike-free baseline engine). The zero value is the compiled
-	// tape; set rijndaelip.SimInterpreted to chaos-test the interpreter.
-	Backend rijndaelip.SimBackend
 	// Supervisor knobs passed through (zero values take the supervisor's
 	// defaults).
 	RetryBudget        int
@@ -438,7 +434,6 @@ func Run(ctx context.Context, impl *rijndaelip.Implementation, key []byte, rc Ru
 		QueueDepth: rc.QueueDepth,
 		MaxLanes:   rc.MaxLanes,
 		Supervise:  &sup,
-		Backend:    rc.Backend,
 	}
 	eng, err := impl.NewEngine(key, opts)
 	if err != nil {

@@ -116,13 +116,6 @@ type Config struct {
 	// supervisor's triage retry, so campaign numbers predict how often
 	// triage will save a shard from quarantine.
 	ClassifyPersistence bool
-
-	// Compiled runs the DUT (and the lockstep shadow, when armed) on the
-	// compiled-tape netlist backend instead of the interpreter. Fault
-	// injection, EDAC statistics and divergence detection are bit-identical
-	// on both backends; compiled trades tape compilation at construction
-	// for faster per-cycle evaluation.
-	Compiled bool
 }
 
 // Trial is one classified injection.
@@ -341,11 +334,7 @@ func newCampaign(cfg Config) (*campaign, error) {
 	if !cfg.Decrypt && cfg.Core.Config.Variant == rijndael.Decrypt {
 		return nil, errors.New("faultcampaign: decrypt-only core cannot run an encrypt campaign")
 	}
-	newSim := netlist.NewSimulator
-	if cfg.Compiled {
-		newSim = netlist.NewCompiledSimulator
-	}
-	main, err := newSim(cfg.Netlist)
+	main, err := netlist.NewSimulator(cfg.Netlist)
 	if err != nil {
 		return nil, fmt.Errorf("faultcampaign: %w", err)
 	}
@@ -353,7 +342,7 @@ func newCampaign(cfg Config) (*campaign, error) {
 	var shadow *netlist.Simulator
 	var lock *Lockstep
 	if cfg.Lockstep {
-		shadow, err = newSim(cfg.Netlist)
+		shadow, err = netlist.NewSimulator(cfg.Netlist)
 		if err != nil {
 			return nil, fmt.Errorf("faultcampaign: shadow replica: %w", err)
 		}

@@ -4,10 +4,10 @@ import "fmt"
 
 // This file implements the static compiled-tape audit: a structural proof,
 // performed without executing a single Eval, that the fused instruction
-// tape (compile.go) is a faithful linearization of the interpreted
-// evaluation order. The differential fuzz suites show the two backends
-// agree on sampled stimulus; the audit shows the tape *cannot* disagree,
-// by checking per instruction that
+// tape (compile.go) is a faithful linearization of the levelized
+// evaluation order. The differential fuzz suite shows the tape agrees with
+// the test-only reference simulator on sampled stimulus; the audit shows
+// the tape *cannot* disagree, by checking per instruction that
 //
 //   - the tape aligns one-to-one with the levelized combinational order
 //     (every LUT and asynchronous ROM exactly once, in the same order);
@@ -36,8 +36,8 @@ func AuditCompiled(nl *Netlist) ([]string, error) {
 }
 
 // AuditTape audits the instruction tape this simulator actually executes.
-// The second result reports whether there was a tape to audit: a simulator
-// on the interpreted backend returns (nil, false).
+// The second result reports whether there was a tape to audit: the
+// test-only reference simulator returns (nil, false).
 func (s *Simulator) AuditTape() ([]string, bool) {
 	if s.tape == nil {
 		return nil, false

@@ -6,8 +6,7 @@ import (
 )
 
 // TestAuditCleanRandomNetlists: the static tape audit passes on a spread of
-// random netlists — the same generator the differential fuzz suite uses —
-// and on both simulator constructors.
+// random netlists — the same generator the differential fuzz suite uses.
 func TestAuditCleanRandomNetlists(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		nl := randomNetlist(rand.New(rand.NewSource(seed)))
@@ -21,21 +20,23 @@ func TestAuditCleanRandomNetlists(t *testing.T) {
 	}
 }
 
+// TestAuditTapeBackends: the exported constructor builds an auditable,
+// clean tape; the test-only reference simulator has none.
 func TestAuditTapeBackends(t *testing.T) {
 	nl := randomNetlist(rand.New(rand.NewSource(7)))
-	cs, err := NewCompiledSimulator(nl)
+	cs, err := NewSimulator(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if msgs, ok := cs.AuditTape(); !ok || len(msgs) != 0 {
-		t.Fatalf("compiled simulator: ok=%v findings=%v", ok, msgs)
+		t.Fatalf("NewSimulator: ok=%v findings=%v", ok, msgs)
 	}
-	is, err := NewSimulator(nl)
+	rs, err := newReferenceSimulator(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msgs, ok := is.AuditTape(); ok || msgs != nil {
-		t.Fatalf("interpreted simulator reported a tape: ok=%v findings=%v", ok, msgs)
+	if msgs, ok := rs.AuditTape(); ok || msgs != nil {
+		t.Fatalf("reference simulator reported a tape: ok=%v findings=%v", ok, msgs)
 	}
 }
 

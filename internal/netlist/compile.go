@@ -2,7 +2,7 @@ package netlist
 
 import "math/bits"
 
-// This file implements the compiled evaluation backend: at construction the
+// This file implements the simulator's evaluator: at construction the
 // levelized combinational order is translated into a flat instruction tape.
 // Each LUT's truth-table mask is first reduced to its true support (constant
 // and duplicate inputs folded, don't-care variables dropped) and then

@@ -86,18 +86,18 @@ func randomNetlist(r *rand.Rand) *Netlist {
 	return nl
 }
 
-// compareSims asserts that the interpreted and compiled simulators agree on
+// compareSims asserts that the reference and compiled simulators agree on
 // every piece of observable and internal state.
 func compareSims(t *testing.T, ref, cmp *Simulator, what string) {
 	t.Helper()
 	for n := 0; n < ref.nl.NumNets(); n++ {
 		if ref.values[n] != cmp.values[n] {
-			t.Fatalf("%s: net %d: interpreted %#x, compiled %#x", what, n, ref.values[n], cmp.values[n])
+			t.Fatalf("%s: net %d: reference %#x, compiled %#x", what, n, ref.values[n], cmp.values[n])
 		}
 	}
 	for i := range ref.ffQ {
 		if ref.ffQ[i] != cmp.ffQ[i] {
-			t.Fatalf("%s: FF %d: interpreted %#x, compiled %#x", what, i, ref.ffQ[i], cmp.ffQ[i])
+			t.Fatalf("%s: FF %d: reference %#x, compiled %#x", what, i, ref.ffQ[i], cmp.ffQ[i])
 		}
 	}
 	for i := range ref.romQ {
@@ -117,13 +117,13 @@ func compareSims(t *testing.T, ref, cmp *Simulator, what string) {
 	for i := range ref.roms {
 		rs, cs := ref.roms[i].Stats(), cmp.roms[i].Stats()
 		if rs != cs {
-			t.Fatalf("%s: ROM %d EDAC stats: interpreted %+v, compiled %+v", what, i, rs, cs)
+			t.Fatalf("%s: ROM %d EDAC stats: reference %+v, compiled %+v", what, i, rs, cs)
 		}
 	}
 }
 
 // TestCompiledDifferentialFuzz runs random netlists under random stimulus,
-// scheduled FF flips, stuck-ats and ROM damage on an interpreted and a
+// scheduled FF flips, stuck-ats and ROM damage on the reference and a
 // compiled simulator in lockstep; every Eval and Step must leave both with
 // identical net values, sequential state, cycle counts, injection counters
 // and EDAC read statistics.
@@ -135,11 +135,11 @@ func TestCompiledDifferentialFuzz(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		r := rand.New(rand.NewSource(0xC0DE + int64(round)))
 		nl := randomNetlist(r)
-		ref, err := NewSimulator(nl)
+		ref, err := newReferenceSimulator(nl)
 		if err != nil {
-			t.Fatalf("round %d: interpreted: %v", round, err)
+			t.Fatalf("round %d: reference: %v", round, err)
 		}
-		cmp, err := NewCompiledSimulator(nl)
+		cmp, err := NewSimulator(nl)
 		if err != nil {
 			t.Fatalf("round %d: compiled: %v", round, err)
 		}
@@ -216,13 +216,14 @@ func TestCompiledDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestCompiledSetInputBitsLength locks in the exact-length contract: both
-// undersized and oversized byte buffers are rejected.
+// TestCompiledSetInputBitsLength locks in the exact-length contract on the
+// exported constructor and the reference: both undersized and oversized
+// byte buffers are rejected.
 func TestCompiledSetInputBitsLength(t *testing.T) {
 	nl := New("len")
 	in := nl.AddInput("d", 12)
 	nl.AddOutput("q", in)
-	for _, mk := range []func(*Netlist) (*Simulator, error){NewSimulator, NewCompiledSimulator} {
+	for _, mk := range []func(*Netlist) (*Simulator, error){NewSimulator, newReferenceSimulator} {
 		s, err := mk(nl)
 		if err != nil {
 			t.Fatal(err)
@@ -248,39 +249,34 @@ func benchNetlist() *Netlist {
 }
 
 // BenchmarkNetlistEval measures steady-state Step throughput (one Eval plus
-// the clock edge) for the interpreted and compiled backends, under scalar
-// (lane-uniform broadcast) and 64-lane mixed stimulus.
+// the clock edge) under scalar (lane-uniform broadcast) and 64-lane mixed
+// stimulus.
 func BenchmarkNetlistEval(b *testing.B) {
 	nl := benchNetlist()
-	for _, bk := range []struct {
-		name string
-		mk   func(*Netlist) (*Simulator, error)
-	}{{"interpreted", NewSimulator}, {"compiled", NewCompiledSimulator}} {
-		for _, lanes := range []string{"scalar", "lanes64"} {
-			b.Run(bk.name+"/"+lanes, func(b *testing.B) {
-				s, err := bk.mk(nl)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r := rand.New(rand.NewSource(7))
-				if lanes == "lanes64" {
-					for lane := 0; lane < 64; lane++ {
-						if err := s.SetInputLane("din", lane, r.Uint64()); err != nil {
-							b.Fatal(err)
-						}
+	for _, lanes := range []string{"scalar", "lanes64"} {
+		b.Run(lanes, func(b *testing.B) {
+			s, err := NewSimulator(nl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(7))
+			if lanes == "lanes64" {
+				for lane := 0; lane < 64; lane++ {
+					if err := s.SetInputLane("din", lane, r.Uint64()); err != nil {
+						b.Fatal(err)
 					}
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%16 == 0 {
-						if err := s.SetInput("ctl", uint64(i)); err != nil {
-							b.Fatal(err)
-						}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%16 == 0 {
+					if err := s.SetInput("ctl", uint64(i)); err != nil {
+						b.Fatal(err)
 					}
-					s.Step()
 				}
-			})
-		}
+				s.Step()
+			}
+		})
 	}
 }

@@ -49,17 +49,12 @@ type Simulator struct {
 	injected  int                // FF bit-flips applied so far
 	romFaults int                // ROM bit faults applied so far
 
-	// lutTbl memoizes, per LUT, the truth-table mask expanded into 2^k lane
-	// words, so the interpreted mixed-lane path stops rebuilding the
-	// expansion on every call (interpreted backend only).
-	lutTbl [][]uint64
-
-	// Compiled backend (NewCompiledSimulator): tape is the fused word-op
-	// instruction stream, changed the per-net activity flags, srcPrev the
-	// input-net snapshot change detection compares against, forceFull a
-	// request to bypass activity gating on the next Eval (set whenever
-	// cached values or flags are not trustworthy: construction, Reset,
-	// CopyStateFrom).
+	// Compiled tape (nil on the test-only reference simulator): tape is the
+	// fused word-op instruction stream, changed the per-net activity flags,
+	// srcPrev the input-net snapshot change detection compares against,
+	// forceFull a request to bypass activity gating on the next Eval (set
+	// whenever cached values or flags are not trustworthy: construction,
+	// Reset, CopyStateFrom).
 	tape      *tape
 	changed   []bool
 	srcPrev   []uint64
@@ -80,25 +75,33 @@ type laneFlip struct {
 }
 
 // NewSimulator builds the netlist and returns a simulator with all state at
-// the flip-flops' init values (broadcast across all lanes). It evaluates
-// through the interpreted order walk; NewCompiledSimulator returns the
-// tape-compiled, activity-gated equivalent.
+// the flip-flops' init values (broadcast across all lanes), backed by the
+// compiled instruction tape with activity-gated evaluation: combinational
+// logic runs as a linear sweep over fused word ops, skipping instructions
+// whose input lane words did not change since the previous evaluation.
 func NewSimulator(nl *Netlist) (*Simulator, error) {
-	return newSimulator(nl, false)
+	s, err := newReferenceSimulator(nl)
+	if err != nil {
+		return nil, err
+	}
+	s.tape = compileTape(nl)
+	s.changed = make([]bool, nl.NumNets())
+	s.srcPrev = make([]uint64, len(s.tape.srcNets))
+	s.forceFull = true
+	return s, nil
 }
 
-// NewCompiledSimulator builds the netlist and returns a simulator backed by
-// the compiled instruction tape with activity-gated evaluation. It is
-// observationally identical to NewSimulator — same net values, sequential
-// state, cycle counts, fault semantics and EDAC read statistics — but
-// evaluates combinational logic as a linear sweep over fused word ops and
-// skips instructions whose input lane words did not change since the
-// previous evaluation.
-func NewCompiledSimulator(nl *Netlist) (*Simulator, error) {
-	return newSimulator(nl, true)
-}
+// NewCompiledSimulator is NewSimulator.
+//
+// Deprecated: every simulator runs the compiled tape; use NewSimulator.
+func NewCompiledSimulator(nl *Netlist) (*Simulator, error) { return NewSimulator(nl) }
 
-func newSimulator(nl *Netlist, compiled bool) (*Simulator, error) {
+// newReferenceSimulator returns a simulator that evaluates by walking the
+// levelized order cell by cell instead of the tape. It is the differential
+// reference the tape is fuzzed against, observationally identical to
+// NewSimulator: same net values, sequential state, cycle counts, fault
+// semantics and EDAC read statistics.
+func newReferenceSimulator(nl *Netlist) (*Simulator, error) {
 	if err := nl.Build(); err != nil {
 		return nil, err
 	}
@@ -120,28 +123,6 @@ func newSimulator(nl *Netlist, compiled bool) (*Simulator, error) {
 		s.roms[i] = edac.New(nl.ROMs[i].Name, nl.ROMs[i].Contents)
 	}
 	s.values[Const1] = ^uint64(0)
-	if compiled {
-		s.tape = compileTape(nl)
-		s.changed = make([]bool, nl.NumNets())
-		s.srcPrev = make([]uint64, len(s.tape.srcNets))
-		s.forceFull = true
-	} else {
-		// Memoize each LUT's expanded truth table for the mixed-lane path.
-		backing := make([]uint64, 0, len(nl.LUTs)*4)
-		s.lutTbl = make([][]uint64, len(nl.LUTs))
-		for i := range nl.LUTs {
-			l := &nl.LUTs[i]
-			start := len(backing)
-			for idx := 0; idx < 1<<uint(len(l.Inputs)); idx++ {
-				var w uint64
-				if l.Mask>>uint(idx)&1 != 0 {
-					w = ^uint64(0)
-				}
-				backing = append(backing, w)
-			}
-			s.lutTbl[i] = backing[start:len(backing):len(backing)]
-		}
-	}
 	return s, nil
 }
 
@@ -274,7 +255,7 @@ func (s *Simulator) Eval() {
 		switch cn.Kind {
 		case CombLUT:
 			l := &nl.LUTs[cn.Index]
-			s.values[l.Out] = s.evalLUT(l, cn.Index)
+			s.values[l.Out] = s.evalLUT(l)
 		case CombROM:
 			r := &nl.ROMs[cn.Index]
 			var addr [8]uint64
@@ -292,7 +273,7 @@ func (s *Simulator) Eval() {
 // evalLUT computes a LUT's output lane word. The fast path handles
 // lane-uniform inputs (the scalar broadcast case) with a single mask
 // index; mixed lanes fall back to the bit-parallel mux fold.
-func (s *Simulator) evalLUT(l *LUT, li int) uint64 {
+func (s *Simulator) evalLUT(l *LUT) uint64 {
 	idx := 0
 	for i, in := range l.Inputs {
 		switch v := s.values[in]; v {
@@ -300,22 +281,22 @@ func (s *Simulator) evalLUT(l *LUT, li int) uint64 {
 		case ^uint64(0):
 			idx |= 1 << uint(i)
 		default:
-			return s.evalLUTMixed(l, li)
+			return s.evalLUTMixed(l)
 		}
 	}
 	return logic.Word(l.Mask>>uint(idx)&1 != 0)
 }
 
 // evalLUTMixed evaluates a LUT bit-parallel across lanes: the truth-table
-// mask, pre-expanded into 2^k lane words at construction (lutTbl), is
-// folded down one selector input at a time (Shannon expansion, LSB
-// selector first) — 2^k-1 lane-wide muxes replace 64 per-lane table
-// lookups.
-func (s *Simulator) evalLUTMixed(l *LUT, li int) uint64 {
+// mask, expanded into 2^k lane words, is folded down one selector input at
+// a time (Shannon expansion, LSB selector first) — 2^k-1 lane-wide muxes
+// replace 64 per-lane table lookups.
+func (s *Simulator) evalLUTMixed(l *LUT) uint64 {
 	var t [16]uint64
-	tbl := s.lutTbl[li]
-	copy(t[:], tbl)
-	w := len(tbl)
+	w := 1 << uint(len(l.Inputs))
+	for j := 0; j < w; j++ {
+		t[j] = logic.Word(l.Mask>>uint(j)&1 != 0)
+	}
 	for _, in := range l.Inputs {
 		v := s.values[in]
 		w >>= 1

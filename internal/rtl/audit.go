@@ -20,7 +20,7 @@ import "fmt"
 //
 // The schedule is compiled on first use if needed. Findings are localized
 // messages; an empty slice means the schedule is a faithful linearization
-// of the interpreted evaluation.
+// of the level-by-level reference evaluation.
 func (d *Design) AuditCompiled() []string {
 	sc := d.compiledSched()
 	b := d.b

@@ -95,19 +95,19 @@ func randomDesign(t testing.TB, r *rand.Rand) *Design {
 	return d
 }
 
-// compareRTL asserts the interpreted and compiled simulators agree on all
+// compareRTL asserts the reference and compiled simulators agree on all
 // node values, sequential state, cycle counts and EDAC statistics.
 func compareRTL(t *testing.T, ref, cmp *Simulator, what string) {
 	t.Helper()
 	for id := range ref.values {
 		if ref.values[id] != cmp.values[id] {
-			t.Fatalf("%s: node %d: interpreted %#x, compiled %#x", what, id, ref.values[id], cmp.values[id])
+			t.Fatalf("%s: node %d: reference %#x, compiled %#x", what, id, ref.values[id], cmp.values[id])
 		}
 	}
 	for i := range ref.regQ {
 		for bit := range ref.regQ[i] {
 			if ref.regQ[i][bit] != cmp.regQ[i][bit] {
-				t.Fatalf("%s: reg %d bit %d: interpreted %#x, compiled %#x", what, i, bit, ref.regQ[i][bit], cmp.regQ[i][bit])
+				t.Fatalf("%s: reg %d bit %d: reference %#x, compiled %#x", what, i, bit, ref.regQ[i][bit], cmp.regQ[i][bit])
 			}
 		}
 	}
@@ -122,13 +122,13 @@ func compareRTL(t *testing.T, ref, cmp *Simulator, what string) {
 	for i := range ref.roms {
 		rs, cs := ref.roms[i].Stats(), cmp.roms[i].Stats()
 		if rs != cs {
-			t.Fatalf("%s: ROM %d EDAC stats: interpreted %+v, compiled %+v", what, i, rs, cs)
+			t.Fatalf("%s: ROM %d EDAC stats: reference %+v, compiled %+v", what, i, rs, cs)
 		}
 	}
 }
 
 // TestRTLCompiledDifferentialFuzz drives random designs with random
-// stimulus and live ROM-store damage through an interpreted and a compiled
+// stimulus and live ROM-store damage through the reference and a compiled
 // simulator in lockstep; both must stay bit-identical after every Eval and
 // Step, including EDAC correction counters.
 func TestRTLCompiledDifferentialFuzz(t *testing.T) {
@@ -139,8 +139,8 @@ func TestRTLCompiledDifferentialFuzz(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		r := rand.New(rand.NewSource(0xD1FF + int64(round)))
 		d := randomDesign(t, r)
-		ref := d.NewSimulator()
-		cmp := d.NewCompiledSimulator()
+		ref := d.newReferenceSimulator()
+		cmp := d.NewSimulator()
 		for cyc := 0; cyc < cycles; cyc++ {
 			if cyc == 0 || r.Intn(3) == 0 {
 				din, ctl := r.Uint64(), r.Uint64()
@@ -194,39 +194,31 @@ func TestRTLCompiledDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// BenchmarkRTLEval measures steady-state Step throughput for the
-// interpreted and compiled backends under scalar and 64-lane stimulus.
+// BenchmarkRTLEval measures steady-state Step throughput under scalar and
+// 64-lane stimulus.
 func BenchmarkRTLEval(b *testing.B) {
 	d := randomDesign(b, rand.New(rand.NewSource(42)))
-	for _, bk := range []struct {
-		name string
-		mk   func() *Simulator
-	}{
-		{"interpreted", d.NewSimulator},
-		{"compiled", d.NewCompiledSimulator},
-	} {
-		for _, lanes := range []string{"scalar", "lanes64"} {
-			b.Run(bk.name+"/"+lanes, func(b *testing.B) {
-				s := bk.mk()
-				r := rand.New(rand.NewSource(7))
-				if lanes == "lanes64" {
-					for lane := 0; lane < logic.Lanes; lane++ {
-						if err := s.SetInputLane("din", lane, r.Uint64()); err != nil {
-							b.Fatal(err)
-						}
+	for _, lanes := range []string{"scalar", "lanes64"} {
+		b.Run(lanes, func(b *testing.B) {
+			s := d.NewSimulator()
+			r := rand.New(rand.NewSource(7))
+			if lanes == "lanes64" {
+				for lane := 0; lane < logic.Lanes; lane++ {
+					if err := s.SetInputLane("din", lane, r.Uint64()); err != nil {
+						b.Fatal(err)
 					}
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%16 == 0 {
-						if err := s.SetInput("ctl", uint64(i)); err != nil {
-							b.Fatal(err)
-						}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%16 == 0 {
+					if err := s.SetInput("ctl", uint64(i)); err != nil {
+						b.Fatal(err)
 					}
-					s.Step()
 				}
-			})
-		}
+				s.Step()
+			}
+		})
 	}
 }

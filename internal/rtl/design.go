@@ -21,7 +21,7 @@ type Design struct {
 	maxROMLevel int
 
 	// Compiled evaluation schedule shared by every compiled simulator of
-	// this design; built lazily on the first NewCompiledSimulator and
+	// this design; built lazily on the first NewSimulator and
 	// rebuilt if the underlying AIG has grown since (e.g. extra logic added
 	// by a later synthesis pass).
 	compMu   sync.Mutex

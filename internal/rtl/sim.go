@@ -8,9 +8,9 @@ import (
 )
 
 // Simulator is a cycle-accurate, 64-lane bit-parallel simulator of an
-// elaborated design. It evaluates the AIG directly, resolving asynchronous
-// ROM reads in address-dependency order, and latches register and
-// synchronous-ROM state on Step.
+// elaborated design. It evaluates the AIG's compiled tape, resolving
+// asynchronous ROM reads in address-dependency order, and latches register
+// and synchronous-ROM state on Step.
 //
 // Lane/word data layout (see internal/logic/lanes.go): every simulated
 // value is a uint64 lane word whose bit L is the value seen by independent
@@ -34,10 +34,11 @@ type Simulator struct {
 
 	piIndex map[string]int
 
-	// Compiled backend (NewCompiledSimulator): comp is the design's shared
-	// evaluation schedule, changed the per-node activity flags, full a
-	// request to bypass activity gating on the next Eval pass (set after
-	// construction and Reset, when cached values are not trustworthy).
+	// Compiled tape (nil on the test-only reference simulator): comp is the
+	// design's shared evaluation schedule, changed the per-node activity
+	// flags, full a request to bypass activity gating on the next Eval pass
+	// (set after construction and Reset, when cached values are not
+	// trustworthy).
 	// stimDirty records that a stimulus write actually moved an input lane
 	// word since the last Eval; with it clear and no state movement, Eval
 	// skips the tape entirely and only performs the per-ROM EDAC gathers.
@@ -48,8 +49,31 @@ type Simulator struct {
 }
 
 // NewSimulator returns a simulator with registers at their initial values
-// (broadcast across all lanes).
+// (broadcast across all lanes), backed by the design's compiled instruction
+// tape with activity-gated evaluation: combinational logic runs as one
+// segmented linear sweep over a flat tape (asynchronous ROMs resolved in
+// place rather than by whole-AIG re-passes), nodes whose fanin lane words
+// did not change since the previous pass are skipped, and the sweep is
+// skipped altogether when no stimulus or sequential state moved at all.
 func (d *Design) NewSimulator() *Simulator {
+	s := d.newReferenceSimulator()
+	s.comp = d.compiledSched()
+	s.changed = make([]bool, len(s.values))
+	s.full = true
+	return s
+}
+
+// NewCompiledSimulator is NewSimulator.
+//
+// Deprecated: every simulator runs the compiled tape; use NewSimulator.
+func (d *Design) NewCompiledSimulator() *Simulator { return d.NewSimulator() }
+
+// newReferenceSimulator returns a simulator that evaluates through
+// maxROMLevel+2 whole-AIG passes instead of the tape. It is the
+// differential reference the tape is fuzzed against, observationally
+// identical to NewSimulator: same outputs, register/ROM state, cycle counts
+// and EDAC read statistics.
+func (d *Design) newReferenceSimulator() *Simulator {
 	s := &Simulator{
 		d:       d,
 		inputs:  make([]uint64, d.b.aig.NumInputs()),
@@ -68,22 +92,6 @@ func (d *Design) NewSimulator() *Simulator {
 	for i := range d.b.roms {
 		s.roms[i] = edac.New(d.b.roms[i].name, d.b.roms[i].contents)
 	}
-	return s
-}
-
-// NewCompiledSimulator returns a simulator backed by the design's compiled
-// instruction tape with activity-gated evaluation. It is observationally
-// identical to NewSimulator — same outputs, register/ROM state, cycle
-// counts and EDAC read statistics — but evaluates combinational logic as
-// one segmented linear sweep over a flat tape (asynchronous ROMs resolved
-// in place rather than by whole-AIG re-passes), skips nodes whose fanin
-// lane words did not change since the previous pass, and skips the sweep
-// altogether when no stimulus or sequential state moved at all.
-func (d *Design) NewCompiledSimulator() *Simulator {
-	s := d.NewSimulator()
-	s.comp = d.compiledSched()
-	s.changed = make([]bool, len(s.values))
-	s.full = true
 	return s
 }
 

@@ -183,17 +183,6 @@ func (r *ResilientBlock) Stats() ResilientStats {
 	return r.stats
 }
 
-// Cycles returns the simulated clock cycles spent on the hardware path.
-//
-// Deprecated: use Stats().Cycles. Cycles was once an exported field that
-// raced with concurrent Encrypt/Decrypt calls; it is kept as a
-// synchronized accessor for callers of the former field.
-func (r *ResilientBlock) Cycles() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats.Cycles
-}
-
 // Degraded reports whether the adapter has given up on the hardware path
 // and is serving blocks from the software reference.
 func (r *ResilientBlock) Degraded() bool {

@@ -246,18 +246,14 @@ func (e *Engine) buildDriver() (*bfm.VectorDriver, *netlist.Simulator, *faultcam
 		}
 		return drv, nil, nil, nil
 	}
-	newSim := netlist.NewSimulator
-	if e.opts.Backend == SimCompiled {
-		newSim = netlist.NewCompiledSimulator
-	}
-	main, err := newSim(e.impl.Netlist.nl)
+	main, err := netlist.NewSimulator(e.impl.Netlist.nl)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	var sim bfm.Sim = main
 	var lock *faultcampaign.VectorLockstep
 	if e.sup.Check == CheckLockstep {
-		shadow, err := newSim(e.impl.Netlist.nl)
+		shadow, err := netlist.NewSimulator(e.impl.Netlist.nl)
 		if err != nil {
 			return nil, nil, nil, err
 		}
