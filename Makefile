@@ -26,7 +26,7 @@ bench:
 # `verify` alongside vet and the race sweep.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Engine|VectorLanes|ChaosRecovery|ObsOverhead)$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval)$$' -benchtime=1x ./internal/netlist/ ./internal/rtl/
+	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval|GatherROM)$$' -benchtime=1x ./internal/netlist/ ./internal/rtl/ ./internal/logic/
 
 # Machine-readable perf trajectory: runs the engine benchmarks and writes
 # cycles-per-block, Mbps and blocks/sec for every shards x lanes point of

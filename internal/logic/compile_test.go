@@ -40,9 +40,13 @@ func randNet(r *rand.Rand, nIn, nOps int) (*Net, []Lit) {
 }
 
 // TestCompiledEvalMatchesInterpreter drives random nets with random stimulus
-// through the interpreted EvalInto, the compiled EvalInto and the compiled
-// activity-gated EvalGated; all three must agree on every node value at
-// every pass.
+// through the interpreted EvalInto and the compiled EvalRange, once as a
+// single full-range sweep and once split at random node-id boundaries with
+// inputs edited between the sub-ranges — the segmented, resume-at-boundary
+// pattern the RTL simulator uses around asynchronous ROMs. Edits may only
+// touch inputs whose nodes lie at or above the current boundary (earlier
+// nodes were already evaluated), and the reference sees the final stimulus;
+// both sweeps must agree with it on every node value at every pass.
 func TestCompiledEvalMatchesInterpreter(t *testing.T) {
 	r := rand.New(rand.NewSource(0x5eed))
 	rounds := 20
@@ -59,11 +63,8 @@ func TestCompiledEvalMatchesInterpreter(t *testing.T) {
 		inputs := make([]uint64, n.NumInputs())
 		ref := make([]uint64, n.NumNodes())
 		flat := make([]uint64, n.NumNodes())
-		gated := make([]uint64, n.NumNodes())
-		changed := make([]bool, n.NumNodes())
+		split := make([]uint64, n.NumNodes())
 		for pass := 0; pass < passes; pass++ {
-			// Mostly incremental stimulus (a few inputs move) with
-			// occasional full randomization, so gating actually skips work.
 			if pass == 0 || r.Intn(8) == 0 {
 				for i := range inputs {
 					inputs[i] = r.Uint64()
@@ -73,15 +74,29 @@ func TestCompiledEvalMatchesInterpreter(t *testing.T) {
 					inputs[r.Intn(len(inputs))] ^= 1 << uint(r.Intn(64))
 				}
 			}
+			// Segmented sweep: random boundaries, stimulus edits between.
+			pos := 0
+			for pos < n.NumNodes() {
+				next := pos + 1 + r.Intn(n.NumNodes()-pos)
+				c.EvalRange(pos, next, inputs, split)
+				pos = next
+				for k := r.Intn(3); k > 0; k-- {
+					ord := r.Intn(len(inputs))
+					if int(n.inputs[ord]) >= pos {
+						inputs[ord] = r.Uint64()
+					}
+				}
+			}
 			n.EvalInto(inputs, ref)
+			for id := 0; id < n.NumNodes(); id++ {
+				if split[id] != ref[id] {
+					t.Fatalf("round %d pass %d: split EvalRange node %d = %#x, interpreter %#x", round, pass, id, split[id], ref[id])
+				}
+			}
 			c.EvalInto(inputs, flat)
-			c.EvalGated(inputs, gated, changed, pass == 0)
 			for id := 0; id < n.NumNodes(); id++ {
 				if flat[id] != ref[id] {
 					t.Fatalf("round %d pass %d: compiled EvalInto node %d = %#x, interpreter %#x", round, pass, id, flat[id], ref[id])
-				}
-				if gated[id] != ref[id] {
-					t.Fatalf("round %d pass %d: EvalGated node %d = %#x, interpreter %#x", round, pass, id, gated[id], ref[id])
 				}
 			}
 		}

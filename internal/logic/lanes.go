@@ -44,6 +44,13 @@ func Word(v bool) uint64 {
 // (stores with faulty words take the counting slow path in edac instead).
 // When every address word is lane-uniform (the scalar broadcast case) a
 // single table lookup is broadcast instead of the 64-lane gather/scatter.
+//
+// The divergent case works on 8 groups of 8 lanes. Byte g of the 8 address
+// words, packed into one uint64, is an 8x8 bit matrix whose row b holds
+// address bit b of lanes 8g..8g+7; transposing it puts lane 8g+j's whole
+// address in byte j, so the group costs 8 plain table lookups. The looked-
+// up bytes are transposed back into one byte per data bit and scattered
+// into the output words.
 func GatherROM(contents *[256]byte, addr *[8]uint64) [8]uint64 {
 	var out [8]uint64
 	uniform := true
@@ -67,15 +74,32 @@ func GatherROM(contents *[256]byte, addr *[8]uint64) [8]uint64 {
 		}
 		return out
 	}
-	for lane := 0; lane < Lanes; lane++ {
-		a := 0
-		for bit := 0; bit < 8; bit++ {
-			a |= int(addr[bit]>>uint(lane)&1) << uint(bit)
+	for g := uint(0); g < Lanes; g += 8 {
+		var m uint64
+		for bit := uint(0); bit < 8; bit++ {
+			m |= (addr[bit] >> g & 0xff) << (8 * bit)
 		}
-		w := uint64(contents[a])
-		for bit := 0; bit < 8; bit++ {
-			out[bit] |= (w >> uint(bit) & 1) << uint(lane)
+		m = transpose8(m)
+		var d uint64
+		for j := uint(0); j < 64; j += 8 {
+			d |= uint64(contents[byte(m>>j)]) << j
+		}
+		d = transpose8(d)
+		for bit := uint(0); bit < 8; bit++ {
+			out[bit] |= (d >> (8 * bit) & 0xff) << g
 		}
 	}
 	return out
+}
+
+// transpose8 transposes an 8x8 bit matrix held row-major in a uint64 (bit
+// c of byte r is element (r, c)) by three rounds of block swaps (Hacker's
+// Delight, 7-3).
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00aa00aa00aa00aa
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000cccc0000cccc
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000f0f0f0f0
+	return x ^ t ^ t<<28
 }

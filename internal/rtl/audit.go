@@ -7,8 +7,8 @@ import "fmt"
 // without executing it. On top of the per-node tape obligations proved by
 // logic.Net.AuditCompiled, the schedule-level audit checks that
 //
-//   - register and ROM state presentation uses the exact input ordinals
-//     of the corresponding pseudo-input literals;
+//   - stimulus writes and register and ROM state presentation use the
+//     exact input ordinals of the corresponding (pseudo-)input literals;
 //   - there is exactly one gather segment per asynchronous ROM (the EDAC
 //     correction-counter contract) and none for synchronous ROMs;
 //   - segments follow ROM declaration order with strictly increasing
@@ -32,7 +32,19 @@ func (d *Design) AuditCompiled() []string {
 		out = append(out, "tape: "+msg)
 	}
 
-	// State-presentation ordinals.
+	// Stimulus and state-presentation ordinals.
+	for i := range b.inputs {
+		if len(sc.portOrd[i]) != len(b.inputs[i].bus) {
+			fail("input %s: %d stimulus ordinals for %d bits", b.inputs[i].name, len(sc.portOrd[i]), len(b.inputs[i].bus))
+			continue
+		}
+		for bit, l := range b.inputs[i].bus {
+			if want := int32(b.aig.InputOrdinal(l)); sc.portOrd[i][bit] != want {
+				fail("input %s[%d]: drives input ordinal %d, port bit is ordinal %d",
+					b.inputs[i].name, bit, sc.portOrd[i][bit], want)
+			}
+		}
+	}
 	for i := range b.regs {
 		if len(sc.regOrd[i]) != len(b.regs[i].q) {
 			fail("register %s: %d presentation ordinals for %d bits", b.regs[i].name, len(sc.regOrd[i]), len(b.regs[i].q))

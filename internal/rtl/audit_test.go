@@ -65,6 +65,11 @@ func TestAuditCompiledScheduleSensitivity(t *testing.T) {
 			sc.regOrd[0][0]++
 			return func() { sc.regOrd[0][0] = old }
 		}},
+		{"port-ordinal", func() func() {
+			old := sc.portOrd[0][0]
+			sc.portOrd[0][0]++
+			return func() { sc.portOrd[0][0] = old }
+		}},
 		{"rom-ordinal", func() func() {
 			old := sc.romOrd[0][0]
 			sc.romOrd[0][0]++

@@ -40,10 +40,12 @@ type Design struct {
 type compSched struct {
 	tape *logic.Compiled
 	segs []romSeg
-	// Precomputed input ordinals (per register bit, per ROM output bit) so
-	// state presentation avoids the aig.InputOrdinal map lookup per bit.
-	regOrd [][]int32
-	romOrd [][8]int32
+	// Precomputed input ordinals (per input-port bit, per register bit, per
+	// ROM output bit) so stimulus writes and state presentation avoid the
+	// aig.InputOrdinal map lookup per bit.
+	portOrd [][]int32
+	regOrd  [][]int32
+	romOrd  [][8]int32
 }
 
 // romSeg schedules one asynchronous ROM: evaluate the tape up to boundary
@@ -63,15 +65,16 @@ func (d *Design) compiledSched() *compSched {
 	}
 	b := d.b
 	sc := &compSched{
-		tape:   b.aig.Compile(),
-		regOrd: make([][]int32, len(b.regs)),
-		romOrd: make([][8]int32, len(b.roms)),
+		tape:    b.aig.Compile(),
+		portOrd: make([][]int32, len(b.inputs)),
+		regOrd:  make([][]int32, len(b.regs)),
+		romOrd:  make([][8]int32, len(b.roms)),
+	}
+	for i := range b.inputs {
+		sc.portOrd[i] = ordinals(b.aig, b.inputs[i].bus)
 	}
 	for i := range b.regs {
-		sc.regOrd[i] = make([]int32, len(b.regs[i].q))
-		for bit, l := range b.regs[i].q {
-			sc.regOrd[i][bit] = int32(b.aig.InputOrdinal(l))
-		}
+		sc.regOrd[i] = ordinals(b.aig, b.regs[i].q)
 	}
 	for i := range b.roms {
 		for bit, l := range b.roms[i].out {
@@ -85,6 +88,15 @@ func (d *Design) compiledSched() *compSched {
 	}
 	d.compiled = sc
 	return sc
+}
+
+// ordinals resolves each pseudo-input literal to its AIG input ordinal.
+func ordinals(aig *logic.Net, lits []logic.Lit) []int32 {
+	ords := make([]int32, len(lits))
+	for i, l := range lits {
+		ords[i] = int32(aig.InputOrdinal(l))
+	}
+	return ords
 }
 
 // Build validates the builder's contents and elaborates the design:

@@ -33,33 +33,27 @@ type Simulator struct {
 	cycles uint64
 
 	piIndex map[string]int
+	portOrd [][]int32 // per input port, per bit: AIG input ordinal
 
-	// Compiled tape (nil on the test-only reference simulator): comp is the
-	// design's shared evaluation schedule, changed the per-node activity
-	// flags, full a request to bypass activity gating on the next Eval pass
-	// (set after construction and Reset, when cached values are not
-	// trustworthy).
-	// stimDirty records that a stimulus write actually moved an input lane
-	// word since the last Eval; with it clear and no state movement, Eval
-	// skips the tape entirely and only performs the per-ROM EDAC gathers.
+	// comp is the design's shared compiled evaluation schedule (nil on the
+	// test-only reference simulator). stimDirty records that values may be
+	// stale: a stimulus write actually moved an input lane word since the
+	// last Eval, or the simulator was just built or Reset. With it clear and
+	// no state movement, Eval skips the tape entirely and only performs the
+	// per-ROM EDAC gathers.
 	comp      *compSched
-	changed   []bool
-	full      bool
 	stimDirty bool
 }
 
 // NewSimulator returns a simulator with registers at their initial values
 // (broadcast across all lanes), backed by the design's compiled instruction
-// tape with activity-gated evaluation: combinational logic runs as one
-// segmented linear sweep over a flat tape (asynchronous ROMs resolved in
-// place rather than by whole-AIG re-passes), nodes whose fanin lane words
-// did not change since the previous pass are skipped, and the sweep is
-// skipped altogether when no stimulus or sequential state moved at all.
+// tape: combinational logic runs as one segmented, branch-free linear sweep
+// over a packed tape (asynchronous ROMs resolved in place rather than by
+// whole-AIG re-passes), and the sweep is skipped altogether when no
+// stimulus or sequential state moved at all.
 func (d *Design) NewSimulator() *Simulator {
 	s := d.newReferenceSimulator()
 	s.comp = d.compiledSched()
-	s.changed = make([]bool, len(s.values))
-	s.full = true
 	return s
 }
 
@@ -81,6 +75,9 @@ func (d *Design) newReferenceSimulator() *Simulator {
 		regQ:    make([][]uint64, len(d.b.regs)),
 		romQ:    make([][8]uint64, len(d.b.roms)),
 		piIndex: map[string]int{},
+		portOrd: d.compiledSched().portOrd,
+		// Nothing has been evaluated yet.
+		stimDirty: true,
 	}
 	for i, p := range d.b.inputs {
 		s.piIndex[p.name] = i
@@ -118,7 +115,7 @@ func (s *Simulator) Reset() {
 		s.romQ[i] = [8]uint64{}
 	}
 	s.cycles = 0
-	s.full = true
+	s.stimDirty = true
 }
 
 // Cycles returns the number of Step calls since construction or Reset.
@@ -137,12 +134,12 @@ func (s *Simulator) SetInput(name string, value uint64) error {
 	if !ok {
 		return fmt.Errorf("rtl: no input port %q", name)
 	}
-	p := s.d.b.inputs[i]
-	if len(p.bus) > 64 {
+	ords := s.portOrd[i]
+	if len(ords) > 64 {
 		return fmt.Errorf("rtl: input %q wider than 64 bits, use SetInputBits", name)
 	}
-	for bit, l := range p.bus {
-		s.setInputLit(l, value>>uint(bit)&1 != 0)
+	for bit, ord := range ords {
+		s.setInputOrd(ord, value>>uint(bit)&1 != 0)
 	}
 	return nil
 }
@@ -154,12 +151,12 @@ func (s *Simulator) SetInputBits(name string, bits []byte) error {
 	if !ok {
 		return fmt.Errorf("rtl: no input port %q", name)
 	}
-	p := s.d.b.inputs[i]
-	if len(bits)*8 < len(p.bus) {
-		return fmt.Errorf("rtl: input %q needs %d bits, got %d", name, len(p.bus), len(bits)*8)
+	ords := s.portOrd[i]
+	if len(bits)*8 < len(ords) {
+		return fmt.Errorf("rtl: input %q needs %d bits, got %d", name, len(ords), len(bits)*8)
 	}
-	for bit, l := range p.bus {
-		s.setInputLit(l, bits[bit/8]>>(uint(bit)%8)&1 != 0)
+	for bit, ord := range ords {
+		s.setInputOrd(ord, bits[bit/8]>>(uint(bit)%8)&1 != 0)
 	}
 	return nil
 }
@@ -174,12 +171,12 @@ func (s *Simulator) SetInputLane(name string, lane int, value uint64) error {
 	if !ok {
 		return fmt.Errorf("rtl: no input port %q", name)
 	}
-	p := s.d.b.inputs[i]
-	if len(p.bus) > 64 {
+	ords := s.portOrd[i]
+	if len(ords) > 64 {
 		return fmt.Errorf("rtl: input %q wider than 64 bits, use SetInputBitsLane", name)
 	}
-	for bit, l := range p.bus {
-		s.setInputLitLane(l, lane, value>>uint(bit)&1 != 0)
+	for bit, ord := range ords {
+		s.setInputOrdLane(ord, lane, value>>uint(bit)&1 != 0)
 	}
 	return nil
 }
@@ -194,26 +191,24 @@ func (s *Simulator) SetInputBitsLane(name string, lane int, bits []byte) error {
 	if !ok {
 		return fmt.Errorf("rtl: no input port %q", name)
 	}
-	p := s.d.b.inputs[i]
-	if len(bits)*8 < len(p.bus) {
-		return fmt.Errorf("rtl: input %q needs %d bits, got %d", name, len(p.bus), len(bits)*8)
+	ords := s.portOrd[i]
+	if len(bits)*8 < len(ords) {
+		return fmt.Errorf("rtl: input %q needs %d bits, got %d", name, len(ords), len(bits)*8)
 	}
-	for bit, l := range p.bus {
-		s.setInputLitLane(l, lane, bits[bit/8]>>(uint(bit)%8)&1 != 0)
+	for bit, ord := range ords {
+		s.setInputOrdLane(ord, lane, bits[bit/8]>>(uint(bit)%8)&1 != 0)
 	}
 	return nil
 }
 
-func (s *Simulator) setInputLit(l logic.Lit, v bool) {
-	ord := s.d.b.aig.InputOrdinal(l)
+func (s *Simulator) setInputOrd(ord int32, v bool) {
 	if w := logic.Word(v); s.inputs[ord] != w {
 		s.inputs[ord] = w
 		s.stimDirty = true
 	}
 }
 
-func (s *Simulator) setInputLitLane(l logic.Lit, lane int, v bool) {
-	ord := s.d.b.aig.InputOrdinal(l)
+func (s *Simulator) setInputOrdLane(ord int32, lane int, v bool) {
 	mask := uint64(1) << uint(lane)
 	w := s.inputs[ord] &^ mask
 	if v {
@@ -285,19 +280,19 @@ func (s *Simulator) Eval() {
 // literals). That keeps one EDAC Gather per async ROM per call — the
 // interpreter's correction-counter contract — while evaluating every node
 // at most once instead of the interpreter's maxROMLevel+2 whole-AIG
-// passes. Two further cuts ride on value-exact activity gating: nodes
-// whose fanin lane words held still are skipped, and when nothing moved at
-// all since the previous Eval (the driver's Eval-then-Step pattern
-// re-evaluates an unchanged circuit every cycle) the tape is skipped
-// entirely and only the gathers run. Fault injections need no special
-// casing because gating compares values: a struck register or ROM word
-// changes a presented lane word, which floods the affected cone.
+// passes. The sweep itself is ungated: every node in a swept range is
+// recomputed, because on the cores' 64-lane workloads so many nodes move
+// per cycle that a per-node skip test costs more than it saves. The one
+// skip is whole-tape: when nothing moved at all since the previous Eval
+// (the driver's Eval-then-Step pattern re-evaluates an unchanged circuit
+// every cycle) the tape is skipped entirely and only the gathers run.
+// Presentation compares values, so fault injections need no special
+// casing: a struck register or ROM word changes a presented lane word,
+// which makes the pass dirty.
 func (s *Simulator) evalCompiled() {
 	b := s.d.b
 	sc := s.comp
-	full := s.full
-	s.full = false
-	dirty := full || s.stimDirty
+	dirty := s.stimDirty
 	s.stimDirty = false
 	// Present register state.
 	for i := range b.regs {
@@ -323,7 +318,7 @@ func (s *Simulator) evalCompiled() {
 	pos := 0
 	for _, seg := range sc.segs {
 		if dirty {
-			s.comp.tape.EvalGatedRange(pos, seg.boundary, s.inputs, s.values, s.changed, full)
+			sc.tape.EvalRange(pos, seg.boundary, s.inputs, s.values)
 			pos = seg.boundary
 		}
 		rom := &b.roms[seg.rom]
@@ -346,7 +341,7 @@ func (s *Simulator) evalCompiled() {
 		}
 	}
 	if dirty {
-		s.comp.tape.EvalGatedRange(pos, s.comp.tape.NumNodes(), s.inputs, s.values, s.changed, full)
+		sc.tape.EvalRange(pos, sc.tape.NumNodes(), s.inputs, s.values)
 	}
 }
 

@@ -345,7 +345,6 @@ func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
 	if e.recordTransient(s, sub) {
 		// Budget exhausted: the retry's data is good (deliver it), but a
 		// shard needing this many in-place saves is persistently sick.
-		e.deliver(s, j, outs)
 		e.emit(obs.Event{Kind: obs.KindEscalation, Shard: s.id,
 			Generation: s.gen.Load(), Submission: sub, Cause: CauseErrorBudget})
 		e.classifyPersistent(s, Diagnosis{
@@ -354,8 +353,11 @@ func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
 				e.sup.TransientBudget, e.sup.TransientWindow),
 		})
 		// After classifyPersistent so a Stats snapshot can never show
-		// Escalations > Persistents (see the load-order contract there).
+		// Escalations > Persistents (see the load-order contract there),
+		// and before deliver so a caller whose call just returned sees
+		// the escalation counted.
 		e.escalations.Add(1)
+		e.deliver(s, j, outs)
 		return
 	}
 	s.transients.Add(1)
