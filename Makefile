@@ -17,7 +17,8 @@ bench:
 
 # One pass over the sharded-engine scaling curve (1/2/4/8 shards) and the
 # shards x lanes grid (1/16/64 blocks per lane-packed submission), plus the
-# per-simulator Eval micro-benchmarks: a cheap smoke that surfaces
+# per-simulator Eval micro-benchmarks and the supervised netlist lockstep
+# transaction: a cheap smoke that surfaces
 # throughput-scaling regressions without the full bench suite.
 # BenchmarkObsOverhead reports the instrumented/uninstrumented throughput
 # ratio (best of 5 alternating rounds per twin even at -benchtime=1x;
@@ -26,7 +27,7 @@ bench:
 # `verify` alongside vet and the race sweep.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Engine|VectorLanes|ChaosRecovery|ObsOverhead)$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval|GatherROM)$$' -benchtime=1x ./internal/netlist/ ./internal/rtl/ ./internal/logic/
+	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval|GatherROM|VectorLockstep)$$' -benchtime=1x ./internal/netlist/ ./internal/rtl/ ./internal/logic/ ./internal/faultcampaign/
 
 # Machine-readable perf trajectory: runs the engine benchmarks and writes
 # cycles-per-block, Mbps and blocks/sec for every shards x lanes point of

@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the static compiled-tape audit: a structural proof,
 // performed without executing a single Eval, that the fused instruction
@@ -15,13 +18,16 @@ import "fmt"
 //     constants, primary inputs, sequential state (FF Q, synchronous ROM
 //     outputs) or the outputs of earlier instructions;
 //   - each instruction's support is the duplicate-collapsed subset of its
-//     source LUT's input nets, with generic opLUT operands distinct and
-//     non-constant and table words canonical lane masks;
+//     source LUT's input nets; a generic opLUT3/opLUT4 reads as many
+//     operands as its opcode's arity, distinct and non-constant, and its
+//     table window holds 2^arity canonical lane masks;
 //   - the fused word op computes the source LUT's truth table exactly,
 //     for every consistent input assignment — which proves the XOR
 //     inversion masks agree with the reduced function's polarity;
 //   - every asynchronous ROM is gathered exactly once per sweep (the
-//     EDAC correction-counter contract), never a synchronous one;
+//     EDAC correction-counter contract), never a synchronous one, and the
+//     tape's ROM-position list names exactly the opROM instructions in
+//     order, so a quiescent Eval that skips the sweep misses no gather;
 //   - the watched stimulus nets are exactly the primary-input nets.
 
 // AuditCompiled builds the netlist, compiles its instruction tape and runs
@@ -57,10 +63,22 @@ func operandNets(ins *tapeInstr) []NetID {
 		return ins.in[:2]
 	case opMux:
 		return ins.in[:3]
-	case opLUT:
-		return ins.in[:ins.n]
+	case opLUT3, opLUT4:
+		return ins.in[:lutArity(ins.op)]
 	}
 	return nil
+}
+
+// lutArity returns the variable count of a generic LUT opcode, 0 for any
+// other opcode.
+func lutArity(op uint8) int {
+	switch op {
+	case opLUT3:
+		return 3
+	case opLUT4:
+		return 4
+	}
+	return 0
 }
 
 func auditTape(nl *Netlist, t *tape) []string {
@@ -117,6 +135,7 @@ func auditTape(nl *Netlist, t *tape) []string {
 		return out
 	}
 	romGathers := make([]int, len(nl.ROMs))
+	var romAt []int
 	for i := range t.instrs {
 		ins := &t.instrs[i]
 		cn := nl.order[i]
@@ -135,6 +154,7 @@ func auditTape(nl *Netlist, t *tape) []string {
 				fail("%s: synchronous ROM scheduled as a combinational gather", what)
 			}
 			romGathers[cn.Index]++
+			romAt = append(romAt, i)
 			for bit, a := range r.Addr {
 				if _, ok := defined[a]; !ok {
 					fail("%s: addr[%d] reads net %d before any instruction defines it", what, bit, a)
@@ -174,23 +194,18 @@ func auditTape(nl *Netlist, t *tape) []string {
 				fail("%s: operand %d reads net %d outside the LUT's support", what, slot, n)
 			}
 		}
-		if ins.op == opLUT {
-			if ins.n < 1 || ins.n > 4 {
-				fail("%s: generic op with %d variables", what, ins.n)
-				define(l.Out, what)
-				continue
-			}
+		if n := lutArity(ins.op); n > 0 {
 			seen := map[NetID]bool{}
-			for slot, n := range ops {
-				if n == Const0 || n == Const1 {
+			for slot, net := range ops {
+				if net == Const0 || net == Const1 {
 					fail("%s: operand %d is a constant: support not reduced", what, slot)
 				}
-				if seen[n] {
-					fail("%s: operand %d duplicates net %d: support not duplicate-collapsed", what, slot, n)
+				if seen[net] {
+					fail("%s: operand %d duplicates net %d: support not duplicate-collapsed", what, slot, net)
 				}
-				seen[n] = true
+				seen[net] = true
 			}
-			lo, hi := int(ins.tbl), int(ins.tbl)+1<<uint(ins.n)
+			lo, hi := int(ins.tbl), int(ins.tbl)+1<<uint(n)
 			if lo < 0 || hi > len(t.tables) {
 				fail("%s: table window [%d,%d) outside the %d-word pool", what, lo, hi, len(t.tables))
 				define(l.Out, what)
@@ -209,6 +224,9 @@ func auditTape(nl *Netlist, t *tape) []string {
 			fail("%s: %s", what, msg)
 		}
 		define(l.Out, what)
+	}
+	if !slices.Equal(t.romAt, romAt) {
+		fail("tape ROM positions %v, gathers sit at %v: a quiescent Eval would gather the wrong instructions", t.romAt, romAt)
 	}
 	for i := range nl.ROMs {
 		if nl.ROMs[i].Sync {
@@ -273,8 +291,9 @@ func checkInstrSemantics(t *tape, ins *tapeInstr, l *LUT) string {
 }
 
 // evalInstrUniform evaluates one instruction under lane-uniform operand
-// values (each env word all-zeros or all-ones), mirroring evalCompiled's
-// word formulas exactly.
+// values (each env word all-zeros or all-ones): the word ops as the sweep
+// computes them, the generic LUT kernels as the table entry their operands
+// index.
 func evalInstrUniform(t *tape, ins *tapeInstr, env map[NetID]uint64) (bool, string) {
 	var v uint64
 	switch ins.op {
@@ -289,9 +308,9 @@ func evalInstrUniform(t *tape, ins *tapeInstr, env map[NetID]uint64) (bool, stri
 	case opMux:
 		sel := env[ins.in[2]]
 		v = (env[ins.in[0]]^ins.ia)&^sel | (env[ins.in[1]]^ins.ib)&sel
-	case opLUT:
+	case opLUT3, opLUT4:
 		idx := 0
-		for k := 0; k < int(ins.n); k++ {
+		for k := 0; k < lutArity(ins.op); k++ {
 			if env[ins.in[k]] != 0 {
 				idx |= 1 << uint(k)
 			}

@@ -46,6 +46,7 @@ func cloneTape(t *tape) *tape {
 		instrs:  append([]tapeInstr(nil), t.instrs...),
 		tables:  append([]uint64(nil), t.tables...),
 		srcNets: append([]NetID(nil), t.srcNets...),
+		romAt:   append([]int(nil), t.romAt...),
 	}
 	return c
 }
@@ -53,7 +54,8 @@ func cloneTape(t *tape) *tape {
 // TestAuditCorruptionSensitivity proves the audit is not vacuous: each
 // class of tape corruption — reordering, wrong output net, flipped
 // inversion mask, crossed operand, dropped ROM gather, non-canonical table
-// word, missing stimulus watch — must produce at least one finding.
+// word, wrong-arity LUT opcode, dropped ROM position, missing stimulus
+// watch — must produce at least one finding.
 func TestAuditCorruptionSensitivity(t *testing.T) {
 	nl := randomNetlist(rand.New(rand.NewSource(3)))
 	if err := nl.Build(); err != nil {
@@ -152,11 +154,32 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			return true
 		}},
 		{"non-canonical-table-word", func(tp *tape) bool {
-			i := firstOp(opLUT)
+			i := firstOp(opLUT4)
+			if i < 0 {
+				i = firstOp(opLUT3)
+			}
 			if i < 0 {
 				return false
 			}
 			tp.tables[tp.instrs[i].tbl] = 0xdeadbeef
+			return true
+		}},
+		{"wrong-arity-opcode", func(tp *tape) bool {
+			// A 3-variable kernel relabelled as 4-variable reads its zero
+			// fourth operand slot, the constant-0 net, so the exhaustive
+			// truth-table check alone would still pass it.
+			i := firstOp(opLUT3)
+			if i < 0 {
+				return false
+			}
+			tp.instrs[i].op = opLUT4
+			return true
+		}},
+		{"dropped-rom-position", func(tp *tape) bool {
+			if len(tp.romAt) == 0 {
+				return false
+			}
+			tp.romAt = tp.romAt[:len(tp.romAt)-1]
 			return true
 		}},
 		{"missing-stimulus-watch", func(tp *tape) bool {

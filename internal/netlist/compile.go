@@ -1,6 +1,9 @@
 package netlist
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file implements the simulator's evaluator: at construction the
 // levelized combinational order is translated into a flat instruction tape.
@@ -8,10 +11,18 @@ import "math/bits"
 // and duplicate inputs folded, don't-care variables dropped) and then
 // classified: the overwhelmingly common masks become direct word ops
 // (const/BUF/NOT, the eight nondegenerate two-input AND-family functions,
-// XOR/XNOR, and 2:1 muxes), while whatever is left runs a generic Shannon
-// fold over a truth table pre-expanded into lane words at compile time.
-// Evaluation is then one linear sweep over fixed-size instructions — no
-// struct pointer chasing through []LUT, no per-cycle mask expansion.
+// XOR/XNOR, and 2:1 muxes), while whatever is left runs a fixed-arity
+// Shannon fold (opLUT3: 7 muxes, opLUT4: 15) over a truth table
+// pre-expanded into lane words at compile time. The arity lives in the
+// opcode, so each kernel is straight-line code over a constant-length
+// table window; instructions with the same reduced mask share one table.
+//
+// Evaluation is ungated: a sweep recomputes and overwrites every
+// instruction in its range. What is skipped is whole sweeps — when no
+// presented state, stimulus or ROM read data moved since the previous
+// Eval, the net values are already the tape's fixed point. Asynchronous
+// ROM positions are recorded once here, so a quiescent Eval still gathers
+// every async ROM (the EDAC counter contract) without scanning the tape.
 //
 // Inversions are folded into XOR masks (^0 = inverted operand, 0 = plain),
 // so the hot loop never branches on polarity.
@@ -23,20 +34,20 @@ const (
 	opAnd2               // out = ((v[a]^ia) & (v[b]^ib)) ^ io (AND/OR/NAND/NOR/ANDN/...)
 	opXor2               // out = v[a] ^ v[b] ^ io (XOR/XNOR)
 	opMux                // out = (v[a]^ia)&^sel | (v[b]^ib)&sel, sel = v[c]
-	opLUT                // out = Shannon fold of tables[tbl:tbl+2^n] over in[:n]
-	opROM                // asynchronous ROM read through the EDAC store (never skipped)
+	opLUT3               // out = Shannon fold of tables[tbl:tbl+8] over in[:3]
+	opLUT4               // out = Shannon fold of tables[tbl:tbl+16] over in[:4]
+	opROM                // asynchronous ROM read through the EDAC store (between sweeps)
 )
 
 // tapeInstr is one fixed-size instruction of the compiled tape.
 type tapeInstr struct {
 	op  uint8
-	n   uint8 // opLUT: reduced variable count (1..4)
 	out NetID
 	in  [4]NetID // operands; opMux: in[0]=sel-low data, in[1]=sel-high data, in[2]=selector
 	ia  uint64   // operand-A inversion mask
 	ib  uint64   // operand-B inversion mask
 	io  uint64   // output inversion mask; opConst: the output value itself
-	tbl int32    // opLUT: offset into tape.tables; opROM: ROM index
+	tbl int32    // opLUT3/opLUT4: offset into tape.tables; opROM: ROM index
 }
 
 // tape is the compiled form of a netlist's combinational logic. It is
@@ -44,22 +55,25 @@ type tapeInstr struct {
 // of the same netlist could share one.
 type tape struct {
 	instrs  []tapeInstr
-	tables  []uint64 // concatenated pre-expanded truth tables (lane words)
+	tables  []uint64 // distinct pre-expanded truth tables (lane words)
 	srcNets []NetID  // primary-input nets, watched for edits between Evals
+	romAt   []int    // positions of the opROM instructions, in tape order
 }
 
 // compileTape translates a built netlist's evaluation order into a tape.
 func compileTape(nl *Netlist) *tape {
 	t := &tape{instrs: make([]tapeInstr, 0, len(nl.order))}
+	tbls := map[tableKey]int32{}
 	for _, p := range nl.Inputs {
 		t.srcNets = append(t.srcNets, p.Nets...)
 	}
 	for _, cn := range nl.order {
 		if cn.Kind == CombROM {
+			t.romAt = append(t.romAt, len(t.instrs))
 			t.instrs = append(t.instrs, tapeInstr{op: opROM, tbl: int32(cn.Index)})
 			continue
 		}
-		t.instrs = append(t.instrs, fuseLUT(&nl.LUTs[cn.Index], t))
+		t.instrs = append(t.instrs, fuseLUT(&nl.LUTs[cn.Index], t, tbls))
 	}
 	return t
 }
@@ -136,9 +150,16 @@ func cofactor(mask uint16, n, i, b int) uint16 {
 	return out
 }
 
+// tableKey identifies a generic LUT's pre-expanded truth table.
+type tableKey struct {
+	n    int
+	mask uint16
+}
+
 // fuseLUT classifies a LUT's reduced function into the cheapest word op,
-// falling back to a generic Shannon fold over a pre-expanded table.
-func fuseLUT(l *LUT, t *tape) tapeInstr {
+// falling back to a fixed-arity Shannon fold over a pre-expanded table
+// (found in, or added to, tbls and the tape's pool).
+func fuseLUT(l *LUT, t *tape, tbls map[tableKey]int32) tapeInstr {
 	vars, red := reduceLUT(l)
 	ins := tapeInstr{out: l.Out}
 	switch len(vars) {
@@ -185,25 +206,37 @@ func fuseLUT(l *LUT, t *tape) tapeInstr {
 			}
 			return ins
 		}
-		ins.io = 0
+		// Support reduction leaves no other 2-variable mask: with both
+		// variables relevant, a mask is XOR/XNOR or has one minterm set or
+		// one clear. Generic kernels always take full-arity operands.
+		panic(fmt.Sprintf("netlist: LUT mask %#x kept a degenerate 2-variable support", m))
 	case 3:
 		if mux, ok := fuseMux(vars, red); ok {
 			mux.out = l.Out
 			return mux
 		}
 	}
-	// Generic LUT: pre-expand the reduced mask into lane words once, here.
-	ins.op = opLUT
-	ins.n = uint8(len(vars))
-	copy(ins.in[:], vars)
-	ins.tbl = int32(len(t.tables))
-	for idx := 0; idx < 1<<uint(len(vars)); idx++ {
-		var w uint64
-		if red>>uint(idx)&1 != 0 {
-			w = ^uint64(0)
-		}
-		t.tables = append(t.tables, w)
+	// Generic LUT: the reduced mask pre-expanded into lane words, shared by
+	// every instruction with the same arity and mask.
+	ins.op = opLUT3
+	if len(vars) == 4 {
+		ins.op = opLUT4
 	}
+	copy(ins.in[:], vars)
+	key := tableKey{len(vars), red}
+	off, ok := tbls[key]
+	if !ok {
+		off = int32(len(t.tables))
+		for idx := 0; idx < 1<<uint(len(vars)); idx++ {
+			var w uint64
+			if red>>uint(idx)&1 != 0 {
+				w = ^uint64(0)
+			}
+			t.tables = append(t.tables, w)
+		}
+		tbls[key] = off
+	}
+	ins.tbl = off
 	return ins
 }
 
@@ -253,31 +286,30 @@ func literal2(mask uint16, vars [2]NetID) (NetID, uint64, bool) {
 	return Invalid, 0, false
 }
 
-// evalCompiled is the compiled counterpart of Eval: present sequential
-// state, then run the instruction tape with activity gating. An instruction
-// executes only when one of its operand nets changed since the previous
-// evaluation (or a full pass was forced); because "changed" is decided by
-// comparing actual lane words, skipping is value-exact and fault injections
-// need no special handling — a flipped or stuck flip-flop, a re-asserted
-// stuck-at, or a damaged ROM word alters a presented lane word, which
-// floods the change flags through exactly the affected cone. ROM
-// instructions are never skipped: every Eval performs the same EDAC-decoded
-// Gather per asynchronous ROM as the interpreter, keeping correction
-// counters bit-identical.
+// evalCompiled is Eval on the instruction tape. It presents sequential
+// state and compares it, and every watched primary-input net, against the
+// values the previous sweep ran on; a mismatch (or a pending construction,
+// Reset or CopyStateFrom) makes the Eval dirty. A dirty Eval sweeps the
+// whole tape, ungated, in segments between the asynchronous ROMs. A
+// quiescent Eval skips the sweep — the net values are already its result —
+// but still performs every async ROM's EDAC-decoded Gather, keeping
+// correction counters bit-identical with the reference. If a gather
+// returns moved data on a quiescent pass (the store was damaged or
+// scrubbed since the last Eval), evaluation resumes right after that ROM:
+// the skipped prefix provably held still. Fault injections therefore need
+// no special handling: a flipped or stuck flip-flop or a damaged ROM word
+// alters a presented lane word, which makes the Eval dirty.
 func (s *Simulator) evalCompiled() {
 	nl := s.nl
 	t := s.tape
-	ch := s.changed
-	full := s.forceFull
-	s.forceFull = false
+	values := s.values
+	dirty := s.dirty
+	s.dirty = false
 	// Present flip-flop state.
 	for i := range nl.FFs {
-		q := nl.FFs[i].Q
-		if w := s.ffQ[i]; s.values[q] != w || full {
-			s.values[q] = w
-			ch[q] = true
-		} else {
-			ch[q] = false
+		if q, w := nl.FFs[i].Q, s.ffQ[i]; values[q] != w {
+			values[q] = w
+			dirty = true
 		}
 	}
 	// Present synchronous ROM output registers.
@@ -286,106 +318,90 @@ func (s *Simulator) evalCompiled() {
 			continue
 		}
 		for b, o := range nl.ROMs[i].Out {
-			if w := s.romQ[i][b]; s.values[o] != w || full {
-				s.values[o] = w
-				ch[o] = true
-			} else {
-				ch[o] = false
+			if w := s.romQ[i][b]; values[o] != w {
+				values[o] = w
+				dirty = true
 			}
 		}
 	}
 	// Detect primary-input edits made through SetInput* since the last Eval.
 	for i, n := range t.srcNets {
-		if v := s.values[n]; v != s.srcPrev[i] || full {
+		if v := values[n]; v != s.srcPrev[i] {
 			s.srcPrev[i] = v
-			ch[n] = true
-		} else {
-			ch[n] = false
+			dirty = true
 		}
 	}
-	values := s.values
-	for ii := range t.instrs {
+	pos := 0
+	for _, at := range t.romAt {
+		if dirty {
+			t.sweep(pos, at, values)
+		}
+		pos = at + 1
+		ri := t.instrs[at].tbl
+		r := &nl.ROMs[ri]
+		var addr [8]uint64
+		for b, a := range r.Addr {
+			addr[b] = values[a]
+		}
+		data := s.roms[ri].Gather(&addr)
+		var moved uint64
+		for b, o := range r.Out {
+			moved |= values[o] ^ data[b]
+			values[o] = data[b]
+		}
+		if moved != 0 {
+			dirty = true
+		}
+	}
+	if dirty {
+		t.sweep(pos, len(t.instrs), values)
+	}
+}
+
+// sweep evaluates instructions [from, to), none of them an opROM, writing
+// every output net.
+func (t *tape) sweep(from, to int, values []uint64) {
+	tables := t.tables
+	for ii := from; ii < to; ii++ {
 		ins := &t.instrs[ii]
 		var v uint64
 		switch ins.op {
-		case opROM:
-			r := &nl.ROMs[ins.tbl]
-			var addr [8]uint64
-			for b, a := range r.Addr {
-				addr[b] = values[a]
-			}
-			data := s.roms[ins.tbl].Gather(&addr)
-			for b, o := range r.Out {
-				if values[o] != data[b] || full {
-					values[o] = data[b]
-					ch[o] = true
-				} else {
-					ch[o] = false
-				}
-			}
-			continue
 		case opConst:
-			if !full {
-				ch[ins.out] = false
-				continue
-			}
 			v = ins.io
 		case opBuf:
-			if !full && !ch[ins.in[0]] {
-				ch[ins.out] = false
-				continue
-			}
 			v = values[ins.in[0]] ^ ins.ia
 		case opAnd2:
-			if !full && !ch[ins.in[0]] && !ch[ins.in[1]] {
-				ch[ins.out] = false
-				continue
-			}
 			v = (values[ins.in[0]]^ins.ia)&(values[ins.in[1]]^ins.ib) ^ ins.io
 		case opXor2:
-			if !full && !ch[ins.in[0]] && !ch[ins.in[1]] {
-				ch[ins.out] = false
-				continue
-			}
 			v = values[ins.in[0]] ^ values[ins.in[1]] ^ ins.io
 		case opMux:
-			if !full && !ch[ins.in[0]] && !ch[ins.in[1]] && !ch[ins.in[2]] {
-				ch[ins.out] = false
-				continue
-			}
-			sel := values[ins.in[2]]
-			v = (values[ins.in[0]]^ins.ia)&^sel | (values[ins.in[1]]^ins.ib)&sel
-		case opLUT:
-			n := int(ins.n)
-			active := full
-			for k := 0; k < n && !active; k++ {
-				active = ch[ins.in[k]]
-			}
-			if !active {
-				ch[ins.out] = false
-				continue
-			}
-			tbl := t.tables[ins.tbl : int(ins.tbl)+1<<uint(n)]
-			var buf [8]uint64
-			w := values[ins.in[0]]
-			half := 1 << uint(n-1)
-			for j := 0; j < half; j++ {
-				buf[j] = tbl[2*j]&^w | tbl[2*j+1]&w
-			}
-			for k := 1; k < n; k++ {
-				w = values[ins.in[k]]
-				half >>= 1
-				for j := 0; j < half; j++ {
-					buf[j] = buf[2*j]&^w | buf[2*j+1]&w
-				}
-			}
-			v = buf[0]
+			v = mux(values[ins.in[0]]^ins.ia, values[ins.in[1]]^ins.ib, values[ins.in[2]])
+		case opLUT3:
+			o := int(ins.tbl)
+			tb := tables[o : o+8 : o+8]
+			a, b, c := values[ins.in[0]], values[ins.in[1]], values[ins.in[2]]
+			v = mux(
+				mux(mux(tb[0], tb[1], a), mux(tb[2], tb[3], a), b),
+				mux(mux(tb[4], tb[5], a), mux(tb[6], tb[7], a), b),
+				c)
+		case opLUT4:
+			o := int(ins.tbl)
+			tb := tables[o : o+16 : o+16]
+			a, b, c, d := values[ins.in[0]], values[ins.in[1]], values[ins.in[2]], values[ins.in[3]]
+			v = mux(
+				mux(
+					mux(mux(tb[0], tb[1], a), mux(tb[2], tb[3], a), b),
+					mux(mux(tb[4], tb[5], a), mux(tb[6], tb[7], a), b),
+					c),
+				mux(
+					mux(mux(tb[8], tb[9], a), mux(tb[10], tb[11], a), b),
+					mux(mux(tb[12], tb[13], a), mux(tb[14], tb[15], a), b),
+					c),
+				d)
 		}
-		if values[ins.out] != v || full {
-			values[ins.out] = v
-			ch[ins.out] = true
-		} else {
-			ch[ins.out] = false
-		}
+		values[ins.out] = v
 	}
 }
+
+// mux selects hi on the lanes where sel is set and lo elsewhere.
+func mux(lo, hi, sel uint64) uint64 { return lo ^ (lo^hi)&sel }

@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -214,6 +215,91 @@ func TestCompiledDifferentialFuzz(t *testing.T) {
 			compareSims(t, ref, cmp, fmt.Sprintf("round %d cyc %d after Step", round, cyc))
 		}
 	}
+}
+
+// TestCompiledQuiescentFuzz drives the paths the edit-every-cycle fuzz above
+// never reaches: cycles with no stimulus edit, the lockstep's Step, Eval,
+// Eval pattern (the later Evals skip the sweep), and ROM damage, repair or
+// scrubs landing between two Evals with unchanged inputs, where a quiescent
+// pass must resume right after the ROM whose read data moved. Reference and
+// compiled simulators are compared after every Eval and Step. The test also
+// requires that ROM activity moved net values on a quiescent Eval at least
+// once, so the resume path is not exercised vacuously.
+func TestCompiledQuiescentFuzz(t *testing.T) {
+	rounds, cycles := 10, 120
+	if testing.Short() {
+		rounds, cycles = 3, 40
+	}
+	moved := 0
+	for round := 0; round < rounds; round++ {
+		r := rand.New(rand.NewSource(0x5EED + int64(round)))
+		nl := randomNetlist(r)
+		ref, err := newReferenceSimulator(nl)
+		if err != nil {
+			t.Fatalf("round %d: reference: %v", round, err)
+		}
+		cmp, err := NewSimulator(nl)
+		if err != nil {
+			t.Fatalf("round %d: compiled: %v", round, err)
+		}
+		both := func(f func(s *Simulator)) { f(ref); f(cmp) }
+		eval := func(cyc int, what string) {
+			ref.Eval()
+			cmp.Eval()
+			compareSims(t, ref, cmp, fmt.Sprintf("round %d cyc %d after %s", round, cyc, what))
+		}
+		for cyc := 0; cyc < cycles; cyc++ {
+			// Stimulus on a third of the cycles; the rest run with none.
+			if cyc == 0 || r.Intn(3) == 0 {
+				lane, v := r.Intn(64), r.Uint64()
+				both(func(s *Simulator) {
+					if err := s.SetInputLane("din", lane, v); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			ref.Step()
+			cmp.Step()
+			compareSims(t, ref, cmp, fmt.Sprintf("round %d cyc %d after Step", round, cyc))
+			eval(cyc, "first Eval")
+
+			// ROM activity on the word some lane currently addresses.
+			rom := r.Intn(len(nl.ROMs))
+			lane := r.Intn(64)
+			word := 0
+			for b, a := range nl.ROMs[rom].Addr {
+				word |= int(ref.values[a]>>uint(lane)&1) << uint(b)
+			}
+			touched := true
+			switch r.Intn(5) {
+			case 0: // two flips: uncorrectable, read data may move
+				b1, b2 := r.Intn(13), r.Intn(13)
+				both(func(s *Simulator) {
+					s.FlipROMBit(rom, word, b1)
+					s.FlipROMBit(rom, word, b2)
+				})
+			case 1:
+				bit, val := r.Intn(13), r.Intn(2) == 0
+				both(func(s *Simulator) { s.StickROMBit(rom, word, bit, val) })
+			case 2:
+				both(func(s *Simulator) { s.ROMStore(rom).Scrub(word) })
+			case 3:
+				both(func(s *Simulator) { s.ClearFaults() })
+			default:
+				touched = false
+			}
+			before := append([]uint64(nil), ref.values...)
+			eval(cyc, "second Eval")
+			if touched && !slices.Equal(before, ref.values) {
+				moved++
+			}
+			eval(cyc, "third Eval")
+		}
+	}
+	if moved == 0 {
+		t.Fatal("ROM activity never moved net values on a quiescent Eval")
+	}
+	t.Logf("%d quiescent Evals saw ROM read data move", moved)
 }
 
 // TestCompiledSetInputBitsLength locks in the exact-length contract on the

@@ -50,15 +50,14 @@ type Simulator struct {
 	romFaults int                // ROM bit faults applied so far
 
 	// Compiled tape (nil on the test-only reference simulator): tape is the
-	// fused word-op instruction stream, changed the per-net activity flags,
-	// srcPrev the input-net snapshot change detection compares against,
-	// forceFull a request to bypass activity gating on the next Eval (set
-	// whenever cached values or flags are not trustworthy: construction,
-	// Reset, CopyStateFrom).
-	tape      *tape
-	changed   []bool
-	srcPrev   []uint64
-	forceFull bool
+	// fused word-op instruction stream, srcPrev the input-net snapshot the
+	// quiescence check compares against, dirty a request to sweep the tape
+	// on the next Eval even if nothing presented moved (set whenever cached
+	// net values are not the tape's result: construction, Reset,
+	// CopyStateFrom).
+	tape    *tape
+	srcPrev []uint64
+	dirty   bool
 }
 
 // romStick is one armed stuck-at ROM fault awaiting its strike cycle.
@@ -76,18 +75,18 @@ type laneFlip struct {
 
 // NewSimulator builds the netlist and returns a simulator with all state at
 // the flip-flops' init values (broadcast across all lanes), backed by the
-// compiled instruction tape with activity-gated evaluation: combinational
-// logic runs as a linear sweep over fused word ops, skipping instructions
-// whose input lane words did not change since the previous evaluation.
+// compiled instruction tape: combinational logic runs as an ungated linear
+// sweep over fused word ops and fixed-arity LUT kernels, skipped whole when
+// no presented state, stimulus or ROM read data moved since the previous
+// evaluation.
 func NewSimulator(nl *Netlist) (*Simulator, error) {
 	s, err := newReferenceSimulator(nl)
 	if err != nil {
 		return nil, err
 	}
 	s.tape = compileTape(nl)
-	s.changed = make([]bool, nl.NumNets())
 	s.srcPrev = make([]uint64, len(s.tape.srcNets))
-	s.forceFull = true
+	s.dirty = true
 	return s, nil
 }
 
@@ -146,7 +145,7 @@ func (s *Simulator) Reset() {
 	s.cycle = 0
 	s.flips = nil
 	s.romSticks = nil
-	s.forceFull = true
+	s.dirty = true
 	s.applyStuck()
 }
 
@@ -639,7 +638,7 @@ func (s *Simulator) CopyStateFrom(o *Simulator) error {
 	copy(s.values, o.values)
 	s.cycle = o.cycle
 	s.flips = nil
-	s.forceFull = true
+	s.dirty = true
 	s.applyStuck()
 	return nil
 }
