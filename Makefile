@@ -89,7 +89,7 @@ vet:
 	fi
 
 # The full static verification suite: design-rule lint + structure reports
-# over the three paper cores, the static compiled-tape audit for both
+# over the three paper cores and the three AES-256 extension cores, the static compiled-tape audit for both
 # simulators, and the stdlib-only source analyzers over every package.
 # Exits nonzero on any finding. Wired into `verify`.
 lint:

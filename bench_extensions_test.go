@@ -1,7 +1,9 @@
 package rijndaelip_test
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"rijndaelip"
 	"rijndaelip/internal/baseline"
@@ -91,12 +93,16 @@ func BenchmarkRadiationHardening(b *testing.B) {
 
 // BenchmarkResilience measures what the self-checking path costs per
 // block against the plain HardwareBlock: simulated cycles and wall-clock
-// for the watchdog-only, lockstep (dual-core) and inverse-check policies,
-// plus the degraded software fallback for scale. Note the wall-clock
-// baseline shift: HardwareBlock simulates the elaborated RTL while the
-// resilient variants simulate the mapped netlist, so the interesting
-// ratios are lockstep/watchdog (~2x, the shadow replica) and
-// inverse/watchdog (2x cycles, the second transaction).
+// for the watchdog-only, lockstep (dual-core) and inverse-check policies
+// on a one-shard, one-lane supervised engine's Block(), plus the degraded
+// software fallback for scale. Note the wall-clock baseline shift:
+// HardwareBlock simulates the elaborated RTL while the supervised engine
+// simulates the mapped netlist, so the interesting ratios are
+// lockstep/watchdog (~2x, the shadow replica) and inverse/watchdog (2x
+// cycles, the second transaction). The engine's cycle account includes
+// the wr_data load edge, so a supervised block costs 51 cycles against
+// HardwareBlock's 50. The background scrubber is off so each row prices
+// its check policy alone.
 func BenchmarkResilience(b *testing.B) {
 	encImpl, err := rijndaelip.Build(rijndaelip.Encrypt, rijndaelip.Acex1K())
 	if err != nil {
@@ -126,53 +132,65 @@ func BenchmarkResilience(b *testing.B) {
 		b.ReportMetric(float64(hw.Cycles)/float64(b.N), "cycles/block")
 	})
 
-	resilient := func(impl *rijndaelip.Implementation, opts rijndaelip.ResilientOptions) func(*testing.B) {
-		return func(b *testing.B) {
-			r, err := impl.NewResilientBlock(key, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Encrypt(out, block)
-			}
-			b.StopTimer()
-			if r.Err() != nil {
-				b.Fatal(r.Err())
-			}
-			if r.Degraded() {
-				b.Fatal("fault-free benchmark degraded to software")
-			}
-			b.ReportMetric(float64(r.Stats().Cycles)/float64(b.N), "cycles/block")
-		}
-	}
-	b.Run("resilient-watchdog", resilient(encImpl, rijndaelip.ResilientOptions{Check: rijndaelip.CheckNone}))
-	b.Run("resilient-lockstep", resilient(encImpl, rijndaelip.ResilientOptions{Check: rijndaelip.CheckLockstep}))
-	b.Run("resilient-inverse", resilient(bothImpl, rijndaelip.ResilientOptions{Check: rijndaelip.CheckInverse}))
-
-	b.Run("degraded-software", func(b *testing.B) {
-		// A hard defect installed before every attempt defeats the retry
-		// budget immediately; after MaxFailures blocks the adapter serves
-		// everything from the software reference — the floor the hardware
-		// path is compared against.
-		r, err := encImpl.NewResilientBlock(key, rijndaelip.ResilientOptions{
-			Check:       rijndaelip.CheckLockstep,
-			RetryBudget: 1,
-			MaxFailures: 1,
-			Corrupt: func(attempt int, sim *netlist.Simulator) {
-				sim.StickFF(sim.FindFF("s0[0]"), true)
-			},
-		})
+	// device is the single self-checking device: one shard, one lane.
+	device := func(b *testing.B, impl *rijndaelip.Implementation, sup rijndaelip.SupervisorOptions) *rijndaelip.Engine {
+		sup.ScrubInterval = -1
+		eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{Shards: 1, MaxLanes: 1, Supervise: &sup})
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.Encrypt(out, block) // burn the hardware path, trip degradation
-		if !r.Degraded() {
-			b.Fatal("hard defect did not degrade the adapter")
+		b.Cleanup(eng.Close)
+		return eng
+	}
+	supervised := func(impl *rijndaelip.Implementation, check rijndaelip.CheckPolicy) func(*testing.B) {
+		return func(b *testing.B) {
+			eng := device(b, impl, rijndaelip.SupervisorOptions{Check: check})
+			blk := eng.Block()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blk.Encrypt(out, block)
+			}
+			b.StopTimer()
+			if blk.Err() != nil {
+				b.Fatal(blk.Err())
+			}
+			st := eng.Stats()
+			if st.Detections != 0 || st.FallbackBlocks != 0 {
+				b.Fatalf("fault-free benchmark left the hardware path: %+v", st)
+			}
+			b.ReportMetric(float64(st.MaxShardCycles)/float64(b.N), "cycles/block")
+		}
+	}
+	b.Run("resilient-watchdog", supervised(encImpl, rijndaelip.CheckNone))
+	b.Run("resilient-lockstep", supervised(encImpl, rijndaelip.CheckLockstep))
+	b.Run("resilient-inverse", supervised(bothImpl, rijndaelip.CheckInverse))
+
+	b.Run("degraded-software", func(b *testing.B) {
+		// A hard defect struck before every submission fails the in-place
+		// retry, so the shard is quarantined; every respawn attempt is
+		// vetoed, so the circuit breaker declares it dead and the engine
+		// serves everything from the software reference — the floor the
+		// hardware path is compared against.
+		eng := device(b, encImpl, rijndaelip.SupervisorOptions{
+			Check:              rijndaelip.CheckLockstep,
+			MaxRespawnFailures: 1,
+			RespawnBackoff:     time.Microsecond,
+			Strike: func(_ int, _ uint64, sim *netlist.Simulator) {
+				sim.StickFF(sim.FindFF("s0[0]"), true)
+			},
+			RespawnHook: func(shard, attempt int) error { return errors.New("replica slot damaged") },
+		})
+		blk := eng.Block()
+		blk.Encrypt(out, block) // burn the hardware path, trip quarantine
+		for deadline := time.Now().Add(5 * time.Second); eng.Stats().Shards[0].Health != "dead"; {
+			if time.Now().After(deadline) {
+				b.Fatal("vetoed respawns did not kill the shard")
+			}
+			time.Sleep(time.Millisecond)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.Encrypt(out, block)
+			blk.Encrypt(out, block)
 		}
 		b.StopTimer()
 		b.ReportMetric(0, "cycles/block")

@@ -2,11 +2,12 @@
 // exits nonzero on any finding:
 //
 //  1. design-rule lint (internal/designlint) over the three paper cores —
-//     encrypt-only, decrypt-only and shared-datapath — at both the RTL/AIG
-//     level and the mapped-netlist level;
-//  2. the static compiled-tape audit (logic/netlist/rtl AuditCompiled),
-//     proving without execution that both simulators' instruction tapes
-//     are faithful linearizations;
+//     encrypt-only, decrypt-only and shared-datapath — and the three
+//     AES-256 extension cores, at both the RTL/AIG level and the
+//     mapped-netlist level;
+//  2. the static compiled-tape audit (logic/netlist/rtl AuditCompiled) of
+//     the same six cores, proving without execution that both simulators'
+//     instruction tapes are faithful linearizations;
 //  3. source-level analyzers (internal/srclint) over every non-test
 //     package in the module.
 //
@@ -40,6 +41,20 @@ var variants = []struct {
 	{"encdec", rijndael.Both},
 }
 
+// keySizes elaborates each variant at both key sizes: the paper's AES-128
+// cores and the AES-256 extension cores, all with asynchronous S-box ROMs.
+var keySizes = []struct {
+	prefix string
+	build  func(rijndael.Variant) (*rijndael.Core, error)
+}{
+	{"", func(v rijndael.Variant) (*rijndael.Core, error) {
+		return rijndael.New(rijndael.Config{Variant: v, ROMStyle: rtl.ROMAsync})
+	}},
+	{"aes256-", func(v rijndael.Variant) (*rijndael.Core, error) {
+		return rijndael.New256(v, rtl.ROMAsync)
+	}},
+}
+
 func main() {
 	root := flag.String("root", ".", "module root for the source-level analyzers")
 	verbose := flag.Bool("v", false, "print advisory (Info) findings and structure reports")
@@ -50,18 +65,21 @@ func main() {
 	fmt.Printf("design-rule lint: %d rules, %d source analyzers\n",
 		len(designlint.Rules()), len(srclint.Rules()))
 
-	for _, vt := range variants {
-		core, err := rijndael.New(rijndael.Config{Variant: vt.v, ROMStyle: rtl.ROMAsync})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lint: %s: elaborate: %v\n", vt.name, err)
-			os.Exit(2)
+	for _, ks := range keySizes {
+		for _, vt := range variants {
+			name := ks.prefix + vt.name
+			core, err := ks.build(vt.v)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "lint: %s: elaborate: %v\n", name, err)
+				os.Exit(2)
+			}
+			nl, err := core.Design.Synthesize(techmap.Options{})
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "lint: %s: synthesize: %v\n", name, err)
+				os.Exit(2)
+			}
+			failures += reportDesign(name, core.Design, nl, *verbose)
 		}
-		nl, err := core.Design.Synthesize(techmap.Options{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lint: %s: synthesize: %v\n", vt.name, err)
-			os.Exit(2)
-		}
-		failures += reportDesign(vt.name, core.Design, nl, *verbose)
 	}
 
 	fmt.Printf("source lint: analyzing module at %s\n", *root)

@@ -704,6 +704,12 @@ func (b *EngineBlock) one(dst, src []byte, encrypt bool) {
 	}
 }
 
+// zeroBlock clears the first (up to) 16 bytes of dst: the output a
+// block adapter leaves behind when it cannot produce a result.
+func zeroBlock(dst []byte) {
+	clear(dst[:min(len(dst), 16)])
+}
+
 // Encrypt runs one block through the pool in the encrypt direction.
 func (b *EngineBlock) Encrypt(dst, src []byte) { b.one(dst, src, true) }
 

@@ -180,6 +180,18 @@ func TestEngineModesOverHardware(t *testing.T) {
 	if err != nil || !bytes.Equal(opened, msg) {
 		t.Errorf("software GCM rejected hardware-sealed message: %v", err)
 	}
+
+	// A short buffer is protocol misuse: the adapter records it and zeroes
+	// what dst it has instead of writing a partial result.
+	blk := eng.Block()
+	short := bytes.Repeat([]byte{0xFF}, 8)
+	blk.Encrypt(short, make([]byte, 16))
+	if blk.Err() == nil {
+		t.Error("8-byte dst not recorded as an error")
+	}
+	if !bytes.Equal(short, make([]byte, 8)) {
+		t.Errorf("short dst not zeroed: %x", short)
+	}
 }
 
 // TestEngineOrderingUnderJitter is the satellite ordering check: 8 shards
@@ -364,10 +376,23 @@ func TestEngineClose(t *testing.T) {
 	}
 }
 
-// TestEngineKeyValidation checks construction-time key checking.
+// TestEngineKeyValidation checks construction-time key checking: a key
+// must have exactly the core's key length, so an AES-256 key is not
+// silently truncated by an AES-128 core and an AES-128 key does not wedge
+// an AES-256 core at its first transaction.
 func TestEngineKeyValidation(t *testing.T) {
 	impl := engineImpl(t)
 	if _, err := impl.NewEngine(make([]byte, 5), rijndaelip.EngineOptions{}); err == nil {
 		t.Error("5-byte key accepted by engine")
+	}
+	if _, err := impl.NewEngine(make([]byte, 32), rijndaelip.EngineOptions{}); err == nil {
+		t.Error("32-byte key accepted by an AES-128 engine")
+	}
+	impl256, err := rijndaelip.Build256(rijndaelip.Encrypt, rijndaelip.Acex1K())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := impl256.NewEngine(make([]byte, 16), rijndaelip.EngineOptions{}); err == nil {
+		t.Error("16-byte key accepted by an AES-256 engine")
 	}
 }

@@ -42,6 +42,9 @@ type DUT struct {
 	HasDecrypt     bool
 	HasEncDecPin   bool
 	Name           string
+	// KeyBytes is the cipher-key length the device loads over the bus
+	// (16, or 32 on the AES-256 core; 0 means 16).
+	KeyBytes int
 }
 
 // Driver drives one simulated device.
@@ -79,12 +82,16 @@ func newCore(core *rijndael.Core, sim Sim, name string) *Driver {
 		HasDecrypt:     core.Config.Variant != rijndael.Encrypt,
 		HasEncDecPin:   core.Config.Variant == rijndael.Both,
 		Name:           name,
+		KeyBytes:       core.KeyBytes,
 	})
 }
 
 // NewDUT returns a driver over an arbitrary device with the Table 1
 // interface.
 func NewDUT(dut DUT) *Driver {
+	if dut.KeyBytes == 0 {
+		dut.KeyBytes = 16
+	}
 	return &Driver{
 		DUT:     dut,
 		Sim:     dut.Sim,
@@ -107,10 +114,11 @@ func (d *Driver) clearControl() {
 // the key on din (one 128-bit beat, or two beats low-half-first for a
 // 256-bit key on an AES-256 core), then run the key-setup walk to
 // completion (10 cycles for the decrypt-capable variants, 0 for
-// encrypt-only). It returns the number of cycles consumed.
+// encrypt-only). It returns the number of cycles consumed. A key whose
+// length is not the device's KeyBytes is rejected before any bus cycle.
 func (d *Driver) LoadKey(key []byte) (int, error) {
-	if len(key) != 16 && len(key) != 32 {
-		return 0, fmt.Errorf("bfm: key must be 16 or 32 bytes, got %d", len(key))
+	if err := checkKeyLen(d.DUT.Name, d.DUT.KeyBytes, len(key)); err != nil {
+		return 0, err
 	}
 	cycles := 0
 	for beat := 0; beat < len(key)/16; beat++ {
@@ -305,6 +313,14 @@ func (d *Driver) pendingSet() bool {
 	return ok && v[0]&1 != 0
 }
 
+// checkKeyLen rejects a key whose length does not match the device's.
+func checkKeyLen(device string, want, got int) error {
+	if got != want {
+		return fmt.Errorf("bfm: %s takes a %d-byte key, got %d bytes", device, want, got)
+	}
+	return nil
+}
+
 // KeyedFactory stamps out independent, identically-keyed drivers over
 // fresh simulations of the same core. Each clone owns its own simulator
 // state, so clones can process blocks concurrently from separate
@@ -315,12 +331,12 @@ type KeyedFactory struct {
 	key  []byte
 }
 
-// NewKeyedFactory validates the key against the bus protocol (16 bytes, or
-// 32 for the AES-256 extension core) and returns a factory for keyed
-// drivers of the core.
+// NewKeyedFactory validates the key against the core's key length (16
+// bytes, or 32 for the AES-256 extension core) and returns a factory for
+// keyed drivers of the core.
 func NewKeyedFactory(core *rijndael.Core, key []byte) (*KeyedFactory, error) {
-	if len(key) != 16 && len(key) != 32 {
-		return nil, fmt.Errorf("bfm: key must be 16 or 32 bytes, got %d", len(key))
+	if err := checkKeyLen(core.Design.Name, core.KeyBytes, len(key)); err != nil {
+		return nil, err
 	}
 	return &KeyedFactory{core: core, key: append([]byte(nil), key...)}, nil
 }

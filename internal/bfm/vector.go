@@ -81,18 +81,18 @@ func (v *VectorDriver) driveLanes(port string, blocks [][]byte) error {
 }
 
 // LoadKeys runs the configuration sequence once with a different key on
-// every lane: keys[L] is loaded into lane L's key schedule. All keys must
-// be the same length (16, or 32 on an AES-256 core) and len(keys) must be
-// in [1, Lanes]; lanes beyond len(keys) receive keys[0]. It returns the
-// cycles consumed (the same count a scalar LoadKey spends — the lanes pay
-// it once, together).
+// every lane: keys[L] is loaded into lane L's key schedule. Every key must
+// be the device's KeyBytes long (16, or 32 on an AES-256 core) and
+// len(keys) must be in [1, Lanes]; lanes beyond len(keys) receive
+// keys[0]. It returns the cycles consumed (the same count a scalar
+// LoadKey spends — the lanes pay it once, together).
 func (v *VectorDriver) LoadKeys(keys [][]byte) (int, error) {
 	if len(keys) == 0 || len(keys) > Lanes {
 		return 0, fmt.Errorf("bfm: need 1..%d keys, got %d", Lanes, len(keys))
 	}
 	kl := len(keys[0])
-	if kl != 16 && kl != 32 {
-		return 0, fmt.Errorf("bfm: key must be 16 or 32 bytes, got %d", kl)
+	if err := checkKeyLen(v.DUT.Name, v.DUT.KeyBytes, kl); err != nil {
+		return 0, err
 	}
 	for i, k := range keys {
 		if len(k) != kl {

@@ -42,15 +42,10 @@ const (
 	KindScrubCorrect Kind = "scrub-correct"
 	// KindFallback: blocks were served by the software reference.
 	KindFallback Kind = "fallback"
-	// KindDegraded: a ResilientBlock gave up on its hardware path.
-	KindDegraded Kind = "degraded"
-	// KindTimeout: a ResilientBlock watchdog expiry (the sharded engine
-	// folds timeouts into KindDetection with Cause "timeout").
-	KindTimeout Kind = "timeout"
 )
 
 // Event is one timestamped trace record. Unused fields stay at their zero
-// values (Shard -1 means "no shard", used by non-sharded emitters).
+// values (Shard -1 means "no shard", as on a software fallback).
 type Event struct {
 	// Seq is the ring-assigned global sequence number, 1-based and
 	// monotonic across overwrites.

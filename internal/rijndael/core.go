@@ -67,6 +67,9 @@ type Core struct {
 	// SBoxROMs is the number of 256x8 S-box memories instantiated (0 when
 	// ROMStyle is rtl.ROMLogic since they are expanded into logic cells).
 	SBoxROMs int
+	// KeyBytes is the cipher-key length the core's key unit loads: 16 for
+	// New, 32 for New256 (two wr_key beats).
+	KeyBytes int
 }
 
 // Rounds is the AES-128 round count.
@@ -98,12 +101,103 @@ func incBus(g *logic.Net, b rtl.Bus) rtl.Bus {
 
 // New generates a Rijndael AES-128 IP core per the configuration.
 func New(cfg Config) (*Core, error) {
+	return elaborate(cfg, &key128{})
+}
+
+// New256 generates an AES-256 core with the same mixed 32/128-bit
+// architecture — an extension beyond the paper, which notes that "the AES
+// defines three versions AES-128, AES-192 and AES-256" but implements only
+// AES-128. Only the key unit differs from New (see key256): 14 rounds,
+// 70-cycle block latency, the same 261/262-pin interface, and a 256-bit
+// key loaded over the 128-bit bus in two wr_key beats, low half first.
+// AES-192's six-word stride does not align with four-word round keys, so
+// it is left to the software reference.
+func New256(variant Variant, style rtl.ROMStyle) (*Core, error) {
+	if style == rtl.ROMSync {
+		return nil, fmt.Errorf("rijndael: New256 models combinational ByteSub only")
+	}
+	name := fmt.Sprintf("aes256_%s_%s", variant, style)
+	return elaborate(Config{Variant: variant, ROMStyle: style, Name: name}, &key256{})
+}
+
+// keyUnit is the key-size-specific part of the core: the cipher-key
+// registers, the on-the-fly round-key schedule with its KStran S-box bank,
+// and the decryptor's setup walk. elaborate builds everything else and
+// calls the unit at fixed points of its elaboration order; each method
+// runs exactly once, in the order listed.
+type keyUnit interface {
+	// keyBytes is the cipher-key length; rounds the round count.
+	keyBytes() int
+	rounds() int
+	// declareKey, declareSchedule and declareSetup add the unit's
+	// registers after din_reg, after the state words, and after
+	// data_ok_reg respectively.
+	declareKey(c *datapath)
+	declareSchedule(c *datapath)
+	declareSetup(c *datapath)
+	// setup is the unit's key-setup walk, declared by declareSetup (the
+	// zero walk on an encrypt-only core). While it runs the core is busy
+	// with its key and accepts neither data nor a new key.
+	setup() *setupWalk
+	// control derives the unit's step literals once the datapath's
+	// control (c.keyLoad, c.ld, c.lastRound) exists; the walk's follow.
+	control(c *datapath)
+	// kstran builds the KStran bank and the next-round-key logic once the
+	// direction literals exist, and returns its S-box ROM count.
+	kstran(c *datapath) int
+	// roundKey is the Add Key operand of the encrypt or decrypt round
+	// function; loadKey the key added to the block at load.
+	roundKey(c *datapath, encrypt bool) rtl.Bus
+	loadKey(c *datapath) rtl.Bus
+	// connect wires the unit's registers.
+	connect(c *datapath)
+}
+
+// datapath is the elaboration state elaborate shares with its key unit.
+type datapath struct {
+	b       *rtl.Builder
+	g       *logic.Net
+	variant Variant
+	style   rtl.ROMStyle
+	hasEnc  bool
+	hasDec  bool
+	sync    bool
+
+	din          rtl.Bus
+	busyQ        logic.Lit
+	phase, round *rtl.Reg
+	// keyvalid is read by the skeleton's control and wired by the key
+	// unit, which alone knows when a loaded key becomes usable.
+	keyvalid *rtl.Reg
+	// keyLoad is true on every accepted wr_key beat.
+	keyLoad, ld   logic.Lit
+	lastRound     logic.Lit
+	dirLd, dirRun logic.Lit
+}
+
+// pick returns the encrypt-side bus on an encrypt-only core, the
+// decrypt-side bus on a decrypt-only core, and a mux of the two on sel
+// (true selects encrypt) on the combined core. The side a variant lacks
+// may be nil.
+func (c *datapath) pick(sel logic.Lit, enc, dec rtl.Bus) rtl.Bus {
+	switch c.variant {
+	case Encrypt:
+		return enc
+	case Decrypt:
+		return dec
+	}
+	return c.g.MuxVector(sel, enc, dec)
+}
+
+// elaborate builds the paper's mixed 32/128-bit datapath around a key
+// unit: the Table 1 ports, the state words, the ByteSub bank, the
+// enc/dec round function, the load-cycle Add Key, and the
+// busy/phase/round/pending/dir/dout/data_ok control.
+func elaborate(cfg Config, ku keyUnit) (*Core, error) {
 	name := cfg.Name
 	if name == "" {
-		name = fmt.Sprintf("aes128_%s_%s", cfg.Variant, cfg.ROMStyle)
+		name = fmt.Sprintf("aes%d_%s_%s", 8*ku.keyBytes(), cfg.Variant, cfg.ROMStyle)
 	}
-	hasEnc := cfg.Variant != Decrypt
-	hasDec := cfg.Variant != Encrypt
 	sync := cfg.ROMStyle == rtl.ROMSync
 	maxPhase := uint64(4)
 	if sync {
@@ -112,13 +206,22 @@ func New(cfg Config) (*Core, error) {
 
 	b := rtl.NewBuilder(name)
 	g := b.Logic()
+	c := &datapath{
+		b:       b,
+		g:       g,
+		variant: cfg.Variant,
+		style:   cfg.ROMStyle,
+		hasEnc:  cfg.Variant != Decrypt,
+		hasDec:  cfg.Variant != Encrypt,
+		sync:    sync,
+	}
 
 	// --- Ports (Table 1 of the paper) ---
 	b.Input("clk", 1) // dedicated clock network; counted as a pin
 	setup := b.Input("setup", 1)[0]
 	wrData := b.Input("wr_data", 1)[0]
 	wrKey := b.Input("wr_key", 1)[0]
-	din := b.Input("din", 128)
+	c.din = b.Input("din", 128)
 	var encdecIn logic.Lit
 	if cfg.Variant == Both {
 		encdecIn = b.Input("encdec", 1)[0]
@@ -126,261 +229,122 @@ func New(cfg Config) (*Core, error) {
 
 	// --- State registers ---
 	dinReg := b.Reg("din_reg", 128)
-	var keyReg *rtl.Reg
-	if hasEnc {
-		keyReg = b.Reg("key_reg", 128)
-	}
+	ku.declareKey(c)
 	s := [4]*rtl.Reg{b.Reg("s0", 32), b.Reg("s1", 32), b.Reg("s2", 32), b.Reg("s3", 32)}
-	rk := b.Reg("rk", 128)
-	rcon := b.Reg("rcon", 8)
+	ku.declareSchedule(c)
 	busy := b.Reg("busy", 1)
-	phase := b.Reg("phase", 3)
-	round := b.Reg("round", 4)
+	c.phase = b.Reg("phase", 3)
+	c.round = b.Reg("round", 4)
 	pending := b.Reg("pending", 1)
-	keyvalid := b.Reg("keyvalid", 1)
+	c.keyvalid = b.Reg("keyvalid", 1)
 	doutReg := b.Reg("dout_reg", 128)
 	dataOk := b.Reg("data_ok_reg", 1)
-
-	var lastKey, ksetup, kround, kphase, dirReg, pendDir *rtl.Reg
-	if hasDec {
-		lastKey = b.Reg("lastkey", 128)
-		ksetup = b.Reg("ksetup", 1)
-		kround = b.Reg("kround", 4)
-		if sync {
-			kphase = b.Reg("kphase", 1)
-		}
-	}
+	ku.declareSetup(c)
+	var dirReg, pendDir *rtl.Reg
 	if cfg.Variant == Both {
 		dirReg = b.Reg("dir", 1)
 		pendDir = b.Reg("pend_dir", 1)
 	}
 
 	busyQ := busy.Q[0]
+	c.busyQ = busyQ
 	pendingQ := pending.Q[0]
-	keyvalidQ := keyvalid.Q[0]
 	dataOkQ := dataOk.Q[0]
-	ksetupQ := logic.False
-	if hasDec {
-		ksetupQ = ksetup.Q[0]
-	}
+	walk := ku.setup()
+	walking := walk.running()
 
 	// --- Control ---
-	keyLoad := g.AndN(wrKey, setup, logic.Not(busyQ), logic.Not(ksetupQ))
-	occupied := g.OrN(busyQ, ksetupQ, logic.Not(keyvalidQ), keyLoad)
+	c.keyLoad = g.AndN(wrKey, setup, logic.Not(busyQ), logic.Not(walking))
+	occupied := g.OrN(busyQ, walking, logic.Not(c.keyvalid.Q[0]), c.keyLoad)
 	ld := g.AndN(logic.Not(occupied), g.Or(pendingQ, wrData))
-	mix := g.And(busyQ, eqConst(g, phase.Q, maxPhase))
-	lastRound := eqConst(g, round.Q, Rounds)
-	finalMix := g.And(mix, lastRound)
-	// The round key for the current round is computed during an early
-	// ByteSub cycle (the round-key register is stable for the whole round),
-	// keeping the S-box read and XOR chain of the key schedule out of the
-	// 128-bit cycle's critical path. With synchronous ROMs the update waits
-	// one cycle for the registered read.
-	rkPhase := uint64(0)
-	if sync {
-		rkPhase = 1
-	}
-	rkStep := g.And(busyQ, eqConst(g, phase.Q, rkPhase))
-
-	// Key-setup walk stepping: every cycle with async S-boxes, every second
-	// cycle with synchronous ones (address cycle + data cycle).
-	ksetupStep := logic.False
-	setupDone := logic.False
-	if hasDec {
-		ksetupStep = ksetupQ
-		if sync {
-			ksetupStep = g.And(ksetupQ, kphase.Q[0])
-		}
-		setupDone = g.And(ksetupStep, eqConst(g, kround.Q, Rounds))
-	}
+	c.ld = ld
+	mix := g.And(busyQ, eqConst(g, c.phase.Q, maxPhase))
+	c.lastRound = eqConst(g, c.round.Q, uint64(ku.rounds()))
+	finalMix := g.And(mix, c.lastRound)
+	ku.control(c)
+	walk.control(c)
 
 	// Direction literals: at-load (sampled with the data) and running
 	// (registered for the whole operation).
-	dirLd := logic.True // encrypt-only
-	dirRun := logic.True
+	c.dirLd, c.dirRun = logic.True, logic.True // encrypt-only
 	switch cfg.Variant {
 	case Decrypt:
-		dirLd = logic.False
-		dirRun = logic.False
+		c.dirLd, c.dirRun = logic.False, logic.False
 	case Both:
-		dirLd = g.Mux(pendingQ, pendDir.Q[0], encdecIn)
-		dirRun = dirReg.Q[0]
+		c.dirLd = g.Mux(pendingQ, pendDir.Q[0], encdecIn)
+		c.dirRun = dirReg.Q[0]
 	}
 
 	// --- Byte Sub data path (mixed 32-bit part) ---
 	// One of the four state words is routed to the S-box bank each ByteSub
 	// cycle.
-	p0, p1 := phase.Q[0], phase.Q[1]
+	p0, p1 := c.phase.Q[0], c.phase.Q[1]
 	addrWord := mux2(g, p1,
 		mux2(g, p0, s[3].Q, s[2].Q),
 		mux2(g, p0, s[1].Q, s[0].Q))
 	sboxROMs := 0
-	var sbData rtl.Bus
 	var encData, decData rtl.Bus
-	if hasEnc {
+	if c.hasEnc {
 		encData = sboxBank(b, "sbox_e", addrWord, gf256.SBoxTable(), cfg.ROMStyle)
 		sboxROMs += 4
 	}
-	if hasDec {
+	if c.hasDec {
 		decData = sboxBank(b, "sbox_d", addrWord, gf256.InvSBoxTable(), cfg.ROMStyle)
 		sboxROMs += 4
 	}
-	switch cfg.Variant {
-	case Encrypt:
-		sbData = encData
-	case Decrypt:
-		sbData = decData
-	case Both:
-		sbData = mux2(g, dirRun, encData, decData)
-	}
+	sbData := c.pick(c.dirRun, encData, decData)
 
-	// --- KStran banks and on-the-fly round keys ---
-	var nextRK, prevRK rtl.Bus
-	switch cfg.Variant {
-	case Encrypt:
-		ks := sboxBank(b, "sbox_ke", kstranEncAddr(rk.Q), gf256.SBoxTable(), cfg.ROMStyle)
-		sboxROMs += 4
-		nextRK = nextRoundKeyBus(g, rk.Q, ks, rcon.Q)
-	case Decrypt:
-		// One forward-S-box bank shared between the setup walk (forward
-		// schedule) and the backward runtime walk, with a muxed address.
-		addr := g.MuxVector(ksetupQ, kstranEncAddr(rk.Q), kstranDecAddr(g, rk.Q))
-		ks := sboxBank(b, "sbox_k", addr, gf256.SBoxTable(), cfg.ROMStyle)
-		sboxROMs += 4
-		nextRK = nextRoundKeyBus(g, rk.Q, ks, rcon.Q)
-		prevRK = prevRoundKeyBus(g, rk.Q, ks, rcon.Q)
-	case Both:
-		// Separate banks per direction keep the addresses mux-free (and
-		// match the paper's 32-Kbit memory budget for the combined core).
-		kse := sboxBank(b, "sbox_ke", kstranEncAddr(rk.Q), gf256.SBoxTable(), cfg.ROMStyle)
-		ksd := sboxBank(b, "sbox_kd", kstranDecAddr(g, rk.Q), gf256.SBoxTable(), cfg.ROMStyle)
-		sboxROMs += 8
-		nextRK = nextRoundKeyBus(g, rk.Q, kse, rcon.Q)
-		prevRK = prevRoundKeyBus(g, rk.Q, ksd, rcon.Q)
-	}
+	// --- KStran bank and on-the-fly round keys ---
+	sboxROMs += ku.kstran(c)
 	if cfg.ROMStyle == rtl.ROMLogic {
 		sboxROMs = 0
 	}
 
 	// --- 128-bit round function (phase 4/5) ---
 	catS := rtl.Cat(s[0].Q, s[1].Q, s[2].Q, s[3].Q)
-	var roundOut rtl.Bus
 	var encOut, decOut rtl.Bus
-	// By the 128-bit cycle the round-key register already holds this
-	// round's key (updated during the rkStep ByteSub cycle), so Add Key
-	// reads rk.Q directly.
-	if hasEnc {
+	if c.hasEnc {
 		sr := shiftRowsBus(catS, false)
 		mc := mixColumnsBus(g, sr)
-		pre := g.MuxVector(lastRound, sr, mc)
-		encOut = g.XorVector(pre, rk.Q)
+		pre := g.MuxVector(c.lastRound, sr, mc)
+		encOut = g.XorVector(pre, ku.roundKey(c, true))
 	}
-	if hasDec {
+	if c.hasDec {
+		dk := ku.roundKey(c, false)
 		isr := shiftRowsBus(catS, true)
-		ak := g.XorVector(isr, rk.Q)
+		ak := g.XorVector(isr, dk)
 		imc := invMixColumnsBus(g, ak)
-		decOut = g.MuxVector(lastRound, ak, imc)
+		decOut = g.MuxVector(c.lastRound, ak, imc)
 	}
-	switch cfg.Variant {
-	case Encrypt:
-		roundOut = encOut
-	case Decrypt:
-		roundOut = decOut
-	case Both:
-		roundOut = g.MuxVector(dirRun, encOut, decOut)
-	}
+	roundOut := c.pick(c.dirRun, encOut, decOut)
 
 	// --- Initial AddRoundKey folded into the load cycle ---
-	var ikey rtl.Bus
-	switch cfg.Variant {
-	case Encrypt:
-		ikey = keyReg.Q
-	case Decrypt:
-		ikey = lastKey.Q
-	case Both:
-		ikey = g.MuxVector(dirLd, keyReg.Q, lastKey.Q)
-	}
-	src := g.MuxVector(pendingQ, dinReg.Q, din)
+	ikey := ku.loadKey(c)
+	src := g.MuxVector(pendingQ, dinReg.Q, c.din)
 	loadVal := g.XorVector(src, ikey)
 
 	// --- Register next-state connections ---
-	dinReg.SetNext(din, wrData)
-	if hasEnc {
-		keyReg.SetNext(din, keyLoad)
-	}
-
+	dinReg.SetNext(c.din, wrData)
 	for w := 0; w < 4; w++ {
-		bsWrite := eqConst(g, phase.Q, uint64(w))
+		bsWrite := eqConst(g, c.phase.Q, uint64(w))
 		if sync {
-			bsWrite = eqConst(g, phase.Q, uint64(w+1))
+			bsWrite = eqConst(g, c.phase.Q, uint64(w+1))
 		}
 		en := g.OrN(ld, g.And(busyQ, bsWrite), mix)
 		next := g.MuxVector(ld, wordOf(loadVal, w),
 			g.MuxVector(mix, wordOf(roundOut, w), sbData))
 		s[w].SetNext(next, en)
 	}
-
-	// Round-key register: setup walk / load / per-round update.
-	{
-		runNext := nextRK
-		if cfg.Variant == Decrypt {
-			runNext = prevRK
-		} else if cfg.Variant == Both {
-			runNext = g.MuxVector(dirRun, nextRK, prevRK)
-		}
-		v := g.MuxVector(ksetupStep, nextRK, runNext)
-		v = g.MuxVector(ld, ikey, v)
-		en := g.OrN(ld, rkStep, ksetupStep)
-		if hasDec {
-			v = g.MuxVector(keyLoad, din, v)
-			en = g.Or(en, keyLoad)
-		}
-		rk.SetNext(v, en)
-	}
-
-	// Round-constant register.
-	{
-		fwdInit := rtl.Const(8, 0x01)
-		bwdInit := rtl.Const(8, uint64(gf256.Rcon(Rounds)))
-		v := g.MuxVector(rkStep, rconNextBus(g, rcon.Q, dirRun), xtimeBus(g, rcon.Q))
-		ldVal := fwdInit
-		if cfg.Variant == Decrypt {
-			ldVal = bwdInit
-		} else if cfg.Variant == Both {
-			ldVal = g.MuxVector(dirLd, fwdInit, bwdInit)
-		}
-		v = g.MuxVector(ld, ldVal, v)
-		en := g.OrN(ld, ksetupStep, rkStep)
-		if hasDec {
-			v = g.MuxVector(keyLoad, fwdInit, v)
-			en = g.Or(en, keyLoad)
-		}
-		rcon.SetNext(v, en)
-	}
-
-	if hasDec {
-		lastKey.SetNext(nextRK, setupDone)
-		ksetup.SetNext(rtl.Bus{g.Or(keyLoad, g.And(ksetupQ, logic.Not(setupDone)))}, logic.True)
-		kround.SetNext(g.MuxVector(keyLoad, rtl.Const(4, 1), incBus(g, kround.Q)),
-			g.Or(keyLoad, ksetupStep))
-		if sync {
-			kphase.SetNext(rtl.Bus{g.AndN(logic.Not(keyLoad), ksetupQ, logic.Not(kphase.Q[0]))},
-				g.Or(keyLoad, ksetupQ))
-		}
-		keyvalid.SetNext(rtl.Bus{g.And(logic.Not(keyLoad), g.Or(setupDone, keyvalidQ))},
-			logic.True)
-	} else {
-		keyvalid.SetNext(rtl.Bus{g.Or(keyvalidQ, keyLoad)}, logic.True)
-	}
+	ku.connect(c)
 
 	busy.SetNext(rtl.Bus{g.Or(ld, g.And(busyQ, logic.Not(finalMix)))}, logic.True)
-	round.SetNext(g.MuxVector(ld, rtl.Const(4, 1), incBus(g, round.Q)), g.Or(ld, mix))
-	phase.SetNext(g.MuxVector(g.Or(ld, mix), rtl.Const(3, 0), incBus(g, phase.Q)),
+	c.round.SetNext(g.MuxVector(ld, rtl.Const(4, 1), incBus(g, c.round.Q)), g.Or(ld, mix))
+	c.phase.SetNext(g.MuxVector(g.Or(ld, mix), rtl.Const(3, 0), incBus(g, c.phase.Q)),
 		g.Or(ld, busyQ))
 	pending.SetNext(rtl.Bus{g.Mux(ld, g.And(pendingQ, wrData),
 		g.Or(pendingQ, g.And(wrData, occupied)))}, logic.True)
 	if cfg.Variant == Both {
-		dirReg.SetNext(rtl.Bus{dirLd}, ld)
+		dirReg.SetNext(rtl.Bus{c.dirLd}, ld)
 		pendDir.SetNext(rtl.Bus{encdecIn}, wrData)
 	}
 	doutReg.SetNext(roundOut, finalMix)
@@ -398,19 +362,13 @@ func New(cfg Config) (*Core, error) {
 	if sync {
 		cyc = 6
 	}
-	ksc := 0
-	if hasDec {
-		ksc = Rounds
-		if sync {
-			ksc = 2 * Rounds
-		}
-	}
 	return &Core{
 		Config:         cfg,
 		Design:         d,
-		BlockLatency:   Rounds * cyc,
-		KeySetupCycles: ksc,
+		BlockLatency:   ku.rounds() * cyc,
+		KeySetupCycles: walk.cycles(c),
 		CyclesPerRound: cyc,
 		SBoxROMs:       sboxROMs,
+		KeyBytes:       ku.keyBytes(),
 	}, nil
 }

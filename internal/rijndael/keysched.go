@@ -62,3 +62,69 @@ func prevRoundKeyBus(g *logic.Net, rk, kstranOut, rcon rtl.Bus) rtl.Bus {
 func rconNextBus(g *logic.Net, rcon rtl.Bus, dir logic.Lit) rtl.Bus {
 	return mux2(g, dir, xtimeBus(g, rcon), invXtimeBus(g, rcon))
 }
+
+// setupWalk is the forward key-schedule walk a decrypt-capable core runs
+// after its last key beat, to reach the final round key the backward walk
+// starts from. kround counts the round key being generated, from first to
+// rounds; with synchronous S-boxes each step takes an address cycle and a
+// data cycle (kphase). The zero value is the encrypt-only core's absent
+// walk: never running, never stepping.
+type setupWalk struct {
+	first, rounds          int
+	ksetup, kround, kphase *rtl.Reg
+	step, done             logic.Lit
+}
+
+func (w *setupWalk) declare(c *datapath) {
+	w.ksetup = c.b.Reg("ksetup", 1)
+	w.kround = c.b.Reg("kround", 4)
+	if c.sync {
+		w.kphase = c.b.Reg("kphase", 1)
+	}
+}
+
+// running is true while the walk is in progress.
+func (w *setupWalk) running() logic.Lit {
+	if w.ksetup == nil {
+		return logic.False
+	}
+	return w.ksetup.Q[0]
+}
+
+// control derives step (the schedule advances this cycle) and done (this
+// step generates the final round key).
+func (w *setupWalk) control(c *datapath) {
+	if w.ksetup == nil {
+		return
+	}
+	w.step = w.ksetup.Q[0]
+	if c.sync {
+		w.step = c.g.And(w.ksetup.Q[0], w.kphase.Q[0])
+	}
+	w.done = c.g.And(w.step, eqConst(c.g, w.kround.Q, uint64(w.rounds)))
+}
+
+// connect starts the walk on the start literal (the last key beat).
+func (w *setupWalk) connect(c *datapath, start logic.Lit) {
+	g := c.g
+	ksetupQ := w.ksetup.Q[0]
+	w.ksetup.SetNext(rtl.Bus{g.Or(start, g.And(ksetupQ, logic.Not(w.done)))}, logic.True)
+	w.kround.SetNext(g.MuxVector(start, rtl.Const(4, uint64(w.first)), incBus(g, w.kround.Q)),
+		g.Or(start, w.step))
+	if c.sync {
+		w.kphase.SetNext(rtl.Bus{g.AndN(logic.Not(start), ksetupQ, logic.Not(w.kphase.Q[0]))},
+			g.Or(start, ksetupQ))
+	}
+}
+
+// cycles is the walk's length in clock cycles (0 without a walk).
+func (w *setupWalk) cycles(c *datapath) int {
+	if w.ksetup == nil {
+		return 0
+	}
+	n := w.rounds - w.first + 1
+	if c.sync {
+		n *= 2
+	}
+	return n
+}

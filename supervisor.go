@@ -1,6 +1,7 @@
 package rijndaelip
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -13,20 +14,44 @@ import (
 	"rijndaelip/internal/rijndael"
 )
 
+// CheckPolicy selects how a supervised engine detects a corrupted
+// transaction before handing the result to the caller.
+type CheckPolicy int
+
+const (
+	// CheckNone relies on the BFM watchdog and fixed-latency protocol
+	// assertion alone: hung or mistimed transactions are caught, silent
+	// data corruption is not.
+	CheckNone CheckPolicy = iota
+	// CheckLockstep runs every shard as a dual-modular-redundant pair: an
+	// independent shadow replica is stepped cycle-for-cycle and any
+	// divergence of the observable outputs flags the transaction.
+	CheckLockstep
+	// CheckInverse round-trips results through the opposite direction on
+	// the same shard (requires the combined Both variant):
+	// decrypt(encrypt(x)) must give back x. Costs a second transaction per
+	// checked submission but needs no duplicated hardware.
+	CheckInverse
+)
+
 // SupervisorOptions arms the engine's per-shard supervision layer: every
 // shard transaction runs under the BFM watchdog and the fixed-latency
 // protocol assertion, optionally cross-checked by a lockstep shadow
 // replica or inverse-operation spot-checks, and any detection triggers
-// the recovery ladder — re-queue the failed submission to a healthy
-// shard, quarantine the sick shard, hot-respawn it in the background, and
-// degrade to the software reference only when every replica is out of
-// service. The policy vocabulary (CheckPolicy) is shared with
-// ResilientBlock: the supervisor is the same detect → retry → degrade
-// idea lifted from one device to the whole pool.
+// the recovery ladder — retry in place, re-queue the failed submission to
+// a healthy shard, quarantine the sick shard, hot-respawn it in the
+// background, and degrade to the software reference only when every
+// replica is out of service.
 //
-// Supervised shards simulate the technology-mapped netlist (like
-// ResilientBlock and the fault campaigns) rather than the RTL, so chaos
-// harnesses can strike real flip-flops of live shards mid-traffic.
+// A single self-checking device is the one-shard, one-lane case:
+//
+//	eng, _ := impl.NewEngine(key, EngineOptions{Shards: 1, MaxLanes: 1,
+//		Supervise: &SupervisorOptions{Check: CheckLockstep}})
+//	blk := eng.Block() // a modes.Block that absorbs detected faults
+//
+// Supervised shards simulate the technology-mapped netlist (like the
+// fault campaigns) rather than the RTL, so chaos harnesses can strike
+// real flip-flops of live shards mid-traffic.
 type SupervisorOptions struct {
 	// Check selects the per-transaction detection mechanism. CheckNone
 	// relies on the watchdog and latency assertion alone; CheckLockstep
@@ -418,7 +443,7 @@ func (e *Engine) attempt(s *engineShard, j *engineJob, sub uint64, first bool) (
 			err = invErr
 		} else {
 			for i := range blocks {
-				if !bytesEqual16(back[i], blocks[i]) {
+				if !bytes.Equal(back[i], blocks[i]) {
 					err = fmt.Errorf("%w: shard %d lane %d", ErrInverseMismatch, s.id, i)
 					break
 				}
@@ -750,7 +775,7 @@ func (e *Engine) selfTest(drv *bfm.VectorDriver) error {
 	} else {
 		e.soft.Decrypt(want, pt)
 	}
-	if !bytesEqual16(outs[0], want) {
+	if !bytes.Equal(outs[0], want) {
 		return fmt.Errorf("rijndaelip: respawn self-test: got %x, want %x", outs[0], want)
 	}
 	return nil
