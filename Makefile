@@ -100,6 +100,9 @@ lint:
 race:
 	$(GO) test -race -short ./...
 
+# The sampled fault campaign on both devices (plain / TMR / lockstep /
+# rom-stuck rows): exits nonzero when a coverage shape check fails. The
+# only verify coverage of cmd/faultcampaign and RunStuckAt.
 faults:
 	$(GO) run ./cmd/faultcampaign
 
@@ -113,7 +116,7 @@ reports:
 	$(GO) run ./cmd/synthreport -sync -power -harden
 	$(GO) run ./cmd/ipcompare -ablation
 
-verify: vet lint race bench-smoke obs-smoke chaos-smoke triage-smoke
+verify: vet lint race bench-smoke obs-smoke chaos-smoke triage-smoke faults
 	$(GO) run ./cmd/verifyall -full
 
 clean:

@@ -123,9 +123,6 @@ type EngineOptions struct {
 	// clock reads per submission; BenchmarkObsOverhead reports it against
 	// a 5% budget. Disable only for A/B overhead measurements.
 	DisableObs bool
-	// TraceDepth is the event-trace ring capacity (default 1024 events;
-	// the ring overwrites oldest-first when full).
-	TraceDepth int
 }
 
 // ErrEngineClosed is returned for blocks submitted after Close.
@@ -141,7 +138,7 @@ type engineShard struct {
 	// healthy, so the atomic state transitions order the accesses.
 	state atomic.Int32
 	gen   atomic.Uint64
-	drv   *bfm.VectorDriver
+	drv   *bfm.Driver
 	sim   *netlist.Simulator            // primary mapped simulation (supervised only)
 	lock  *faultcampaign.VectorLockstep // shadow comparator (CheckLockstep only)
 
@@ -301,7 +298,7 @@ func (im *Implementation) NewEngine(key []byte, opts EngineOptions) (*Engine, er
 	}
 	if !opts.DisableObs {
 		e.reg = obs.NewRegistry()
-		e.ring = obs.NewRing(opts.TraceDepth)
+		e.ring = obs.NewRing(0)
 	}
 	if sup != nil {
 		soft, err := aes.NewCipher(key)
@@ -532,33 +529,38 @@ func (e *Engine) run(s *engineShard, j *engineJob) {
 		e.runSupervised(s, j)
 		return
 	}
-	if j.batch.jitter != nil {
+	outs, err := e.transact(s, j, s.submissions.Add(1), true)
+	if err != nil {
+		// Identify the failing shard, preserving driver sentinels
+		// (bfm.ErrTimeout, bfm.ErrLatency) for errors.Is through
+		// Process/EngineBlock.
+		j.batch.complete(fmt.Errorf("rijndaelip: engine shard %d: %w", s.id, err))
+		return
+	}
+	e.deliver(s, j, outs)
+}
+
+// transact runs job j, shard s's submission sub, as one lane-packed
+// transaction, block i on lane i. A first attempt calls the jitter hook
+// and then the supervisor's chaos Strike hook; an in-place retry calls
+// neither (it must be strike-free to be diagnostic). +1 accounts the
+// wr_data load edge, which the driver steps before it starts counting
+// completion-wait cycles; the cycle cost is per submission, not per block,
+// since all j.n lanes share one transaction.
+func (e *Engine) transact(s *engineShard, j *engineJob, sub uint64, first bool) ([][]byte, error) {
+	if first && j.batch.jitter != nil {
 		j.batch.jitter(s.id, j.index)
+	}
+	if first && e.sup != nil && e.sup.Strike != nil {
+		e.sup.Strike(s.id, sub, s.sim)
 	}
 	blocks := make([][]byte, j.n)
 	for i := range blocks {
 		blocks[i] = j.src[i*16 : i*16+16]
 	}
 	outs, cycles, err := s.drv.ProcessVector(blocks, j.encrypt)
-	// +1 accounts the wr_data load edge, which ProcessVector steps before
-	// it starts counting completion-wait cycles. The cycle cost is per
-	// submission, not per block: all j.n lanes share one transaction.
 	s.cycles.Add(uint64(cycles) + 1)
-	s.submissions.Add(1)
-	if err == nil {
-		s.blocks.Add(uint64(j.n))
-		s.wasted.Add(uint64(e.opts.MaxLanes - j.n))
-		for i, out := range outs {
-			copy(j.dst[i*16:i*16+16], out)
-		}
-		s.observe(j)
-	} else {
-		// Identify the failing shard, preserving driver sentinels
-		// (bfm.ErrTimeout, bfm.ErrLatency) for errors.Is through
-		// Process/EngineBlock.
-		err = fmt.Errorf("rijndaelip: engine shard %d: %w", s.id, err)
-	}
-	j.batch.complete(err)
+	return outs, err
 }
 
 // process packs the concatenated 16-byte blocks of src into lane groups

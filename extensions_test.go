@@ -189,6 +189,26 @@ func TestMeasurePower(t *testing.T) {
 		t.Errorf("combined core dynamic energy %.2f nJ not above encryptor %.2f nJ",
 			bothRep.DynamicEnergyNJ, encRep.DynamicEnergyNJ)
 	}
+
+	// The AES-256 core loads its 32-byte key in two bus beats and rejects
+	// a 16-byte one instead of measuring a half-loaded core.
+	enc256, err := rijndaelip.Build256(rijndaelip.Encrypt, rijndaelip.Acex1K())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep256, err := enc256.MeasurePower(append(key, key...), 2)
+	if err != nil {
+		t.Fatalf("AES-256 core rejected a 32-byte key: %v", err)
+	}
+	if rep256.PowerMW <= rep256.Model.LeakageMW {
+		t.Errorf("AES-256 core recorded no dynamic power: %+v", rep256)
+	}
+	if _, err := enc256.MeasurePower(key, 2); err == nil {
+		t.Error("AES-256 core accepted a 16-byte key")
+	}
+	if _, err := enc.MeasurePower(append(key, key...), 2); err == nil {
+		t.Error("AES-128 core accepted a 32-byte key")
+	}
 }
 
 // TestPlaceAndTime exercises the placement-aware timing refinement through

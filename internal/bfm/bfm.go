@@ -8,28 +8,48 @@ package bfm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
+	"rijndaelip/internal/logic"
 	"rijndaelip/internal/rijndael"
 )
+
+// Lanes is the number of independent simulation lanes one device model
+// carries (re-exported from internal/logic so engine-level callers don't
+// reach into the AIG layer).
+const Lanes = logic.Lanes
 
 // Sim is the simulator surface the driver needs. Both the RTL-level
 // simulator (rtl.Simulator) and the post-synthesis netlist simulator
 // (netlist.Simulator) satisfy it, so the same bus-functional model signs
-// off the design before and after technology mapping. In both
-// implementations the S-box ROM reads behind this surface go through
-// per-simulator EDAC stores (internal/edac): a single-bit ROM storage
-// error is corrected transparently, so the driver sees golden data until
-// damage exceeds what the code covers.
+// off the design before and after technology mapping. Their state is
+// stored as lane words, so every pin can be driven and observed per lane
+// at no extra cost; the broadcast methods are the all-lanes special case.
+// In both implementations the S-box ROM reads behind this surface go
+// through per-simulator EDAC stores (internal/edac): a single-bit ROM
+// storage error is corrected transparently, so the driver sees golden
+// data until damage exceeds what the code covers.
 type Sim interface {
 	Reset()
 	SetInput(name string, value uint64) error
 	SetInputBits(name string, bits []byte) error
+	SetInputLane(name string, lane int, value uint64) error
+	SetInputBitsLane(name string, lane int, bits []byte) error
 	Eval()
 	Step()
 	Output(name string) (uint64, error)
 	OutputBits(name string) ([]byte, error)
+	OutputLane(name string, lane int) (uint64, error)
+	OutputBitsLane(name string, lane int) ([]byte, error)
+	OutputWords(name string) ([]uint64, error)
 	RegValue(name string) ([]byte, bool)
 }
+
+// Deprecated: VectorSim is Sim.
+type VectorSim = Sim
+
+// Deprecated: VectorDriver is Driver.
+type VectorDriver = Driver
 
 // DUT describes any device under test exposing the paper's Table 1
 // interface (the Rijndael IP itself or one of the baseline
@@ -47,7 +67,14 @@ type DUT struct {
 	KeyBytes int
 }
 
-// Driver drives one simulated device.
+// Driver drives one simulated device. Every data transaction carries up
+// to Lanes independent blocks, block L on lane L: the driver drives din per
+// lane, runs the one 50-cycle sequence all lanes share, and captures each
+// lane's dout on the cycle its data_ok rises. The lanes march in lockstep
+// because the core's control FSM depends only on the control pins
+// (setup/wr_key/wr_data/encdec), which the driver always broadcasts; only
+// the data path (din, key, dout) differs per lane. A one-block
+// transaction is the scalar case.
 type Driver struct {
 	DUT DUT
 	Sim Sim
@@ -58,11 +85,11 @@ type Driver struct {
 	// completion handshake) from hanging the caller forever.
 	Timeout int
 
-	// AssertLatency arms the fixed-latency protocol assertion: the paper's
-	// core completes in exactly BlockLatency cycles, so a data_ok that
-	// rises early or late is evidence of a corrupted control FSM even when
-	// the payload happens to look plausible. Process then returns
-	// ErrLatency alongside the (suspect) output.
+	// AssertLatency arms the fixed-latency protocol assertion on every
+	// lane: the paper's core completes in exactly BlockLatency cycles, so a
+	// data_ok that rises early or late is evidence of a corrupted control
+	// FSM even when the payload happens to look plausible. Process and
+	// ProcessVector then return ErrLatency alongside the (suspect) output.
 	AssertLatency bool
 }
 
@@ -110,22 +137,33 @@ func (d *Driver) clearControl() {
 	d.Sim.SetInput("wr_key", 0)
 }
 
-// LoadKey performs the configuration sequence: raise setup and wr_key with
-// the key on din (one 128-bit beat, or two beats low-half-first for a
-// 256-bit key on an AES-256 core), then run the key-setup walk to
-// completion (10 cycles for the decrypt-capable variants, 0 for
-// encrypt-only). It returns the number of cycles consumed. A key whose
-// length is not the device's KeyBytes is rejected before any bus cycle.
-func (d *Driver) LoadKey(key []byte) (int, error) {
-	if err := checkKeyLen(d.DUT.Name, d.DUT.KeyBytes, len(key)); err != nil {
+// LoadKeys performs the configuration sequence with a different key on
+// every lane: raise setup and wr_key with keys[L] on lane L of din (one
+// 128-bit beat, or two beats low-half-first for a 256-bit key on an
+// AES-256 core), then run the key-setup walk to completion (10 cycles for
+// the decrypt-capable variants, 0 for encrypt-only). Every key must be the
+// device's KeyBytes long and len(keys) must be in [1, Lanes]; lanes beyond
+// len(keys) receive keys[0]. It returns the cycles consumed, the same
+// whatever len(keys) is. Invalid keys are rejected before any bus cycle.
+func (d *Driver) LoadKeys(keys [][]byte) (int, error) {
+	if len(keys) == 0 || len(keys) > Lanes {
+		return 0, fmt.Errorf("bfm: need 1..%d keys, got %d", Lanes, len(keys))
+	}
+	kl := len(keys[0])
+	if err := checkKeyLen(d.DUT.Name, d.DUT.KeyBytes, kl); err != nil {
 		return 0, err
 	}
+	for i, k := range keys {
+		if len(k) != kl {
+			return 0, fmt.Errorf("bfm: key %d is %d bytes, want %d", i, len(k), kl)
+		}
+	}
 	cycles := 0
-	for beat := 0; beat < len(key)/16; beat++ {
+	for off := 0; off < kl; off += 16 {
 		d.clearControl()
 		d.Sim.SetInput("setup", 1)
 		d.Sim.SetInput("wr_key", 1)
-		if err := d.Sim.SetInputBits("din", key[16*beat:16*beat+16]); err != nil {
+		if err := d.driveLanes(keys, off); err != nil {
 			return 0, err
 		}
 		d.Sim.Step()
@@ -139,11 +177,30 @@ func (d *Driver) LoadKey(key []byte) (int, error) {
 	return cycles, nil
 }
 
+// LoadKey loads one key on every lane (see LoadKeys).
+func (d *Driver) LoadKey(key []byte) (int, error) { return d.LoadKeys([][]byte{key}) }
+
+// driveLanes drives bytes [off, off+16) of blocks[L] onto lane L of din:
+// blocks[0] is broadcast and lanes 1..len(blocks)-1 are overridden, so
+// unused lanes carry lane 0's data (harmless: their results are never
+// read back).
+func (d *Driver) driveLanes(blocks [][]byte, off int) error {
+	if err := d.Sim.SetInputBits("din", blocks[0][off:off+16]); err != nil {
+		return err
+	}
+	for lane := 1; lane < len(blocks); lane++ {
+		if err := d.Sim.SetInputBitsLane("din", lane, blocks[lane][off:off+16]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ErrTimeout is returned when data_ok never rises within the watchdog
 // budget. Returned errors wrap it; match with errors.Is.
 var ErrTimeout = errors.New("bfm: timeout waiting for data_ok")
 
-// ErrLatency is returned by Process when AssertLatency is set and data_ok
+// ErrLatency is returned when AssertLatency is set and a lane's data_ok
 // rose at a cycle count other than the device's fixed block latency.
 // Returned errors wrap it; match with errors.Is.
 var ErrLatency = errors.New("bfm: data_ok at unexpected latency")
@@ -166,48 +223,129 @@ func (d *Driver) setDirection(encrypt bool) error {
 	return d.Sim.SetInput("encdec", v)
 }
 
-// Process pushes one block through the device and waits for the result.
-// It returns the output block and the latency in clock cycles from the
-// wr_data edge to the first cycle data_ok is observed high.
-func (d *Driver) Process(block []byte, encrypt bool) ([]byte, int, error) {
-	if len(block) != 16 {
-		return nil, 0, fmt.Errorf("bfm: block must be 16 bytes, got %d", len(block))
+// Transaction is the lane-by-lane record of one data transaction.
+type Transaction struct {
+	// Outs holds each used lane's dout, captured on the cycle its data_ok
+	// rose (nil for a lane whose data_ok never rose).
+	Outs [][]byte
+	// Latency holds each used lane's cycles from the wr_data load edge to
+	// the first cycle its data_ok was observed high.
+	Latency [Lanes]int
+	// Hung is the mask of used lanes whose data_ok never rose before the
+	// watchdog expired.
+	Hung uint64
+	// Cycles is how long the transaction ran after the load edge: up to
+	// the last used lane's data_ok, or the watchdog.
+	Cycles int
+}
+
+// Transact pushes up to Lanes blocks through the device in one protocol
+// transaction, blocks[L] on lane L, and records every lane's result in tx.
+// It runs until every used lane has raised data_ok or the watchdog
+// expires, so one off-latency lane never cuts another lane's transaction
+// short. It returns an error only for invalid arguments or a simulator
+// error; a lane's protocol failure is reported by LaneErr. The cycle cost
+// is that of a one-block transaction, whatever len(blocks) is: this is
+// the whole point of the lane machinery.
+func (d *Driver) Transact(tx *Transaction, blocks [][]byte, encrypt bool) error {
+	if len(blocks) == 0 || len(blocks) > Lanes {
+		return fmt.Errorf("bfm: need 1..%d blocks, got %d", Lanes, len(blocks))
+	}
+	for i, b := range blocks {
+		if len(b) != 16 {
+			return fmt.Errorf("bfm: block %d must be 16 bytes, got %d", i, len(b))
+		}
 	}
 	if err := d.setDirection(encrypt); err != nil {
-		return nil, 0, err
+		return err
 	}
 	d.clearControl()
 	d.Sim.SetInput("wr_data", 1)
-	if err := d.Sim.SetInputBits("din", block); err != nil {
-		return nil, 0, err
+	if err := d.driveLanes(blocks, 0); err != nil {
+		return err
 	}
 	d.Sim.Step() // load edge
 	d.clearControl()
+	tx.Outs = make([][]byte, len(blocks))
+	pending := usedMask(len(blocks))
 	cycles := 0
 	for {
 		d.Sim.Eval()
-		ok, err := d.Sim.Output("data_ok")
+		okw, err := d.Sim.OutputWords("data_ok")
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		if ok == 1 {
-			out, err := d.Sim.OutputBits("dout")
-			if err != nil {
-				return nil, 0, err
+		for ready := okw[0] & pending; ready != 0; ready &= ready - 1 {
+			lane := bits.TrailingZeros64(ready)
+			if tx.Outs[lane], err = d.Sim.OutputBitsLane("dout", lane); err != nil {
+				return err
 			}
-			if d.AssertLatency && d.DUT.BlockLatency > 0 && cycles != d.DUT.BlockLatency {
-				return out, cycles, fmt.Errorf("%w: data_ok after %d cycles, expected %d on %s",
-					ErrLatency, cycles, d.DUT.BlockLatency, d.DUT.Name)
-			}
-			return out, cycles, nil
+			tx.Latency[lane] = cycles
 		}
-		if cycles >= d.Timeout {
-			return nil, cycles, fmt.Errorf("%w: watchdog expired after %d cycles on %s",
-				ErrTimeout, cycles, d.DUT.Name)
+		pending &^= okw[0]
+		if pending == 0 || cycles >= d.Timeout {
+			break
 		}
 		d.Sim.Step()
 		cycles++
 	}
+	tx.Hung, tx.Cycles = pending, cycles
+	return nil
+}
+
+// LaneErr returns lane's protocol verdict on tx: ErrTimeout when its
+// data_ok never rose, ErrLatency when the latency assertion is armed and
+// its data_ok rose at a cycle other than the block latency, else nil.
+func (d *Driver) LaneErr(tx *Transaction, lane int) error {
+	switch {
+	case tx.Hung>>uint(lane)&1 != 0:
+		return fmt.Errorf("%w: watchdog expired after %d cycles on %s",
+			ErrTimeout, tx.Cycles, d.DUT.Name)
+	case d.AssertLatency && d.DUT.BlockLatency > 0 && tx.Latency[lane] != d.DUT.BlockLatency:
+		return fmt.Errorf("%w: data_ok after %d cycles, expected %d on %s",
+			ErrLatency, tx.Latency[lane], d.DUT.BlockLatency, d.DUT.Name)
+	}
+	return nil
+}
+
+// ProcessVector runs one transaction (see Transact) and returns the
+// per-lane output blocks and the cycles from the wr_data edge to the last
+// lane's data_ok. A hung lane fails the whole transaction with ErrTimeout
+// and no outputs; otherwise the first lane that fails the latency
+// assertion returns ErrLatency alongside the (suspect) outputs.
+func (d *Driver) ProcessVector(blocks [][]byte, encrypt bool) ([][]byte, int, error) {
+	var tx Transaction
+	if err := d.Transact(&tx, blocks, encrypt); err != nil {
+		return nil, 0, err
+	}
+	if tx.Hung != 0 {
+		return nil, tx.Cycles, d.LaneErr(&tx, bits.TrailingZeros64(tx.Hung))
+	}
+	for lane := range blocks {
+		if err := d.LaneErr(&tx, lane); err != nil {
+			return tx.Outs, tx.Cycles, err
+		}
+	}
+	return tx.Outs, tx.Cycles, nil
+}
+
+// Process pushes one block through the device and waits for the result.
+// It returns the output block and the latency in clock cycles from the
+// wr_data edge to the first cycle data_ok is observed high.
+func (d *Driver) Process(block []byte, encrypt bool) ([]byte, int, error) {
+	outs, cycles, err := d.ProcessVector([][]byte{block}, encrypt)
+	if outs == nil {
+		return nil, cycles, err
+	}
+	return outs[0], cycles, err
+}
+
+// usedMask returns the lane mask with the low n lanes set.
+func usedMask(n int) uint64 {
+	if n >= Lanes {
+		return ^uint64(0)
+	}
+	return 1<<uint(n) - 1
 }
 
 // Encrypt processes one block in the encrypt direction.
@@ -344,8 +482,22 @@ func NewKeyedFactory(core *rijndael.Core, key []byte) (*KeyedFactory, error) {
 // Clone builds a fresh cycle-accurate simulation of the core, runs the key
 // load and setup walk over the bus, and returns the ready-to-process
 // driver together with the key-setup cycles it spent.
-func (f *KeyedFactory) Clone() (*Driver, int, error) {
-	d := New(f.core)
+func (f *KeyedFactory) Clone() (*Driver, int, error) { return f.keyed(New(f.core)) }
+
+// CloneVectorSim runs the factory's key-load sequence over a caller-built
+// simulation of the same core — a post-synthesis netlist simulator, a
+// lockstep pair wrapping one, or any other Sim — and returns the keyed
+// driver. The package stays decoupled from any particular simulator
+// implementation: the caller owns construction, the factory owns the bus
+// protocol. This is the hot-respawn building block a self-healing engine
+// uses to stamp out a replacement for a quarantined shard.
+func (f *KeyedFactory) CloneVectorSim(sim Sim) (*Driver, int, error) {
+	return f.keyed(NewPostSynthesis(f.core, sim))
+}
+
+// keyed loads the factory key (broadcast across all lanes, so any subset
+// of lanes can process blocks under it) into d.
+func (f *KeyedFactory) keyed(d *Driver) (*Driver, int, error) {
 	cycles, err := d.LoadKey(f.key)
 	if err != nil {
 		return nil, 0, err

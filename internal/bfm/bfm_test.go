@@ -269,13 +269,36 @@ func TestLatencyAssertion(t *testing.T) {
 	if cycles != 9 || out == nil {
 		t.Errorf("suspect output should still be reported: cycles=%d out=%x", cycles, out)
 	}
+
+	// The assertion covers every lane, not just the one that finishes
+	// last: a round-counter upset on lane 1 of the mapped core raises that
+	// lane's data_ok early with a wrong dout while lane 0 completes on
+	// time.
+	core, sim := mappedEncryptCore(t)
+	drv = NewPostSynthesis(core, sim)
+	drv.AssertLatency = true
+	if _, err := drv.LoadKey(make([]byte, 16)); err != nil {
+		t.Fatal(err)
+	}
+	ff := sim.FindFF("round[3]")
+	if ff < 0 {
+		t.Fatal("round[3] not found in mapped netlist")
+	}
+	sim.ScheduleFlipLanes(1, 1<<1, ff) // processing cycle 0, lane 1 only
+	blocks := [][]byte{make([]byte, 16), make([]byte, 16)}
+	outs, cycles, err := drv.ProcessVector(blocks, true)
+	if !errors.Is(err, ErrLatency) {
+		t.Fatalf("early data_ok on lane 1: expected ErrLatency, got %v (cycles=%d)", err, cycles)
+	}
+	if cycles != core.BlockLatency || len(outs) != 2 {
+		t.Errorf("transaction should run to the on-time lane: cycles=%d outs=%d", cycles, len(outs))
+	}
 }
 
-// TestWatchdogWedgedFSM wedges a real mapped core — a stuck-at-0 fault on
-// the data_ok output register means the completion handshake can never
-// fire — and checks that the driver's watchdog returns a timeout within
-// the cycle budget instead of looping forever.
-func TestWatchdogWedgedFSM(t *testing.T) {
+// mappedEncryptCore elaborates and maps the encrypt-only core and returns
+// a netlist simulator of it.
+func mappedEncryptCore(t *testing.T) (*rijndael.Core, *netlist.Simulator) {
+	t.Helper()
 	core, err := rijndael.New(rijndael.Config{Variant: rijndael.Encrypt, ROMStyle: rtl.ROMAsync})
 	if err != nil {
 		t.Fatal(err)
@@ -288,6 +311,15 @@ func TestWatchdogWedgedFSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return core, sim
+}
+
+// TestWatchdogWedgedFSM wedges a real mapped core — a stuck-at-0 fault on
+// the data_ok output register means the completion handshake can never
+// fire — and checks that the driver's watchdog returns a timeout within
+// the cycle budget instead of looping forever.
+func TestWatchdogWedgedFSM(t *testing.T) {
+	core, sim := mappedEncryptCore(t)
 	drv := NewPostSynthesis(core, sim)
 	if _, err := drv.LoadKey(make([]byte, 16)); err != nil {
 		t.Fatal(err)

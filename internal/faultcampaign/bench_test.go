@@ -12,12 +12,12 @@ import (
 
 // BenchmarkVectorLockstep measures one supervised 64-lane transaction: a
 // VectorLockstep of two netlist simulators of the synthesized Encrypt core
-// under a keyed vector driver, 64 divergent blocks per ProcessVector. This
+// under a keyed driver, 64 divergent blocks per ProcessVector. This
 // is the netlist path a lockstep-supervised engine shard runs, without the
 // engine around it. The first transaction is checked against internal/aes.
 func BenchmarkVectorLockstep(b *testing.B) {
 	core, nl := buildEncryptCore(b)
-	var pair [2]bfm.VectorSim
+	var pair [2]bfm.Sim
 	for i := range pair {
 		s, err := netlist.NewSimulator(nl)
 		if err != nil {

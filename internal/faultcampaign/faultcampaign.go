@@ -17,7 +17,7 @@
 //
 // The same engine measures what hardening buys: run it on the plain
 // netlist, the TMR-hardened netlist (internal/tmr) and a lockstep pair
-// (NewLockstep) and compare masked/detected coverage against area.
+// (NewVectorLockstep) and compare masked/detected coverage against area.
 package faultcampaign
 
 import (
@@ -314,11 +314,10 @@ func RunStuckAt(cfg Config, faults []ROMFault) (*Result, error) {
 type campaign struct {
 	cfg    Config
 	main   *netlist.Simulator
-	shadow *netlist.Simulator
-	lock   *Lockstep
+	lock   *VectorLockstep
 	drv    *bfm.Driver
 	key    []byte
-	pt     []byte
+	blocks [][]byte // Lanes copies of the transaction's din block
 	golden []byte
 	nFFs   int
 	cycles int
@@ -339,14 +338,13 @@ func newCampaign(cfg Config) (*campaign, error) {
 		return nil, fmt.Errorf("faultcampaign: %w", err)
 	}
 	var sim bfm.Sim = main
-	var shadow *netlist.Simulator
-	var lock *Lockstep
+	var lock *VectorLockstep
 	if cfg.Lockstep {
-		shadow, err = netlist.NewSimulator(cfg.Netlist)
+		shadow, err := netlist.NewSimulator(cfg.Netlist)
 		if err != nil {
 			return nil, fmt.Errorf("faultcampaign: shadow replica: %w", err)
 		}
-		lock = NewLockstep(main, shadow)
+		lock = NewVectorLockstep(main, shadow)
 		sim = lock
 	}
 	drv := bfm.NewPostSynthesis(cfg.Core, sim)
@@ -371,9 +369,13 @@ func newCampaign(cfg Config) (*campaign, error) {
 	} else {
 		ref.Encrypt(golden, pt)
 	}
+	blocks := make([][]byte, bfm.Lanes)
+	for i := range blocks {
+		blocks[i] = pt
+	}
 	return &campaign{
-		cfg: cfg, main: main, shadow: shadow, lock: lock, drv: drv,
-		key: key, pt: pt, golden: golden,
+		cfg: cfg, main: main, lock: lock, drv: drv,
+		key: key, blocks: blocks, golden: golden,
 		nFFs:   main.NumFFs(),
 		cycles: cfg.Core.BlockLatency,
 	}, nil
@@ -421,11 +423,12 @@ func (c *campaign) run(faults []Fault) (*Result, error) {
 	return res, nil
 }
 
-// runGroup pushes one transaction with up to 64 armed faults — fault i
-// struck on lane i only — and classifies every lane. All stimulus is
-// broadcast (same key, same block on every lane), so lanes differ solely
-// by their injected upset. Completion is tracked per lane: a fault that
-// corrupts the control FSM delays or wedges only its own lane's data_ok.
+// runGroup pushes one driver transaction with up to 64 armed faults —
+// fault i struck on lane i only — and classifies every lane. All stimulus
+// is the same on every lane (same key, same block), so lanes differ
+// solely by their injected upset. Completion is tracked per lane: a fault
+// that corrupts the control FSM delays or wedges only its own lane's
+// data_ok.
 func (c *campaign) runGroup(group []Fault) ([]Trial, error) {
 	c.drv.Reset()
 	if _, err := c.drv.LoadKey(c.key); err != nil {
@@ -439,85 +442,25 @@ func (c *campaign) runGroup(group []Fault) ([]Trial, error) {
 		// the transaction is Step 1+n from here.
 		c.main.ScheduleFlipLanes(1+f.Cycle, 1<<uint(lane), f.FFs...)
 	}
-	sim := c.drv.Sim // the lockstep pair in lockstep mode, else main
-	if c.cfg.Core.Config.Variant == rijndael.Both {
-		v := uint64(1)
-		if c.cfg.Decrypt {
-			v = 0
-		}
-		if err := sim.SetInput("encdec", v); err != nil {
-			return nil, err
-		}
+	if c.lock != nil {
+		c.lock.ClearMismatch() // count edges from the load edge on
 	}
-	sim.SetInput("setup", 0)
-	sim.SetInput("wr_key", 0)
-	sim.SetInput("wr_data", 1)
-	if err := sim.SetInputBits("din", c.pt); err != nil {
+	var tx bfm.Transaction
+	if err := c.drv.Transact(&tx, c.blocks[:len(group)], !c.cfg.Decrypt); err != nil {
 		return nil, err
 	}
-	sim.Step() // load edge
-	sim.SetInput("wr_data", 0)
-
-	pending := uint64(1)<<uint(len(group)) - 1
-	outs := make([][]byte, len(group))
-	lat := make([]int, len(group))
-	var div uint64
-	cycles := 0
-	for {
-		sim.Eval()
-		okw, err := c.main.OutputWords("data_ok")
-		if err != nil {
-			return nil, err
-		}
-		if c.shadow != nil {
-			d, err := c.divergence()
-			if err != nil {
-				return nil, err
-			}
-			// Divergence counts for a lane up to and including the Eval
-			// where its data_ok is captured, mirroring the scalar
-			// lockstep comparator's window.
-			div |= d & pending
-		}
-		ready := okw[0] & pending
-		for lane := range group {
-			if ready>>uint(lane)&1 == 0 {
-				continue
-			}
-			out, err := c.main.OutputBitsLane("dout", lane)
-			if err != nil {
-				return nil, err
-			}
-			outs[lane] = out
-			lat[lane] = cycles
-		}
-		pending &^= ready
-		if pending == 0 || cycles >= c.drv.Timeout {
-			break
-		}
-		sim.Step()
-		cycles++
-	}
-
 	trials := make([]Trial, len(group))
 	for lane, f := range group {
-		t := Trial{Fault: f}
-		// Classification order matches the scalar driver's: a wedged
-		// handshake is Hung; a tripped checker (latency assertion or
-		// lockstep divergence) is Detected; then the payload decides
-		// between masked and silent corruption.
+		t := Trial{Fault: f, Err: c.drv.LaneErr(&tx, lane)}
+		// A wedged handshake is Hung; a tripped checker (latency
+		// assertion or lockstep divergence) is Detected; then the payload
+		// decides between masked and silent corruption.
 		switch {
-		case pending>>uint(lane)&1 == 1:
-			t.Err = fmt.Errorf("%w: watchdog expired after %d cycles on %s",
-				bfm.ErrTimeout, cycles, c.drv.DUT.Name)
+		case errors.Is(t.Err, bfm.ErrTimeout):
 			t.Outcome = Hung
-		case c.drv.AssertLatency && c.drv.DUT.BlockLatency > 0 && lat[lane] != c.drv.DUT.BlockLatency:
-			t.Err = fmt.Errorf("%w: data_ok after %d cycles, expected %d on %s",
-				bfm.ErrLatency, lat[lane], c.drv.DUT.BlockLatency, c.drv.DUT.Name)
+		case t.Err != nil || c.diverged(&tx, lane):
 			t.Outcome = Detected
-		case div>>uint(lane)&1 == 1:
-			t.Outcome = Detected
-		case bytes.Equal(outs[lane], c.golden):
+		case bytes.Equal(tx.Outs[lane], c.golden):
 			t.Outcome = SilentCorrect
 		default:
 			t.Outcome = Corrupted
@@ -532,15 +475,29 @@ func (c *campaign) runGroup(group []Fault) ([]Trial, error) {
 	return trials, nil
 }
 
+// diverged reports whether lane's outputs left the shadow's on or before
+// the Eval that captured its data_ok: the lane's edge count from the load
+// edge (one edge) plus its latency. Divergence after the capture cannot
+// have reached the consumed result, so it does not count.
+func (c *campaign) diverged(tx *bfm.Transaction, lane int) bool {
+	if c.lock == nil {
+		return false
+	}
+	cyc, ok := c.lock.FirstMismatch(lane)
+	return ok && cyc <= 1+tx.Latency[lane]
+}
+
 // classifyPersistence runs the triage retry over a just-classified group:
 // the same transaction once more, with no new faults, on the state the
 // upsets left behind (no reset — resetting would wash out exactly the
 // corruption whose persistence is in question). A lane whose retry fails
 // to reproduce the golden block — or any ROM damage that survives a full
-// scrub sweep — marks its trial Persistent.
+// scrub sweep — marks its trial Persistent. Lanes whose first transaction
+// wedged the FSM typically stay wedged; lanes whose corruption washed out
+// (state reloaded from din, diverged bits overwritten) come back golden.
 func (c *campaign) classifyPersistence(trials []Trial) error {
-	recovered, err := c.retryGroup(len(trials))
-	if err != nil {
+	var tx bfm.Transaction
+	if err := c.drv.Transact(&tx, c.blocks[:len(trials)], !c.cfg.Decrypt); err != nil {
 		return err
 	}
 	// ROM stores are shared by every lane, so residual memory damage makes
@@ -560,73 +517,7 @@ func (c *campaign) classifyPersistence(trials []Trial) error {
 		}
 	}
 	for lane := range trials {
-		trials[lane].Persistent = residual || recovered>>uint(lane)&1 == 0
+		trials[lane].Persistent = residual || !bytes.Equal(tx.Outs[lane], c.golden)
 	}
 	return nil
-}
-
-// retryGroup re-runs the group's transaction with no new faults and
-// returns the mask of lanes that completed with the golden output. Lanes
-// whose first transaction wedged the FSM typically stay wedged; lanes
-// whose corruption washed out (state reloaded from din, diverged bits
-// overwritten) come back golden.
-func (c *campaign) retryGroup(lanes int) (uint64, error) {
-	sim := c.drv.Sim
-	sim.SetInput("wr_data", 1)
-	if err := sim.SetInputBits("din", c.pt); err != nil {
-		return 0, err
-	}
-	sim.Step() // load edge
-	sim.SetInput("wr_data", 0)
-	pending := uint64(1)<<uint(lanes) - 1
-	var good uint64
-	for cycles := 0; ; cycles++ {
-		sim.Eval()
-		okw, err := c.main.OutputWords("data_ok")
-		if err != nil {
-			return 0, err
-		}
-		ready := okw[0] & pending
-		for lane := 0; lane < lanes; lane++ {
-			if ready>>uint(lane)&1 == 0 {
-				continue
-			}
-			out, err := c.main.OutputBitsLane("dout", lane)
-			if err != nil {
-				return 0, err
-			}
-			if bytes.Equal(out, c.golden) {
-				good |= 1 << uint(lane)
-			}
-		}
-		pending &^= ready
-		if pending == 0 || cycles >= c.drv.Timeout {
-			break
-		}
-		sim.Step()
-	}
-	return good, nil
-}
-
-// divergence compares the watched observable ports of the primary and
-// shadow replicas lane by lane and returns the mask of diverged lanes.
-// The shadow is fault-free on every lane, so any XOR between the
-// replicas' lane words pinpoints exactly the lanes whose upset became
-// visible.
-func (c *campaign) divergence() (uint64, error) {
-	var div uint64
-	for _, port := range c.lock.Watch {
-		wm, err := c.main.OutputWords(port)
-		if err != nil {
-			return 0, err
-		}
-		ws, err := c.shadow.OutputWords(port)
-		if err != nil {
-			return 0, err
-		}
-		for i := range wm {
-			div |= wm[i] ^ ws[i]
-		}
-	}
-	return div, nil
 }

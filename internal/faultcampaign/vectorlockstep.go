@@ -1,39 +1,44 @@
 package faultcampaign
 
-import "rijndaelip/internal/bfm"
+import (
+	"math/bits"
 
-// VectorLockstep is the lane-parallel counterpart of Lockstep: it couples
-// two lane-carrying simulations (bfm.VectorSim) and compares the watched
-// observable ports lane by lane after every Eval and Step, accumulating a
-// mask of diverged lanes. Where the scalar Lockstep latches only the first
-// mismatch, the vector comparator keeps per-lane evidence: a supervised
-// engine packing independent blocks onto the lanes needs to know *which*
-// jobs rode corrupted state, and a fault that strikes lane L must never be
+	"rijndaelip/internal/bfm"
+)
+
+// VectorLockstep couples a primary simulation with an independent shadow
+// replica of the same design, stepped cycle-for-cycle with identical
+// inputs — the narrowbus coupler idiom turned into a self-checking safety
+// mechanism (dual modular redundancy). After every Eval and Step the
+// watched observable ports of the two replicas are compared lane by lane,
+// accumulating a mask of diverged lanes and the cycle each lane first
+// diverged. The per-lane evidence matters: a supervised engine packing
+// independent blocks onto the lanes needs to know *which* jobs rode
+// corrupted state, a fault campaign needs to know *when* each trial's
+// upset became visible, and a fault that strikes lane L must never be
 // masked by an earlier divergence on lane K.
 //
 // Faults are injected into the primary only (the shadow is the fault-free
 // reference), so any set bit in the mismatch mask is a detection the cycle
 // the upset becomes visible on an output. VectorLockstep implements
-// bfm.VectorSim, so both the scalar Driver and the VectorDriver can treat
-// the pair as a single device: inputs fan out to both replicas, outputs
-// are read from the primary.
+// bfm.Sim, so the driver can treat the pair as a single device: inputs fan
+// out to both replicas, outputs are read from the primary.
 type VectorLockstep struct {
-	Primary bfm.VectorSim
-	Shadow  bfm.VectorSim
+	Primary bfm.Sim
+	Shadow  bfm.Sim
 
 	// Watch lists the output ports compared each cycle. Defaults to the
 	// Table 1 observables: data_ok and dout.
 	Watch []string
 
-	cycle     int
-	mask      uint64
-	firstCyc  int
-	firstPort string
+	cycle int
+	mask  uint64
+	first [bfm.Lanes]int
 }
 
 // NewVectorLockstep pairs a primary lane-parallel simulation with its
 // fault-free shadow replica.
-func NewVectorLockstep(primary, shadow bfm.VectorSim) *VectorLockstep {
+func NewVectorLockstep(primary, shadow bfm.Sim) *VectorLockstep {
 	return &VectorLockstep{
 		Primary: primary,
 		Shadow:  shadow,
@@ -45,17 +50,18 @@ func NewVectorLockstep(primary, shadow bfm.VectorSim) *VectorLockstep {
 // port has ever diverged since the last Reset (or ClearMismatch).
 func (l *VectorLockstep) MismatchMask() uint64 { return l.mask }
 
-// Mismatch mirrors the scalar Lockstep accessor: whether any lane has
-// diverged, and if so the cycle and port of the first divergence.
-func (l *VectorLockstep) Mismatch() (cycle int, port string, ok bool) {
-	return l.firstCyc, l.firstPort, l.mask != 0
+// FirstMismatch reports whether lane has diverged since the comparator
+// was last armed (Reset or ClearMismatch), and if so after how many clock
+// edges since arming the comparator first saw it.
+func (l *VectorLockstep) FirstMismatch(lane int) (cycle int, ok bool) {
+	return l.first[lane], l.mask>>uint(lane)&1 != 0
 }
 
-// ClearMismatch rearms the comparator without resetting the replicas.
+// ClearMismatch rearms the comparator without resetting the replicas:
+// the mismatch mask is cleared and the edge count restarts at zero.
 func (l *VectorLockstep) ClearMismatch() {
 	l.mask = 0
-	l.firstCyc = 0
-	l.firstPort = ""
+	l.cycle = 0
 }
 
 // compare accumulates the diverged-lane mask over the watched ports.
@@ -70,8 +76,8 @@ func (l *VectorLockstep) compare() {
 		for i := range pw {
 			d |= pw[i] ^ sw[i]
 		}
-		if d != 0 && l.mask == 0 {
-			l.firstCyc, l.firstPort = l.cycle, port
+		for fresh := d &^ l.mask; fresh != 0; fresh &= fresh - 1 {
+			l.first[bits.TrailingZeros64(fresh)] = l.cycle
 		}
 		l.mask |= d
 	}
@@ -81,7 +87,6 @@ func (l *VectorLockstep) compare() {
 func (l *VectorLockstep) Reset() {
 	l.Primary.Reset()
 	l.Shadow.Reset()
-	l.cycle = 0
 	l.ClearMismatch()
 }
 

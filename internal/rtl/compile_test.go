@@ -222,3 +222,31 @@ func BenchmarkRTLEval(b *testing.B) {
 		})
 	}
 }
+
+// TestCompiledSetInputBitsLength locks in the exact-length contract the
+// netlist simulator also keeps (see the netlist package's test of the same
+// name), on the compiled simulator and the reference: undersized and
+// oversized byte buffers are both rejected, so the same driver call
+// behaves the same before and after synthesis.
+func TestCompiledSetInputBitsLength(t *testing.T) {
+	b := NewBuilder("len")
+	b.Output("q", b.Input("d", 12))
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Simulator{d.NewSimulator(), d.newReferenceSimulator()} {
+		if err := s.SetInputBits("d", make([]byte, 2)); err != nil {
+			t.Fatalf("exact-size buffer rejected: %v", err)
+		}
+		if err := s.SetInputBits("d", make([]byte, 1)); err == nil {
+			t.Fatal("undersized buffer accepted")
+		}
+		if err := s.SetInputBits("d", make([]byte, 3)); err == nil {
+			t.Fatal("oversized buffer accepted")
+		}
+		if err := s.SetInputBitsLane("d", 3, make([]byte, 3)); err == nil {
+			t.Fatal("oversized buffer accepted by SetInputBitsLane")
+		}
+	}
+}

@@ -152,8 +152,8 @@ func (s *Simulator) SetInputBits(name string, bits []byte) error {
 		return fmt.Errorf("rtl: no input port %q", name)
 	}
 	ords := s.portOrd[i]
-	if len(bits)*8 < len(ords) {
-		return fmt.Errorf("rtl: input %q needs %d bits, got %d", name, len(ords), len(bits)*8)
+	if want := (len(ords) + 7) / 8; len(bits) != want {
+		return fmt.Errorf("rtl: input %q needs %d bytes for %d bits, got %d bytes", name, want, len(ords), len(bits))
 	}
 	for bit, ord := range ords {
 		s.setInputOrd(ord, bits[bit/8]>>(uint(bit)%8)&1 != 0)
@@ -192,8 +192,8 @@ func (s *Simulator) SetInputBitsLane(name string, lane int, bits []byte) error {
 		return fmt.Errorf("rtl: no input port %q", name)
 	}
 	ords := s.portOrd[i]
-	if len(bits)*8 < len(ords) {
-		return fmt.Errorf("rtl: input %q needs %d bits, got %d", name, len(ords), len(bits)*8)
+	if want := (len(ords) + 7) / 8; len(bits) != want {
+		return fmt.Errorf("rtl: input %q needs %d bytes for %d bits, got %d bytes", name, want, len(ords), len(bits))
 	}
 	for bit, ord := range ords {
 		s.setInputOrdLane(ord, lane, bits[bit/8]>>(uint(bit)%8)&1 != 0)

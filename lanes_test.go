@@ -162,10 +162,10 @@ func TestLaneEquivalenceNetlist(t *testing.T) {
 // TestVectorDriverPerLaneKeys loads a different key on every lane, pushes
 // a different block down every lane in one transaction, and checks each
 // lane's result against the FIPS-197 software reference under that lane's
-// key — the full transpose/de-transpose round trip of the vector BFM.
+// key — the full transpose/de-transpose round trip of the BFM's lanes.
 func TestVectorDriverPerLaneKeys(t *testing.T) {
 	impl := engineImpl(t)
-	v := bfm.NewVector(impl.Core)
+	v := bfm.New(impl.Core)
 	keys := make([][]byte, bfm.Lanes)
 	blocks := make([][]byte, bfm.Lanes)
 	rng := rand.New(rand.NewSource(0xd0d0))
@@ -207,10 +207,7 @@ func TestVectorDriverPostSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := bfm.AsVector(bfm.NewPostSynthesis(impl.Core, sim))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := bfm.NewPostSynthesis(impl.Core, sim)
 	if _, err := v.LoadKey(engineKey); err != nil {
 		t.Fatal(err)
 	}
@@ -328,10 +325,10 @@ func TestEngineLaneScaling(t *testing.T) {
 	}
 }
 
-// TestVectorDriverValidation pins the vector BFM's argument checks.
+// TestVectorDriverValidation pins the BFM's lane argument checks.
 func TestVectorDriverValidation(t *testing.T) {
 	impl := engineImpl(t)
-	v := bfm.NewVector(impl.Core)
+	v := bfm.New(impl.Core)
 	if _, err := v.LoadKeys(nil); err == nil {
 		t.Error("LoadKeys accepted an empty key list")
 	}
@@ -363,10 +360,7 @@ func TestLaneFaultIsolationNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := bfm.AsVector(bfm.NewPostSynthesis(impl.Core, sim))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := bfm.NewPostSynthesis(impl.Core, sim)
 	if _, err := v.LoadKey(engineKey); err != nil {
 		t.Fatal(err)
 	}

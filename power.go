@@ -1,8 +1,7 @@
 package rijndaelip
 
 import (
-	"fmt"
-
+	"rijndaelip/internal/bfm"
 	"rijndaelip/internal/netlist"
 	"rijndaelip/internal/power"
 )
@@ -28,20 +27,10 @@ func (im *Implementation) MeasurePower(key []byte, nBlocks int) (power.Report, e
 	if err != nil {
 		return power.Report{}, err
 	}
-	if len(key) != 16 {
-		return power.Report{}, fmt.Errorf("rijndaelip: key must be 16 bytes")
-	}
-	// Key load (unmonitored warm-up).
-	sim.SetInput("setup", 1)
-	sim.SetInput("wr_key", 1)
-	if err := sim.SetInputBits("din", key); err != nil {
+	// Key load (unmonitored warm-up) over the bus, which checks the key
+	// length against the core's.
+	if _, err := bfm.NewPostSynthesis(im.Core, sim).LoadKey(key); err != nil {
 		return power.Report{}, err
-	}
-	sim.Step()
-	sim.SetInput("setup", 0)
-	sim.SetInput("wr_key", 0)
-	for i := 0; i < im.Core.KeySetupCycles; i++ {
-		sim.Step()
 	}
 	if im.Core.Config.Variant == Both {
 		sim.SetInput("encdec", 1)

@@ -347,10 +347,34 @@ func TestSupervisorTriageClassification(t *testing.T) {
 	cases := []struct {
 		name   string
 		budget int
+		// watchdogOnly runs the case under CheckNone (the watchdog and the
+		// latency assertion) instead of CheckLockstep; blocks is the
+		// EncryptECB length (default 8).
+		watchdogOnly bool
+		blocks       int
 		// strike is invoked per submission; once is per-case state.
 		strike func(once *sync.Once, sub uint64, sim *netlist.Simulator)
 		check  func(t *testing.T, st rijndaelip.EngineStats, diags []rijndaelip.Diagnosis)
 	}{
+		{
+			// A round-counter upset on lane 1 raises that lane's data_ok
+			// after 10 cycles with a wrong dout while lane 0 completes on
+			// time: the latency assertion must flag the lane that finished
+			// early, not just the one that finished last.
+			name:         "early-lane-caught-by-latency-assertion",
+			watchdogOnly: true,
+			blocks:       2,
+			strike: func(once *sync.Once, sub uint64, sim *netlist.Simulator) {
+				if sub == 1 {
+					sim.ScheduleFlipLanes(1, 1<<1, sim.FindFF("round[3]"))
+				}
+			},
+			check: func(t *testing.T, st rijndaelip.EngineStats, diags []rijndaelip.Diagnosis) {
+				if st.Detections == 0 {
+					t.Errorf("early data_ok on lane 1 went undetected: %+v", st)
+				}
+			},
+		},
 		{
 			name: "transient-recovers-in-place",
 			strike: func(once *sync.Once, sub uint64, sim *netlist.Simulator) {
@@ -440,11 +464,18 @@ func TestSupervisorTriageClassification(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var once sync.Once
+			check, blocks := rijndaelip.CheckLockstep, 8
+			if tc.watchdogOnly {
+				check = rijndaelip.CheckNone
+			}
+			if tc.blocks > 0 {
+				blocks = tc.blocks
+			}
 			eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
 				Shards:   1,
 				MaxLanes: 2,
 				Supervise: &rijndaelip.SupervisorOptions{
-					Check:           rijndaelip.CheckLockstep,
+					Check:           check,
 					TransientBudget: tc.budget,
 					ScrubInterval:   -1, // worker-side triage only
 					Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
@@ -456,7 +487,7 @@ func TestSupervisorTriageClassification(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			src := make([]byte, 8*16)
+			src := make([]byte, blocks*16)
 			for i := range src {
 				src[i] = byte(i*13 + 7)
 			}
