@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test short bench bench-smoke bench-json profile chaos-smoke triage-smoke obs-smoke vet lint race faults examples reports verify clean
+.PHONY: all test short bench bench-smoke bench-json profile chaos-smoke triage-smoke obs-smoke vet lint race faults perfbench-test examples reports verify clean
 
 all: vet test
 
@@ -106,6 +106,13 @@ race:
 faults:
 	$(GO) run ./cmd/faultcampaign
 
+# The benchmark module's own vet and tests. `go test ./...` at the root
+# never builds _perfbench (a separate module in an underscore directory),
+# yet its replica pins bfm.Sim, VectorLockstep and the deprecated
+# constructors. Wired into `verify`.
+perfbench-test:
+	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
+
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/smartcard
@@ -116,7 +123,7 @@ reports:
 	$(GO) run ./cmd/synthreport -sync -power -harden
 	$(GO) run ./cmd/ipcompare -ablation
 
-verify: vet lint race bench-smoke obs-smoke chaos-smoke triage-smoke faults
+verify: vet lint race bench-smoke obs-smoke chaos-smoke triage-smoke faults perfbench-test
 	$(GO) run ./cmd/verifyall -full
 
 clean:

@@ -110,7 +110,8 @@ type EngineOptions struct {
 	// out-of-order completion. Leave nil in production.
 	Jitter func(shard, index int)
 	// Watchdog overrides every shard driver's cycle budget for hung
-	// transactions (0 keeps the driver's 4x-latency default).
+	// transactions (0 keeps bfm.Driver.Timeout's default,
+	// 4×(BlockLatency+KeySetupCycles+2)).
 	Watchdog int
 	// Supervise arms the per-shard supervision layer (detect → re-queue →
 	// quarantine → hot-respawn → degrade); see SupervisorOptions. A

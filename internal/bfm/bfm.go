@@ -80,9 +80,11 @@ type Driver struct {
 	Sim Sim
 
 	// Timeout bounds, in cycles, how long Driver waits for data_ok before
-	// reporting a protocol error. Defaults to 4x the block latency. This is
-	// the watchdog that keeps a wedged FSM (a fault that kills the
-	// completion handshake) from hanging the caller forever.
+	// reporting a protocol error. Defaults to
+	// 4×(BlockLatency+KeySetupCycles+2): 208 cycles on the Encrypt core,
+	// 248 on Decrypt and Both. This is the watchdog that keeps a wedged FSM
+	// (a fault that kills the completion handshake) from hanging the caller
+	// forever.
 	Timeout int
 
 	// AssertLatency arms the fixed-latency protocol assertion on every
@@ -205,7 +207,8 @@ var ErrTimeout = errors.New("bfm: timeout waiting for data_ok")
 // Returned errors wrap it; match with errors.Is.
 var ErrLatency = errors.New("bfm: data_ok at unexpected latency")
 
-// encdecFor maps an operation direction onto the encdec input value.
+// setDirection rejects a direction the device lacks and, on a core with
+// an encdec pin, drives it (1 encrypts, 0 decrypts).
 func (d *Driver) setDirection(encrypt bool) error {
 	if encrypt && !d.DUT.HasEncrypt {
 		return fmt.Errorf("bfm: %s cannot encrypt", d.DUT.Name)

@@ -188,6 +188,36 @@ func TestStreamCycleAccounting(t *testing.T) {
 	if single.CyclesPerBlock != float64(single.TotalCycles) {
 		t.Errorf("single-block rate %.2f, want TotalCycles %d", single.CyclesPerBlock, single.TotalCycles)
 	}
+
+	// The same stream on the technology-mapped Encrypt core: Stream polls
+	// RegValue("pending"), which the netlist simulator answers from the
+	// flip-flops named pending[i], so the mapped driver must return the RTL
+	// driver's blocks with the same cycle accounting.
+	core, sim := mappedEncryptCore(t)
+	key := bytes.Repeat([]byte{0x2B}, 16)
+	blocks := mkBlocks(6)
+	var results [2]StreamResult
+	var outs [2][][]byte
+	for i, drv := range []*Driver{New(core), NewPostSynthesis(core, sim)} {
+		if _, err := drv.LoadKey(key); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if outs[i], results[i], err = drv.Stream(blocks, true); err != nil {
+			t.Fatalf("%s: %v", drv.DUT.Name, err)
+		}
+	}
+	for i := range blocks {
+		if !bytes.Equal(outs[0][i], outs[1][i]) {
+			t.Errorf("mapped stream block %d: %x, RTL %x", i, outs[1][i], outs[0][i])
+		}
+	}
+	wantRes := StreamResult{Blocks: 6, TotalCycles: 306, PipeFillCycles: 51, CyclesPerBlock: 51}
+	for i, res := range results {
+		if res != wantRes {
+			t.Errorf("stream %d on the Encrypt core: %+v, want %+v", i, res, wantRes)
+		}
+	}
 }
 
 // TestKeyedFactoryClones checks that factory clones are identically keyed

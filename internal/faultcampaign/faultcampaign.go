@@ -101,7 +101,8 @@ type Config struct {
 	// replica is stepped in lockstep and any divergence of the observable
 	// outputs is a detection. AssertLatency additionally arms the BFM's
 	// fixed-latency protocol assertion. Watchdog overrides the driver's
-	// timeout budget in cycles (0 keeps the 4x default).
+	// timeout budget in cycles (0 keeps bfm.Driver.Timeout's default,
+	// 4×(BlockLatency+KeySetupCycles+2)).
 	Lockstep      bool
 	AssertLatency bool
 	Watchdog      int
