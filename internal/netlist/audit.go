@@ -3,6 +3,8 @@ package netlist
 import (
 	"fmt"
 	"slices"
+
+	"rijndaelip/internal/lanesim"
 )
 
 // This file implements the static compiled-tape audit: a structural proof,
@@ -25,10 +27,11 @@ import (
 //     for every consistent input assignment — which proves the XOR
 //     inversion masks agree with the reduced function's polarity;
 //   - every asynchronous ROM is gathered exactly once per sweep (the
-//     EDAC correction-counter contract), never a synchronous one, and the
-//     tape's ROM-position list names exactly the opROM instructions in
-//     order, so a quiescent Eval that skips the sweep misses no gather;
-//   - the watched stimulus nets are exactly the primary-input nets.
+//     EDAC correction-counter contract), never a synchronous one;
+//   - the lane-machine layout passes lanesim.Layout.Audit, and its gather
+//     plan stops at exactly the opROM instructions, in order, and resumes
+//     right after each, so neither a dirty nor a quiescent Eval sweeps
+//     over or misses a gather.
 
 // AuditCompiled builds the netlist, compiles its instruction tape and runs
 // the static tape audit. The returned findings are empty when the tape is
@@ -38,7 +41,8 @@ func AuditCompiled(nl *Netlist) ([]string, error) {
 	if err := nl.Build(); err != nil {
 		return nil, err
 	}
-	return auditTape(nl, compileTape(nl)), nil
+	t := compileTape(nl)
+	return auditTape(nl, t, layout(nl, t)), nil
 }
 
 // AuditTape audits the instruction tape this simulator actually executes.
@@ -48,7 +52,7 @@ func (s *Simulator) AuditTape() ([]string, bool) {
 	if s.tape == nil {
 		return nil, false
 	}
-	return auditTape(s.nl, s.tape), true
+	return auditTape(s.nl, s.tape, s.lay), true
 }
 
 // operandNets returns the nets an instruction reads, excluding ROM
@@ -81,27 +85,10 @@ func lutArity(op uint8) int {
 	return 0
 }
 
-func auditTape(nl *Netlist, t *tape) []string {
+func auditTape(nl *Netlist, t *tape, lay *lanesim.Layout) []string {
 	var out []string
 	fail := func(format string, args ...any) {
 		out = append(out, fmt.Sprintf(format, args...))
-	}
-
-	// Watched stimulus nets must be exactly the primary-input nets, in
-	// port declaration order: a missed net would make compare-on-write
-	// change detection blind to a SetInput edit.
-	var want []NetID
-	for _, p := range nl.Inputs {
-		want = append(want, p.Nets...)
-	}
-	if len(t.srcNets) != len(want) {
-		fail("tape watches %d stimulus nets, netlist has %d primary-input nets", len(t.srcNets), len(want))
-	} else {
-		for i, n := range want {
-			if t.srcNets[i] != n {
-				fail("tape stimulus watch %d is net %d, want input net %d", i, t.srcNets[i], n)
-			}
-		}
 	}
 
 	// Nets defined before the sweep starts: constants, primary inputs and
@@ -135,7 +122,7 @@ func auditTape(nl *Netlist, t *tape) []string {
 		return out
 	}
 	romGathers := make([]int, len(nl.ROMs))
-	var romAt []int
+	var segs []lanesim.Seg
 	for i := range t.instrs {
 		ins := &t.instrs[i]
 		cn := nl.order[i]
@@ -154,7 +141,7 @@ func auditTape(nl *Netlist, t *tape) []string {
 				fail("%s: synchronous ROM scheduled as a combinational gather", what)
 			}
 			romGathers[cn.Index]++
-			romAt = append(romAt, i)
+			segs = append(segs, lanesim.Seg{ROM: cn.Index, Stop: i, Resume: i + 1})
 			for bit, a := range r.Addr {
 				if _, ok := defined[a]; !ok {
 					fail("%s: addr[%d] reads net %d before any instruction defines it", what, bit, a)
@@ -225,9 +212,6 @@ func auditTape(nl *Netlist, t *tape) []string {
 		}
 		define(l.Out, what)
 	}
-	if !slices.Equal(t.romAt, romAt) {
-		fail("tape ROM positions %v, gathers sit at %v: a quiescent Eval would gather the wrong instructions", t.romAt, romAt)
-	}
 	for i := range nl.ROMs {
 		if nl.ROMs[i].Sync {
 			continue
@@ -236,6 +220,13 @@ func auditTape(nl *Netlist, t *tape) []string {
 			fail("ROM %s: %d EDAC gathers per sweep, the correction-counter contract requires exactly 1",
 				nl.ROMs[i].Name, romGathers[i])
 		}
+	}
+	if !slices.Equal(lay.Segs, segs) || lay.End != len(t.instrs) {
+		fail("layout gathers at %v ending at %d, the tape's gathers are %v ending at %d: an Eval would sweep over or miss a gather",
+			lay.Segs, lay.End, segs, len(t.instrs))
+	}
+	for _, msg := range lay.Audit() {
+		out = append(out, "layout: "+msg)
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package netlist
 import (
 	"math/rand"
 	"testing"
+
+	"rijndaelip/internal/lanesim"
 )
 
 // TestAuditCleanRandomNetlists: the static tape audit passes on a spread of
@@ -42,27 +44,24 @@ func TestAuditTapeBackends(t *testing.T) {
 
 // cloneTape deep-copies a tape so corruptions stay local to one subtest.
 func cloneTape(t *tape) *tape {
-	c := &tape{
-		instrs:  append([]tapeInstr(nil), t.instrs...),
-		tables:  append([]uint64(nil), t.tables...),
-		srcNets: append([]NetID(nil), t.srcNets...),
-		romAt:   append([]int(nil), t.romAt...),
+	return &tape{
+		instrs: append([]tapeInstr(nil), t.instrs...),
+		tables: append([]uint64(nil), t.tables...),
 	}
-	return c
 }
 
 // TestAuditCorruptionSensitivity proves the audit is not vacuous: each
 // class of tape corruption — reordering, wrong output net, flipped
 // inversion mask, crossed operand, dropped ROM gather, non-canonical table
-// word, wrong-arity LUT opcode, dropped ROM position, missing stimulus
-// watch — must produce at least one finding.
+// word, wrong-arity LUT opcode, dropped or shifted gather segment — must
+// produce at least one finding.
 func TestAuditCorruptionSensitivity(t *testing.T) {
 	nl := randomNetlist(rand.New(rand.NewSource(3)))
 	if err := nl.Build(); err != nil {
 		t.Fatal(err)
 	}
 	clean := compileTape(nl)
-	if msgs := auditTape(nl, clean); len(msgs) != 0 {
+	if msgs := auditTape(nl, clean, layout(nl, clean)); len(msgs) != 0 {
 		t.Fatalf("baseline tape not clean: %v", msgs)
 	}
 
@@ -78,9 +77,9 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		corrupt func(tp *tape) bool // false: shape not present in this tape
+		corrupt func(tp *tape, lay *lanesim.Layout) bool // false: shape not present
 	}{
-		{"swap-dependent-instrs", func(tp *tape) bool {
+		{"swap-dependent-instrs", func(tp *tape, _ *lanesim.Layout) bool {
 			// Find a producer/consumer LUT pair and swap them: the consumer
 			// now runs first, reading a net no earlier instruction defines.
 			for i := 0; i < len(tp.instrs); i++ {
@@ -101,7 +100,7 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			}
 			return false
 		}},
-		{"wrong-output-net", func(tp *tape) bool {
+		{"wrong-output-net", func(tp *tape, _ *lanesim.Layout) bool {
 			i := firstOp(opAnd2)
 			if i < 0 {
 				i = firstOp(opXor2)
@@ -112,7 +111,7 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			tp.instrs[i].out++
 			return true
 		}},
-		{"flipped-inversion-mask", func(tp *tape) bool {
+		{"flipped-inversion-mask", func(tp *tape, _ *lanesim.Layout) bool {
 			i := firstOp(opAnd2)
 			if i < 0 {
 				return false
@@ -120,7 +119,7 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			tp.instrs[i].ia ^= ^uint64(0)
 			return true
 		}},
-		{"flipped-output-polarity", func(tp *tape) bool {
+		{"flipped-output-polarity", func(tp *tape, _ *lanesim.Layout) bool {
 			i := firstOp(opXor2)
 			if i < 0 {
 				i = firstOp(opBuf)
@@ -131,7 +130,7 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			tp.instrs[i].io ^= ^uint64(0)
 			return true
 		}},
-		{"crossed-operand", func(tp *tape) bool {
+		{"crossed-operand", func(tp *tape, _ *lanesim.Layout) bool {
 			// Point an operand at a net outside the source LUT's support.
 			for i := range tp.instrs {
 				ins := &tp.instrs[i]
@@ -143,7 +142,7 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			}
 			return false
 		}},
-		{"dropped-rom-gather", func(tp *tape) bool {
+		{"dropped-rom-gather", func(tp *tape, _ *lanesim.Layout) bool {
 			i := firstOp(opROM)
 			if i < 0 {
 				return false
@@ -153,7 +152,7 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			tp.instrs[i] = tapeInstr{op: opConst, out: r.Out[0]}
 			return true
 		}},
-		{"non-canonical-table-word", func(tp *tape) bool {
+		{"non-canonical-table-word", func(tp *tape, _ *lanesim.Layout) bool {
 			i := firstOp(opLUT4)
 			if i < 0 {
 				i = firstOp(opLUT3)
@@ -164,7 +163,7 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			tp.tables[tp.instrs[i].tbl] = 0xdeadbeef
 			return true
 		}},
-		{"wrong-arity-opcode", func(tp *tape) bool {
+		{"wrong-arity-opcode", func(tp *tape, _ *lanesim.Layout) bool {
 			// A 3-variable kernel relabelled as 4-variable reads its zero
 			// fourth operand slot, the constant-0 net, so the exhaustive
 			// truth-table check alone would still pass it.
@@ -175,25 +174,29 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			tp.instrs[i].op = opLUT4
 			return true
 		}},
-		{"dropped-rom-position", func(tp *tape) bool {
-			if len(tp.romAt) == 0 {
+		{"dropped-rom-position", func(_ *tape, lay *lanesim.Layout) bool {
+			if len(lay.Segs) == 0 {
 				return false
 			}
-			tp.romAt = tp.romAt[:len(tp.romAt)-1]
+			lay.Segs = lay.Segs[:len(lay.Segs)-1]
 			return true
 		}},
-		{"missing-stimulus-watch", func(tp *tape) bool {
-			tp.srcNets = tp.srcNets[:len(tp.srcNets)-1]
+		{"shifted-rom-resume", func(_ *tape, lay *lanesim.Layout) bool {
+			if len(lay.Segs) == 0 {
+				return false
+			}
+			lay.Segs[0].Resume++
 			return true
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tp := cloneTape(clean)
-			if !tc.corrupt(tp) {
+			lay := layout(nl, tp)
+			if !tc.corrupt(tp, lay) {
 				t.Skipf("tape has no instruction of the corrupted shape")
 			}
-			msgs := auditTape(nl, tp)
+			msgs := auditTape(nl, tp, lay)
 			if len(msgs) == 0 {
 				t.Fatalf("audit accepted a corrupted tape")
 			}

@@ -20,9 +20,10 @@ import (
 // Evaluation is ungated: a sweep recomputes and overwrites every
 // instruction in its range. What is skipped is whole sweeps — when no
 // presented state, stimulus or ROM read data moved since the previous
-// Eval, the net values are already the tape's fixed point. Asynchronous
-// ROM positions are recorded once here, so a quiescent Eval still gathers
-// every async ROM (the EDAC counter contract) without scanning the tape.
+// Eval, the net values are already the tape's fixed point. The opROM
+// instructions are never swept: the lane machine (internal/lanesim) stops
+// the sweep at each one, gathers that ROM, and resumes after it, so a
+// quiescent Eval still gathers every async ROM (the EDAC counter contract).
 //
 // Inversions are folded into XOR masks (^0 = inverted operand, 0 = plain),
 // so the hot loop never branches on polarity.
@@ -54,22 +55,16 @@ type tapeInstr struct {
 // immutable after compileTape and holds no simulation state, so simulators
 // of the same netlist could share one.
 type tape struct {
-	instrs  []tapeInstr
-	tables  []uint64 // distinct pre-expanded truth tables (lane words)
-	srcNets []NetID  // primary-input nets, watched for edits between Evals
-	romAt   []int    // positions of the opROM instructions, in tape order
+	instrs []tapeInstr
+	tables []uint64 // distinct pre-expanded truth tables (lane words)
 }
 
 // compileTape translates a built netlist's evaluation order into a tape.
 func compileTape(nl *Netlist) *tape {
 	t := &tape{instrs: make([]tapeInstr, 0, len(nl.order))}
 	tbls := map[tableKey]int32{}
-	for _, p := range nl.Inputs {
-		t.srcNets = append(t.srcNets, p.Nets...)
-	}
 	for _, cn := range nl.order {
 		if cn.Kind == CombROM {
-			t.romAt = append(t.romAt, len(t.instrs))
 			t.instrs = append(t.instrs, tapeInstr{op: opROM, tbl: int32(cn.Index)})
 			continue
 		}
@@ -286,81 +281,10 @@ func literal2(mask uint16, vars [2]NetID) (NetID, uint64, bool) {
 	return Invalid, 0, false
 }
 
-// evalCompiled is Eval on the instruction tape. It presents sequential
-// state and compares it, and every watched primary-input net, against the
-// values the previous sweep ran on; a mismatch (or a pending construction,
-// Reset or CopyStateFrom) makes the Eval dirty. A dirty Eval sweeps the
-// whole tape, ungated, in segments between the asynchronous ROMs. A
-// quiescent Eval skips the sweep — the net values are already its result —
-// but still performs every async ROM's EDAC-decoded Gather, keeping
-// correction counters bit-identical with the reference. If a gather
-// returns moved data on a quiescent pass (the store was damaged or
-// scrubbed since the last Eval), evaluation resumes right after that ROM:
-// the skipped prefix provably held still. Fault injections therefore need
-// no special handling: a flipped or stuck flip-flop or a damaged ROM word
-// alters a presented lane word, which makes the Eval dirty.
-func (s *Simulator) evalCompiled() {
-	nl := s.nl
-	t := s.tape
-	values := s.values
-	dirty := s.dirty
-	s.dirty = false
-	// Present flip-flop state.
-	for i := range nl.FFs {
-		if q, w := nl.FFs[i].Q, s.ffQ[i]; values[q] != w {
-			values[q] = w
-			dirty = true
-		}
-	}
-	// Present synchronous ROM output registers.
-	for i := range nl.ROMs {
-		if !nl.ROMs[i].Sync {
-			continue
-		}
-		for b, o := range nl.ROMs[i].Out {
-			if w := s.romQ[i][b]; values[o] != w {
-				values[o] = w
-				dirty = true
-			}
-		}
-	}
-	// Detect primary-input edits made through SetInput* since the last Eval.
-	for i, n := range t.srcNets {
-		if v := values[n]; v != s.srcPrev[i] {
-			s.srcPrev[i] = v
-			dirty = true
-		}
-	}
-	pos := 0
-	for _, at := range t.romAt {
-		if dirty {
-			t.sweep(pos, at, values)
-		}
-		pos = at + 1
-		ri := t.instrs[at].tbl
-		r := &nl.ROMs[ri]
-		var addr [8]uint64
-		for b, a := range r.Addr {
-			addr[b] = values[a]
-		}
-		data := s.roms[ri].Gather(&addr)
-		var moved uint64
-		for b, o := range r.Out {
-			moved |= values[o] ^ data[b]
-			values[o] = data[b]
-		}
-		if moved != 0 {
-			dirty = true
-		}
-	}
-	if dirty {
-		t.sweep(pos, len(t.instrs), values)
-	}
-}
-
-// sweep evaluates instructions [from, to), none of them an opROM, writing
-// every output net.
-func (t *tape) sweep(from, to int, values []uint64) {
+// EvalRange evaluates instructions [from, to), none of them an opROM,
+// writing every output net. Stimulus and state live in values itself, so
+// the separate presentation array is unused.
+func (t *tape) EvalRange(from, to int, _, values []uint64) {
 	tables := t.tables
 	for ii := from; ii < to; ii++ {
 		ins := &t.instrs[ii]

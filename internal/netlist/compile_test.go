@@ -92,22 +92,22 @@ func randomNetlist(r *rand.Rand) *Netlist {
 func compareSims(t *testing.T, ref, cmp *Simulator, what string) {
 	t.Helper()
 	for n := 0; n < ref.nl.NumNets(); n++ {
-		if ref.values[n] != cmp.values[n] {
-			t.Fatalf("%s: net %d: reference %#x, compiled %#x", what, n, ref.values[n], cmp.values[n])
+		if ref.w.Vals[n] != cmp.w.Vals[n] {
+			t.Fatalf("%s: net %d: reference %#x, compiled %#x", what, n, ref.w.Vals[n], cmp.w.Vals[n])
 		}
 	}
-	for i := range ref.ffQ {
-		if ref.ffQ[i] != cmp.ffQ[i] {
-			t.Fatalf("%s: FF %d: reference %#x, compiled %#x", what, i, ref.ffQ[i], cmp.ffQ[i])
+	for i := range ref.w.Q {
+		if ref.w.Q[i] != cmp.w.Q[i] {
+			t.Fatalf("%s: FF %d: reference %#x, compiled %#x", what, i, ref.w.Q[i], cmp.w.Q[i])
 		}
 	}
-	for i := range ref.romQ {
-		if ref.romQ[i] != cmp.romQ[i] {
+	for i := range ref.w.ROMQ {
+		if ref.w.ROMQ[i] != cmp.w.ROMQ[i] {
 			t.Fatalf("%s: sync ROM reg %d differs", what, i)
 		}
 	}
-	if ref.cycle != cmp.cycle {
-		t.Fatalf("%s: cycle %d vs %d", what, ref.cycle, cmp.cycle)
+	if ref.Cycle() != cmp.Cycle() {
+		t.Fatalf("%s: cycle %d vs %d", what, ref.Cycle(), cmp.Cycle())
 	}
 	if ref.injected != cmp.injected {
 		t.Fatalf("%s: injections %d vs %d", what, ref.injected, cmp.injected)
@@ -115,8 +115,8 @@ func compareSims(t *testing.T, ref, cmp *Simulator, what string) {
 	if ref.romFaults != cmp.romFaults {
 		t.Fatalf("%s: ROM injections %d vs %d", what, ref.romFaults, cmp.romFaults)
 	}
-	for i := range ref.roms {
-		rs, cs := ref.roms[i].Stats(), cmp.roms[i].Stats()
+	for i := range ref.ROMStores() {
+		rs, cs := ref.ROMStore(i).Stats(), cmp.ROMStore(i).Stats()
 		if rs != cs {
 			t.Fatalf("%s: ROM %d EDAC stats: reference %+v, compiled %+v", what, i, rs, cs)
 		}
@@ -144,7 +144,7 @@ func TestCompiledDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: compiled: %v", round, err)
 		}
-		nFF := len(ref.ffQ)
+		nFF := ref.NumFFs()
 		for cyc := 0; cyc < cycles; cyc++ {
 			// Identical stimulus on both: broadcast or single-lane edits.
 			if cyc == 0 || r.Intn(3) == 0 {
@@ -268,7 +268,7 @@ func TestCompiledQuiescentFuzz(t *testing.T) {
 			lane := r.Intn(64)
 			word := 0
 			for b, a := range nl.ROMs[rom].Addr {
-				word |= int(ref.values[a]>>uint(lane)&1) << uint(b)
+				word |= int(ref.NetWord(a)>>uint(lane)&1) << uint(b)
 			}
 			touched := true
 			switch r.Intn(5) {
@@ -288,9 +288,9 @@ func TestCompiledQuiescentFuzz(t *testing.T) {
 			default:
 				touched = false
 			}
-			before := append([]uint64(nil), ref.values...)
+			before := append([]uint64(nil), ref.w.Vals...)
 			eval(cyc, "second Eval")
-			if touched && !slices.Equal(before, ref.values) {
+			if touched && !slices.Equal(before, ref.w.Vals) {
 				moved++
 			}
 			eval(cyc, "third Eval")

@@ -1,19 +1,29 @@
 package rtl
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"rijndaelip/internal/lanesim"
+	"rijndaelip/internal/logic"
+)
 
 // AuditCompiled statically verifies the design's compiled evaluation
-// schedule — the AIG instruction tape plus the segmented ROM-gather plan —
-// without executing it. On top of the per-node tape obligations proved by
-// logic.Net.AuditCompiled, the schedule-level audit checks that
+// schedule — the AIG instruction tape plus the lane-machine layout that
+// drives it — without executing it. On top of the per-node tape
+// obligations proved by logic.Net.AuditCompiled and the design-independent
+// layout obligations proved by lanesim.Layout.Audit (indices in range,
+// latch groups tiling the state, one gather segment per asynchronous ROM,
+// positions never running backwards), the design audit checks that
 //
 //   - stimulus writes and register and ROM state presentation use the
-//     exact input ordinals of the corresponding (pseudo-)input literals;
-//   - there is exactly one gather segment per asynchronous ROM (the EDAC
-//     correction-counter contract) and none for synchronous ROMs;
-//   - segments follow ROM declaration order with strictly increasing
-//     boundaries, each boundary being the node id of the ROM's first
-//     output pseudo-input;
+//     exact input ordinals of the corresponding (pseudo-)input literals,
+//     and outputs read the ports' literals;
+//   - each register is one latch group with its enable, next-state
+//     literals and init values, and its name reads its own state words;
+//   - each ROM carries its address literals and style;
+//   - segments follow ROM declaration order, each stopping and resuming
+//     at the node id of the ROM's first output pseudo-input;
 //   - every node in a ROM's address cone lies strictly below its segment
 //     boundary, so the sweep has fully resolved the address before the
 //     gather runs, and every output pseudo-input lies at or above it.
@@ -24,6 +34,7 @@ import "fmt"
 func (d *Design) AuditCompiled() []string {
 	sc := d.compiledSched()
 	b := d.b
+	lay := sc.layout
 	var out []string
 	fail := func(format string, args ...any) {
 		out = append(out, fmt.Sprintf(format, args...))
@@ -31,90 +42,110 @@ func (d *Design) AuditCompiled() []string {
 	for _, msg := range b.aig.AuditCompiled(sc.tape) {
 		out = append(out, "tape: "+msg)
 	}
+	if msgs := lay.Audit(); len(msgs) != 0 {
+		for _, msg := range msgs {
+			out = append(out, "layout: "+msg)
+		}
+		return out // the checks below index through the layout
+	}
+	ord := func(l logic.Lit) int32 { return int32(b.aig.InputOrdinal(l)) }
+	if lay.End != sc.tape.NumNodes() {
+		fail("layout ends at %d, the tape has %d nodes", lay.End, sc.tape.NumNodes())
+	}
 
-	// Stimulus and state-presentation ordinals.
-	for i := range b.inputs {
-		if len(sc.portOrd[i]) != len(b.inputs[i].bus) {
-			fail("input %s: %d stimulus ordinals for %d bits", b.inputs[i].name, len(sc.portOrd[i]), len(b.inputs[i].bus))
+	// Ports.
+	for _, p := range b.inputs {
+		at := lay.Inputs[p.name]
+		if len(at) != len(p.bus) {
+			fail("input %s: %d stimulus ordinals for %d bits", p.name, len(at), len(p.bus))
 			continue
 		}
-		for bit, l := range b.inputs[i].bus {
-			if want := int32(b.aig.InputOrdinal(l)); sc.portOrd[i][bit] != want {
-				fail("input %s[%d]: drives input ordinal %d, port bit is ordinal %d",
-					b.inputs[i].name, bit, sc.portOrd[i][bit], want)
+		for bit, l := range p.bus {
+			if want := ord(l); at[bit] != want {
+				fail("input %s[%d]: drives input ordinal %d, port bit is ordinal %d", p.name, bit, at[bit], want)
 			}
 		}
+	}
+	for _, p := range b.outputs {
+		if !slices.Equal(lay.Outputs[p.name], lits(p.bus)) {
+			fail("output %s: reads literals %v, port is %v", p.name, lay.Outputs[p.name], p.bus)
+		}
+	}
+
+	// Registers: one latch group each, in declaration order.
+	if len(lay.Groups) != len(b.regs) {
+		fail("%d latch groups for %d registers", len(lay.Groups), len(b.regs))
+		return out
 	}
 	for i := range b.regs {
-		if len(sc.regOrd[i]) != len(b.regs[i].q) {
-			fail("register %s: %d presentation ordinals for %d bits", b.regs[i].name, len(sc.regOrd[i]), len(b.regs[i].q))
+		r := &b.regs[i]
+		g := lay.Groups[i]
+		if int(g.Hi-g.Lo) != len(r.q) {
+			fail("register %s: latch group of %d words for %d bits", r.name, g.Hi-g.Lo, len(r.q))
 			continue
 		}
-		for bit, l := range b.regs[i].q {
-			if want := int32(b.aig.InputOrdinal(l)); sc.regOrd[i][bit] != want {
-				fail("register %s[%d]: presents input ordinal %d, pseudo-input is ordinal %d",
-					b.regs[i].name, bit, sc.regOrd[i][bit], want)
-			}
+		if g.En != lanesim.Lit(r.en) {
+			fail("register %s: latches under literal %d, enable is %v", r.name, g.En, r.en)
 		}
-	}
-	for i := range b.roms {
-		for bit, l := range b.roms[i].out {
-			if want := int32(b.aig.InputOrdinal(l)); sc.romOrd[i][bit] != want {
-				fail("ROM %s out[%d]: presents input ordinal %d, pseudo-input is ordinal %d",
-					b.roms[i].name, bit, sc.romOrd[i][bit], want)
+		for bit, l := range r.q {
+			k := int(g.Lo) + bit
+			if want := ord(l); lay.Present[k] != want {
+				fail("register %s[%d]: presents input ordinal %d, pseudo-input is ordinal %d", r.name, bit, lay.Present[k], want)
+			}
+			if lay.Next[k] != lanesim.Lit(r.next[bit]) {
+				fail("register %s[%d]: loads literal %d, next is %v", r.name, bit, lay.Next[k], r.next[bit])
+			}
+			if lay.Init[k] != logic.Word(r.init[bit]) {
+				fail("register %s[%d]: init word %#x, init is %v", r.name, bit, lay.Init[k], r.init[bit])
+			}
+			if idx := lay.Regs[r.name]; len(idx) != len(r.q) || int(idx[bit]) != k {
+				fail("register %s[%d]: name does not read state word %d", r.name, bit, k)
 			}
 		}
 	}
 
-	// Gather plan: declaration order, one segment per async ROM, boundaries
-	// at the first output pseudo-input and strictly increasing.
-	segOf := make([]int, len(b.roms))
-	for i := range segOf {
-		segOf[i] = -1
+	// ROMs and the gather plan.
+	if len(lay.ROMs) != len(b.roms) {
+		fail("%d layout ROMs for %d declared", len(lay.ROMs), len(b.roms))
+		return out
 	}
-	prevROM, prevBoundary := -1, 0
-	for si, seg := range sc.segs {
-		if seg.rom < 0 || seg.rom >= len(b.roms) {
-			fail("segment %d: ROM index %d out of range", si, seg.rom)
-			continue
+	for i := range b.roms {
+		r, lr := &b.roms[i], &lay.ROMs[i]
+		if lr.Sync != (r.style == ROMSync) {
+			fail("ROM %s: layout sync=%v, style is %s", r.name, lr.Sync, r.style)
 		}
-		r := &b.roms[seg.rom]
-		if r.style != ROMAsync {
-			fail("segment %d: ROM %s is %s, only asynchronous ROMs are gathered in the sweep", si, r.name, r.style)
+		for bit := range lr.Addr {
+			if lr.Addr[bit] != lanesim.Lit(r.addr[bit]) {
+				fail("ROM %s addr[%d]: reads literal %d, address is %v", r.name, bit, lr.Addr[bit], r.addr[bit])
+			}
+			if want := ord(r.out[bit]); lr.Out[bit] != want {
+				fail("ROM %s out[%d]: presents input ordinal %d, pseudo-input is ordinal %d", r.name, bit, lr.Out[bit], want)
+			}
 		}
-		if segOf[seg.rom] >= 0 {
-			fail("segment %d: ROM %s already gathered by segment %d: the EDAC contract is one gather per Eval", si, r.name, segOf[seg.rom])
-		}
-		segOf[seg.rom] = si
-		if seg.rom <= prevROM {
+	}
+	prevROM := -1
+	for si, seg := range lay.Segs {
+		r := &b.roms[seg.ROM]
+		if seg.ROM <= prevROM {
 			fail("segment %d: ROM %s out of declaration order (after ROM index %d)", si, r.name, prevROM)
 		}
-		prevROM = seg.rom
-		if want := int(r.out[0].Node()); seg.boundary != want {
-			fail("segment %d: boundary %d, ROM %s's first output pseudo-input is node %d", si, seg.boundary, r.name, want)
+		prevROM = seg.ROM
+		if want := int(r.out[0].Node()); seg.Stop != want || seg.Resume != want {
+			fail("segment %d: stop %d, resume %d, ROM %s's first output pseudo-input is node %d", si, seg.Stop, seg.Resume, r.name, want)
 		}
-		if si > 0 && seg.boundary <= prevBoundary {
-			fail("segment %d: boundary %d does not increase past %d", si, seg.boundary, prevBoundary)
-		}
-		prevBoundary = seg.boundary
 		// Address resolved before the gather: the whole address cone lies
 		// strictly below the boundary.
 		for _, id := range b.aig.Cone(r.addr) {
-			if int(id) >= seg.boundary {
+			if int(id) >= seg.Stop {
 				fail("segment %d: ROM %s address cone reaches n%d at/after boundary %d: gather would read an unresolved address",
-					si, r.name, id, seg.boundary)
+					si, r.name, id, seg.Stop)
 			}
 		}
 		for bit, l := range r.out {
-			if int(l.Node()) < seg.boundary {
-				fail("segment %d: ROM %s out[%d] is n%d below boundary %d: the sweep would overtake the gather",
-					si, r.name, bit, l.Node(), seg.boundary)
+			if int(l.Node()) < seg.Resume {
+				fail("segment %d: ROM %s out[%d] is n%d below resume %d: the sweep would overtake the gather",
+					si, r.name, bit, l.Node(), seg.Resume)
 			}
-		}
-	}
-	for i := range b.roms {
-		if b.roms[i].style == ROMAsync && segOf[i] < 0 {
-			fail("ROM %s: asynchronous but never gathered by any segment", b.roms[i].name)
 		}
 	}
 	return out

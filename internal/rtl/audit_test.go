@@ -3,6 +3,8 @@ package rtl
 import (
 	"math/rand"
 	"testing"
+
+	"rijndaelip/internal/lanesim"
 )
 
 // TestAuditCompiledCleanRandomDesigns: the compiled schedule of a random
@@ -23,11 +25,11 @@ func TestAuditCompiledCleanRandomDesigns(t *testing.T) {
 // the corruption, not from audit state).
 func TestAuditCompiledScheduleSensitivity(t *testing.T) {
 	d := randomDesign(t, rand.New(rand.NewSource(5)))
-	sc := d.compiledSched()
+	lay := d.compiledSched().layout
 	if msgs := d.AuditCompiled(); len(msgs) != 0 {
 		t.Fatalf("baseline not clean: %v", msgs)
 	}
-	if len(sc.segs) == 0 {
+	if len(lay.Segs) == 0 {
 		t.Fatal("random design compiled without ROM gather segments")
 	}
 
@@ -36,44 +38,60 @@ func TestAuditCompiledScheduleSensitivity(t *testing.T) {
 		corrupt func() (restore func())
 	}{
 		{"boundary-moved", func() func() {
-			old := sc.segs[0].boundary
-			sc.segs[0].boundary--
-			return func() { sc.segs[0].boundary = old }
+			old := lay.Segs[0].Stop
+			lay.Segs[0].Stop--
+			return func() { lay.Segs[0].Stop = old }
+		}},
+		{"resume-moved", func() func() {
+			old := lay.Segs[0].Resume
+			lay.Segs[0].Resume++
+			return func() { lay.Segs[0].Resume = old }
 		}},
 		{"segment-dropped", func() func() {
-			old := sc.segs
-			sc.segs = append([]romSeg(nil), old[:len(old)-1]...)
-			return func() { sc.segs = old }
+			old := lay.Segs
+			lay.Segs = append([]lanesim.Seg(nil), old[:len(old)-1]...)
+			return func() { lay.Segs = old }
 		}},
 		{"segment-duplicated", func() func() {
-			old := sc.segs
-			sc.segs = append(append([]romSeg(nil), old...), old[0])
-			return func() { sc.segs = old }
+			old := lay.Segs
+			lay.Segs = append(append([]lanesim.Seg(nil), old...), old[0])
+			return func() { lay.Segs = old }
 		}},
 		{"segments-reordered", func() func() {
-			if len(sc.segs) < 2 {
+			if len(lay.Segs) < 2 {
 				return nil
 			}
-			old := sc.segs
-			rev := append([]romSeg(nil), old...)
+			old := lay.Segs
+			rev := append([]lanesim.Seg(nil), old...)
 			rev[0], rev[1] = rev[1], rev[0]
-			sc.segs = rev
-			return func() { sc.segs = old }
+			lay.Segs = rev
+			return func() { lay.Segs = old }
 		}},
 		{"register-ordinal", func() func() {
-			old := sc.regOrd[0][0]
-			sc.regOrd[0][0]++
-			return func() { sc.regOrd[0][0] = old }
+			old := lay.Present[0]
+			lay.Present[0]++
+			return func() { lay.Present[0] = old }
+		}},
+		{"register-next", func() func() {
+			old := lay.Next[0]
+			lay.Next[0] ^= 1
+			return func() { lay.Next[0] = old }
+		}},
+		{"register-enable", func() func() {
+			old := lay.Groups[0].En
+			lay.Groups[0].En ^= 1
+			return func() { lay.Groups[0].En = old }
 		}},
 		{"port-ordinal", func() func() {
-			old := sc.portOrd[0][0]
-			sc.portOrd[0][0]++
-			return func() { sc.portOrd[0][0] = old }
+			at := lay.Inputs["din"]
+			old := at[0]
+			at[0]++
+			return func() { at[0] = old }
 		}},
 		{"rom-ordinal", func() func() {
-			old := sc.romOrd[0][0]
-			sc.romOrd[0][0]++
-			return func() { sc.romOrd[0][0] = old }
+			old := lay.ROMs[0].Out[0]
+			lay.ROMs[0].Out[0]++
+			return func() { lay.ROMs[0].Out[0] = old }
 		}},
 	}
 	for _, tc := range cases {

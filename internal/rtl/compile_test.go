@@ -100,28 +100,27 @@ func randomDesign(t testing.TB, r *rand.Rand) *Design {
 // node values, sequential state, cycle counts and EDAC statistics.
 func compareRTL(t *testing.T, ref, cmp *Simulator, what string) {
 	t.Helper()
-	for id := range ref.values {
-		if ref.values[id] != cmp.values[id] {
-			t.Fatalf("%s: node %d: reference %#x, compiled %#x", what, id, ref.values[id], cmp.values[id])
+	for id := range ref.w.Vals {
+		if ref.w.Vals[id] != cmp.w.Vals[id] {
+			t.Fatalf("%s: node %d: reference %#x, compiled %#x", what, id, ref.w.Vals[id], cmp.w.Vals[id])
 		}
 	}
-	for i := range ref.regQ {
-		for bit := range ref.regQ[i] {
-			if ref.regQ[i][bit] != cmp.regQ[i][bit] {
-				t.Fatalf("%s: reg %d bit %d: reference %#x, compiled %#x", what, i, bit, ref.regQ[i][bit], cmp.regQ[i][bit])
-			}
+	for k := range ref.w.Q {
+		if ref.w.Q[k] != cmp.w.Q[k] {
+			t.Fatalf("%s: state word %d: reference %#x, compiled %#x", what, k, ref.w.Q[k], cmp.w.Q[k])
 		}
 	}
-	for i := range ref.romQ {
-		if ref.romQ[i] != cmp.romQ[i] {
+	for i := range ref.w.ROMQ {
+		if ref.w.ROMQ[i] != cmp.w.ROMQ[i] {
 			t.Fatalf("%s: sync ROM reg %d differs", what, i)
 		}
 	}
-	if ref.cycles != cmp.cycles {
-		t.Fatalf("%s: cycles %d vs %d", what, ref.cycles, cmp.cycles)
+	if ref.Cycle() != cmp.Cycle() {
+		t.Fatalf("%s: cycles %d vs %d", what, ref.Cycle(), cmp.Cycle())
 	}
-	for i := range ref.roms {
-		rs, cs := ref.roms[i].Stats(), cmp.roms[i].Stats()
+	refROMs, cmpROMs := ref.ROMStores(), cmp.ROMStores()
+	for i := range refROMs {
+		rs, cs := refROMs[i].Stats(), cmpROMs[i].Stats()
 		if rs != cs {
 			t.Fatalf("%s: ROM %d EDAC stats: reference %+v, compiled %+v", what, i, rs, cs)
 		}
@@ -322,9 +321,9 @@ func TestRTLCompiledQuiescentFuzz(t *testing.T) {
 			default:
 				touched = false
 			}
-			before := append([]uint64(nil), ref.values...)
+			before := append([]uint64(nil), ref.w.Vals...)
 			eval(cyc, "second Eval")
-			if touched && !slices.Equal(before, ref.values) {
+			if touched && !slices.Equal(before, ref.w.Vals) {
 				moved++
 			}
 			eval(cyc, "third Eval")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"rijndaelip/internal/lanesim"
 	"rijndaelip/internal/logic"
 	"rijndaelip/internal/netlist"
 	"rijndaelip/internal/techmap"
@@ -29,30 +30,17 @@ type Design struct {
 }
 
 // compSched is the compiled evaluation schedule: the instruction tape plus
-// everything a compiled simulator needs to run one Eval as a single
-// segmented sweep instead of the interpreter's maxROMLevel+2 whole-AIG
-// passes. Node ids are topological and a ROM's output pseudo-inputs are
-// created after its address cone exists, so evaluating up to each
-// asynchronous ROM's first output node guarantees its address is resolved;
-// the gathered data is presented and the sweep continues — every node is
-// visited exactly once per Eval, and each async ROM is gathered exactly
-// once (the interpreter's EDAC-counter contract).
+// the lane-machine layout that runs one Eval as a single segmented sweep
+// instead of the interpreter's maxROMLevel+2 whole-AIG passes. Node ids are
+// topological and a ROM's output pseudo-inputs are created after its
+// address cone exists, so sweeping up to each asynchronous ROM's first
+// output node guarantees its address is resolved; the gathered data is
+// presented and the sweep continues there — every node is visited exactly
+// once per Eval, and each async ROM is gathered exactly once (the
+// interpreter's EDAC-counter contract).
 type compSched struct {
-	tape *logic.Compiled
-	segs []romSeg
-	// Precomputed input ordinals (per input-port bit, per register bit, per
-	// ROM output bit) so stimulus writes and state presentation avoid the
-	// aig.InputOrdinal map lookup per bit.
-	portOrd [][]int32
-	regOrd  [][]int32
-	romOrd  [][8]int32
-}
-
-// romSeg schedules one asynchronous ROM: evaluate the tape up to boundary
-// (the node id of its first output pseudo-input), then gather.
-type romSeg struct {
-	rom      int
-	boundary int
+	tape   *logic.Compiled
+	layout *lanesim.Layout
 }
 
 // compiledSched returns the design's shared evaluation schedule, compiling
@@ -64,39 +52,72 @@ func (d *Design) compiledSched() *compSched {
 		return d.compiled
 	}
 	b := d.b
-	sc := &compSched{
-		tape:    b.aig.Compile(),
-		portOrd: make([][]int32, len(b.inputs)),
-		regOrd:  make([][]int32, len(b.regs)),
-		romOrd:  make([][8]int32, len(b.roms)),
+	tape := b.aig.Compile()
+	// Stimulus and state are presented on AIG input ordinals, values are
+	// node ids, and the state words are the registers' bits in declaration
+	// order, one latch group per register.
+	lay := &lanesim.Layout{
+		Pkg:     "rtl",
+		NumVals: tape.NumNodes(),
+		NumSrc:  b.aig.NumInputs(),
+		Inputs:  map[string][]int32{},
+		Outputs: map[string][]lanesim.Lit{},
+		Regs:    map[string][]int32{},
+		End:     tape.NumNodes(),
 	}
-	for i := range b.inputs {
-		sc.portOrd[i] = ordinals(b.aig, b.inputs[i].bus)
+	ord := func(l logic.Lit) int32 { return int32(b.aig.InputOrdinal(l)) }
+	for _, p := range b.inputs {
+		at := make([]int32, len(p.bus))
+		for bit, l := range p.bus {
+			at[bit] = ord(l)
+		}
+		lay.Inputs[p.name] = at
+	}
+	for _, p := range b.outputs {
+		lay.Outputs[p.name] = lits(p.bus)
 	}
 	for i := range b.regs {
-		sc.regOrd[i] = ordinals(b.aig, b.regs[i].q)
+		r := &b.regs[i]
+		g := lanesim.Group{En: lanesim.Lit(r.en), Lo: int32(len(lay.Present))}
+		g.Hi = g.Lo + int32(len(r.q))
+		idx := make([]int32, len(r.q))
+		for bit, l := range r.q {
+			idx[bit] = g.Lo + int32(bit)
+			lay.Present = append(lay.Present, ord(l))
+			lay.Init = append(lay.Init, logic.Word(r.init[bit]))
+		}
+		lay.Next = append(lay.Next, lits(r.next)...)
+		lay.Groups = append(lay.Groups, g)
+		if _, dup := lay.Regs[r.name]; !dup {
+			lay.Regs[r.name] = idx
+		}
 	}
 	for i := range b.roms {
-		for bit, l := range b.roms[i].out {
-			sc.romOrd[i][bit] = int32(b.aig.InputOrdinal(l))
+		r := &b.roms[i]
+		lr := lanesim.ROM{Name: r.name, Contents: r.contents, Sync: r.style == ROMSync}
+		for bit := range lr.Addr {
+			lr.Addr[bit] = lanesim.Lit(r.addr[bit])
+			lr.Out[bit] = ord(r.out[bit])
 		}
-		if b.roms[i].style == ROMAsync {
+		lay.ROMs = append(lay.ROMs, lr)
+		if r.style == ROMAsync {
 			// Declaration order is dependency order: an address literal must
 			// exist when ROM() is called, so boundaries are increasing.
-			sc.segs = append(sc.segs, romSeg{rom: i, boundary: int(b.roms[i].out[0].Node())})
+			at := int(r.out[0].Node())
+			lay.Segs = append(lay.Segs, lanesim.Seg{ROM: i, Stop: at, Resume: at})
 		}
 	}
-	d.compiled = sc
-	return sc
+	d.compiled = &compSched{tape: tape, layout: lay}
+	return d.compiled
 }
 
-// ordinals resolves each pseudo-input literal to its AIG input ordinal.
-func ordinals(aig *logic.Net, lits []logic.Lit) []int32 {
-	ords := make([]int32, len(lits))
-	for i, l := range lits {
-		ords[i] = int32(aig.InputOrdinal(l))
+// lits converts AIG literals to lane-machine literals (the same encoding).
+func lits(bus Bus) []lanesim.Lit {
+	out := make([]lanesim.Lit, len(bus))
+	for i, l := range bus {
+		out[i] = lanesim.Lit(l)
 	}
-	return ords
+	return out
 }
 
 // Build validates the builder's contents and elaborates the design:

@@ -54,8 +54,8 @@ func TestCounterSim(t *testing.T) {
 		}
 		sim.Step()
 	}
-	if sim.Cycles() != 300 {
-		t.Errorf("Cycles = %d", sim.Cycles())
+	if sim.Cycle() != 300 {
+		t.Errorf("Cycle = %d", sim.Cycle())
 	}
 	// Disable and verify hold.
 	sim.SetInput("en", 0)
