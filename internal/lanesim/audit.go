@@ -23,7 +23,7 @@ func (l *Layout) Audit() []string {
 	}
 	nQ := len(l.Present)
 	if len(l.Next) != nQ || len(l.Init) != nQ {
-		fail("%d presented state words, %d next-state literals, %d init words", nQ, len(l.Next), len(l.Init))
+		fail("%d presented state words, %d next-state literals, %d init values", nQ, len(l.Next), len(l.Init))
 	}
 	var hi int32
 	for gi, g := range l.Groups {

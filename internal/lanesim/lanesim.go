@@ -55,10 +55,10 @@ type Layout struct {
 	Regs    map[string][]int32 // named register -> per bit, its state word (-1: none)
 
 	// Sequential state, one lane word per bit.
-	Present []int32  // per state word: the src index it is presented on
-	Next    []Lit    // per state word: its next-state literal
-	Init    []uint64 // per state word: its power-up lane word
-	Groups  []Group  // latch groups, tiling the state words in order
+	Present []int32 // per state word: the src index it is presented on
+	Next    []Lit   // per state word: its next-state literal
+	Init    []bool  // per state word: its power-up value, on every lane
+	Groups  []Group // latch groups, tiling the state words in order
 
 	ROMs []ROM // ROM macros, indexed like the simulator's declarations
 	Segs []Seg // gather plan: one segment per asynchronous ROM, in sweep order
@@ -74,10 +74,10 @@ type Group struct {
 // ROM is one 256×8 ROM macro.
 type ROM struct {
 	Name     string
-	Contents [256]byte
-	Sync     bool     // registered read: latched on Step, presented from ROMQ
-	Addr     [8]Lit   // address literals
-	Out      [8]int32 // per data bit, the src index it is presented on
+	Contents *[256]byte // read once, when a machine's EDAC store is built
+	Sync     bool       // registered read: latched on Step, presented from ROMQ
+	Addr     [8]Lit     // address literals
+	Out      [8]int32   // per data bit, the src index it is presented on
 }
 
 // Seg schedules one asynchronous ROM: the sweep runs up to Stop, the ROM
@@ -132,12 +132,12 @@ func newMachine(lay *Layout, tape Tape, ref func()) (*Machine, *Words) {
 	if lay.NumSrc > 0 {
 		m.w.Src = make([]uint64, lay.NumSrc)
 	}
-	m.w.Q = append([]uint64(nil), lay.Init...)
+	m.w.Q = make([]uint64, len(lay.Init))
 	m.w.ROMQ = make([][8]uint64, len(lay.ROMs))
 	for i := range lay.ROMs {
-		m.roms[i] = edac.New(lay.ROMs[i].Name, lay.ROMs[i].Contents)
+		m.roms[i] = edac.New(lay.ROMs[i].Name, *lay.ROMs[i].Contents)
 	}
-	m.w.Dirty = true
+	m.Reset()
 	return m, &m.w
 }
 
@@ -146,7 +146,9 @@ func newMachine(lay *Layout, tape Tape, ref func()) (*Machine, *Words) {
 // the next Eval sweep.
 func (m *Machine) Reset() {
 	clear(m.w.Src)
-	copy(m.w.Q, m.lay.Init)
+	for i, v := range m.lay.Init {
+		m.w.Q[i] = logic.Word(v)
+	}
 	clear(m.w.ROMQ)
 	m.w.Cycle = 0
 	m.w.Dirty = true

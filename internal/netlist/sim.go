@@ -98,18 +98,23 @@ func newSimulator(nl *Netlist, compiled bool) (*Simulator, error) {
 }
 
 // layout describes the netlist to the lane machine. Stimulus and state are
-// presented on their own nets in the value array, each flip-flop is a
-// latch group of one (a missing enable latches under constant 1), and the
-// tape's opROM positions are the gather plan: sweep up to the ROM
-// instruction, gather, resume after it. Registers are named by parsing the
-// flip-flop names "name[i]".
+// presented on their own nets in the value array, consecutive flip-flops
+// with the same enable form one latch group (a missing enable latches
+// under constant 1), and the tape's opROM positions are the gather plan:
+// sweep up to the ROM instruction, gather, resume after it. Registers are
+// named by parsing the flip-flop names "name[i]".
 func layout(nl *Netlist, t *tape) *lanesim.Layout {
+	nFF := len(nl.FFs)
 	lay := &lanesim.Layout{
 		Pkg:     "netlist",
 		NumVals: nl.NumNets(),
 		Inputs:  map[string][]int32{},
 		Outputs: map[string][]lanesim.Lit{},
 		Regs:    map[string][]int32{},
+		ROMs:    make([]lanesim.ROM, len(nl.ROMs)),
+		Present: make([]int32, nFF),
+		Next:    make([]lanesim.Lit, nFF),
+		Init:    make([]bool, nFF),
 	}
 	for _, p := range nl.Inputs {
 		at := make([]int32, len(p.Nets))
@@ -129,10 +134,14 @@ func layout(nl *Netlist, t *tape) *lanesim.Layout {
 		if en == Invalid {
 			en = Const1
 		}
-		lay.Present = append(lay.Present, int32(f.Q))
-		lay.Next = append(lay.Next, netLit(f.D))
-		lay.Init = append(lay.Init, logic.Word(f.Init))
-		lay.Groups = append(lay.Groups, lanesim.Group{En: netLit(en), Lo: int32(i), Hi: int32(i + 1)})
+		lay.Present[i] = int32(f.Q)
+		lay.Next[i] = netLit(f.D)
+		lay.Init[i] = f.Init
+		if g := len(lay.Groups) - 1; g >= 0 && lay.Groups[g].En == netLit(en) {
+			lay.Groups[g].Hi++
+		} else {
+			lay.Groups = append(lay.Groups, lanesim.Group{En: netLit(en), Lo: int32(i), Hi: int32(i + 1)})
+		}
 		open := strings.IndexByte(f.Name, '[')
 		if open < 0 || !strings.HasSuffix(f.Name, "]") {
 			continue
@@ -150,12 +159,12 @@ func layout(nl *Netlist, t *tape) *lanesim.Layout {
 	}
 	for i := range nl.ROMs {
 		r := &nl.ROMs[i]
-		lr := lanesim.ROM{Name: r.Name, Contents: r.Contents, Sync: r.Sync}
+		lr := &lay.ROMs[i]
+		*lr = lanesim.ROM{Name: r.Name, Contents: &r.Contents, Sync: r.Sync}
 		for bit := range lr.Addr {
 			lr.Addr[bit] = netLit(r.Addr[bit])
 			lr.Out[bit] = int32(r.Out[bit])
 		}
-		lay.ROMs = append(lay.ROMs, lr)
 	}
 	if t != nil {
 		lay.End = len(t.instrs)

@@ -95,8 +95,8 @@ func (d *Design) AuditCompiled() []string {
 			if lay.Next[k] != lanesim.Lit(r.next[bit]) {
 				fail("register %s[%d]: loads literal %d, next is %v", r.name, bit, lay.Next[k], r.next[bit])
 			}
-			if lay.Init[k] != logic.Word(r.init[bit]) {
-				fail("register %s[%d]: init word %#x, init is %v", r.name, bit, lay.Init[k], r.init[bit])
+			if lay.Init[k] != r.init[bit] {
+				fail("register %s[%d]: init %v, register init is %v", r.name, bit, lay.Init[k], r.init[bit])
 			}
 			if idx := lay.Regs[r.name]; len(idx) != len(r.q) || int(idx[bit]) != k {
 				fail("register %s[%d]: name does not read state word %d", r.name, bit, k)

@@ -84,9 +84,9 @@ func (d *Design) compiledSched() *compSched {
 		for bit, l := range r.q {
 			idx[bit] = g.Lo + int32(bit)
 			lay.Present = append(lay.Present, ord(l))
-			lay.Init = append(lay.Init, logic.Word(r.init[bit]))
 		}
 		lay.Next = append(lay.Next, lits(r.next)...)
+		lay.Init = append(lay.Init, r.init...)
 		lay.Groups = append(lay.Groups, g)
 		if _, dup := lay.Regs[r.name]; !dup {
 			lay.Regs[r.name] = idx
@@ -94,7 +94,7 @@ func (d *Design) compiledSched() *compSched {
 	}
 	for i := range b.roms {
 		r := &b.roms[i]
-		lr := lanesim.ROM{Name: r.name, Contents: r.contents, Sync: r.style == ROMSync}
+		lr := lanesim.ROM{Name: r.name, Contents: &r.contents, Sync: r.style == ROMSync}
 		for bit := range lr.Addr {
 			lr.Addr[bit] = lanesim.Lit(r.addr[bit])
 			lr.Out[bit] = ord(r.out[bit])
