@@ -20,7 +20,8 @@ import (
 //     exact input ordinals of the corresponding (pseudo-)input literals,
 //     and outputs read the ports' literals;
 //   - each register is one latch group with its enable, next-state
-//     literals and init values, and its name reads its own state words;
+//     literals and init values, and its name reads its own state words
+//     (the first register of a name, as RegValue does);
 //   - each ROM carries its address literals and style;
 //   - segments follow ROM declaration order, each stopping and resuming
 //     at the node id of the ROM's first output pseudo-input;
@@ -77,9 +78,12 @@ func (d *Design) AuditCompiled() []string {
 		fail("%d latch groups for %d registers", len(lay.Groups), len(b.regs))
 		return out
 	}
+	named := map[string]bool{} // RegValue reads the first register of a name
 	for i := range b.regs {
 		r := &b.regs[i]
 		g := lay.Groups[i]
+		first := !named[r.name]
+		named[r.name] = true
 		if int(g.Hi-g.Lo) != len(r.q) {
 			fail("register %s: latch group of %d words for %d bits", r.name, g.Hi-g.Lo, len(r.q))
 			continue
@@ -98,7 +102,7 @@ func (d *Design) AuditCompiled() []string {
 			if lay.Init[k] != r.init[bit] {
 				fail("register %s[%d]: init %v, register init is %v", r.name, bit, lay.Init[k], r.init[bit])
 			}
-			if idx := lay.Regs[r.name]; len(idx) != len(r.q) || int(idx[bit]) != k {
+			if idx := lay.Regs[r.name]; first && (len(idx) != len(r.q) || int(idx[bit]) != k) {
 				fail("register %s[%d]: name does not read state word %d", r.name, bit, k)
 			}
 		}
