@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test short bench bench-smoke bench-json profile chaos-smoke triage-smoke obs-smoke vet lint race faults perfbench-test examples reports verify clean
+.PHONY: all test short bench bench-smoke bench-json profile chaos-smoke triage-smoke obs-smoke vet lint race faults perfbench-test kernels examples reports verify clean
 
 all: vet test
 
@@ -112,6 +112,13 @@ faults:
 # constructors. Wired into `verify`.
 perfbench-test:
 	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Regenerate the straight-line kernel of the shipped lockstep netlist
+# (internal/netlist/kernel_encrypt.go, written by cmd/tapegen). Needed after
+# any change to the Encrypt core, the mapper or the netlist tape compiler;
+# TestKernelsUpToDate fails until then.
+kernels:
+	$(GO) generate ./internal/netlist
 
 examples:
 	$(GO) run ./examples/quickstart

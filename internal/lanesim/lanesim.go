@@ -35,7 +35,8 @@ func (l Lit) word(vals []uint64) uint64 { return vals[l>>1] ^ -uint64(l&1) }
 // evaluates tape positions [from, to), reading presented stimulus and
 // state from src and writing every result in the range into vals; values
 // below from are already current. When Layout.NumSrc is 0, src and vals
-// are the same array.
+// are the same array. The machine never asks for an empty range: from is
+// always below to.
 type Tape interface {
 	EvalRange(from, to int, src, vals []uint64)
 }
@@ -172,7 +173,8 @@ func (m *Machine) ROMStores() []*edac.ROM { return m.roms }
 // one the previous sweep ran on; a mismatch or a pending Dirty makes the
 // pass dirty. A dirty pass is one ungated sweep in segments: up to each
 // asynchronous ROM's Stop, one EDAC Gather of that ROM (its address cone
-// is resolved by then), its read data presented, and on from Resume. A
+// is resolved by then), its read data presented, and on from Resume; the
+// empty range between two consecutive ROMs is not swept at all. A
 // quiescent pass skips the sweep — Vals already hold its result, which is
 // what the driver's Eval-then-Step pattern hits every cycle — but still
 // performs every asynchronous ROM's Gather, so EDAC correction counters
@@ -209,7 +211,7 @@ func (m *Machine) Eval() {
 	}
 	pos := 0
 	for _, seg := range lay.Segs {
-		if dirty {
+		if dirty && pos < seg.Stop {
 			m.tape.EvalRange(pos, seg.Stop, src, w.Vals)
 		}
 		pos = seg.Resume
@@ -221,7 +223,7 @@ func (m *Machine) Eval() {
 			}
 		}
 	}
-	if dirty {
+	if dirty && pos < lay.End {
 		m.tape.EvalRange(pos, lay.End, src, w.Vals)
 	}
 }

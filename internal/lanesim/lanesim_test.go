@@ -1,6 +1,7 @@
 package lanesim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -113,6 +114,49 @@ func TestMachineSweepsSkipsAndResumes(t *testing.T) {
 	m.Reset()
 	if got, _ := m.RegValue("r"); got[0] != 1 || m.Cycle() != 0 || !w.Dirty {
 		t.Fatalf("after Reset: r = %v, cycle %d, dirty %v", got, m.Cycle(), w.Dirty)
+	}
+}
+
+// TestMachineSkipsEmptyRanges: consecutive ROMs, and a ROM at the end of
+// the tape, leave empty ranges in the gather plan; a dirty pass sweeps only
+// the non-empty ones and still gathers every ROM.
+func TestMachineSkipsEmptyRanges(t *testing.T) {
+	lay := toyLayout()
+	second := lay.ROMs[0]
+	second.Name = "rom2"
+	for bit := range second.Out {
+		second.Out[bit] = int32(20 + bit)
+	}
+	lay.NumVals = 28
+	lay.ROMs = append(lay.ROMs, second)
+	lay.Segs = []Seg{{ROM: 0, Stop: 1, Resume: 2}, {ROM: 1, Stop: 2, Resume: 3}}
+	lay.End = 3
+	if msgs := lay.Audit(); len(msgs) != 0 {
+		t.Fatalf("layout does not audit clean: %v", msgs)
+	}
+	tape := &recTape{}
+	m, w := New(lay, tape)
+	m.Eval()
+	if want := [][2]int{{0, 1}}; !slices.Equal(tape.ranges, want) {
+		t.Fatalf("dirty pass swept %v, want %v", tape.ranges, want)
+	}
+	if got, want := w.Vals[20:28], w.Vals[10:18]; !slices.Equal(got, want) {
+		t.Fatalf("second ROM presented %v, first %v: both read address 0", got, want)
+	}
+	// Moved read data on the last ROM resumes at the end of the tape: no
+	// range is left to sweep.
+	tape.ranges = nil
+	m.ROMStores()[1].FlipBit(0, 3)
+	m.ROMStores()[1].FlipBit(0, 5)
+	m.Eval()
+	if len(tape.ranges) != 0 {
+		t.Fatalf("quiescent pass after moved data swept %v, want nothing", tape.ranges)
+	}
+	if n := m.ROMStores()[1].Stats().UncorrectableReads; n != 64 {
+		t.Fatalf("%d uncorrectable lane reads, want one gather's 64", n)
+	}
+	if got, want := w.Vals[20], w.Vals[10]^^uint64(0); got != want {
+		t.Fatalf("second ROM bit 0 reads %#x after damage, want %#x", got, want)
 	}
 }
 

@@ -31,28 +31,66 @@ import (
 //   - the lane-machine layout passes lanesim.Layout.Audit, and its gather
 //     plan stops at exactly the opROM instructions, in order, and resumes
 //     right after each, so neither a dirty nor a quiescent Eval sweeps
-//     over or misses a gather.
+//     over or misses a gather;
+//   - a generated kernel bound to the tape carries the audited tape's
+//     fingerprint and has exactly one function per sweep range of the
+//     layout, on the same (from, to), so every range a dirty or resumed
+//     Eval sweeps runs the function generated for it.
 
-// AuditCompiled builds the netlist, compiles its instruction tape and runs
-// the static tape audit. The returned findings are empty when the tape is
-// a faithful linearization; the error reports a netlist too broken to
-// build (which the design-rule lint diagnoses in full).
+// AuditCompiled builds the netlist and runs the static tape audit on the
+// schedule its simulators share: the compiled tape, its layout and the
+// generated kernel bound to it, if any. The returned findings are empty
+// when the tape is a faithful linearization and any bound kernel is the
+// one generated from it; the error reports a netlist too broken to build
+// (which the design-rule lint diagnoses in full).
 func AuditCompiled(nl *Netlist) ([]string, error) {
-	if err := nl.Build(); err != nil {
+	c, err := nl.compiledSched()
+	if err != nil {
 		return nil, err
 	}
-	t := compileTape(nl)
-	return auditTape(nl, t, layout(nl, t)), nil
+	return auditCompiled(nl, c, c.kernel), nil
 }
 
-// AuditTape audits the instruction tape this simulator actually executes.
-// The second result reports whether there was a tape to audit: the
-// test-only reference simulator returns (nil, false).
+// AuditTape audits the instruction tape this simulator actually executes,
+// and the kernel it sweeps through, if any. The second result reports
+// whether there was a tape to audit: the test-only reference simulator
+// returns (nil, false).
 func (s *Simulator) AuditTape() ([]string, bool) {
-	if s.tape == nil {
+	if s.comp == nil {
 		return nil, false
 	}
-	return auditTape(s.nl, s.tape, s.lay), true
+	return auditCompiled(s.nl, s.comp, s.kernel), true
+}
+
+func auditCompiled(nl *Netlist, c *compiled, kt *kernelTape) []string {
+	out := auditTape(nl, c.tape, c.lay)
+	if kt != nil {
+		out = append(out, auditKernel(kt.k, c.tape, c.lay)...)
+	}
+	return out
+}
+
+// auditKernel checks that a kernel is bound to the audited tape: its
+// fingerprint is the tape's and layout's, and its functions are exactly
+// the layout's sweep ranges, in order.
+func auditKernel(k *kernel, t *tape, lay *lanesim.Layout) []string {
+	var out []string
+	if fp := tapeFingerprint(t, lay); k.fingerprint != fp {
+		out = append(out, fmt.Sprintf("kernel %s: fingerprint %.16s…, the audited tape's is %.16s…: the kernel was generated from another tape",
+			k.name, k.fingerprint, fp))
+	}
+	ranges := sweepRanges(lay)
+	if len(k.segs) != len(ranges) {
+		out = append(out, fmt.Sprintf("kernel %s: %d functions for %d sweep ranges %v", k.name, len(k.segs), len(ranges), ranges))
+		return out
+	}
+	for i, r := range ranges {
+		if sg := &k.segs[i]; sg.from != r[0] || sg.to != r[1] || sg.fn == nil {
+			out = append(out, fmt.Sprintf("kernel %s: function %d evaluates [%d,%d) (defined %v), sweep range %d is [%d,%d)",
+				k.name, i, sg.from, sg.to, sg.fn != nil, i, r[0], r[1]))
+		}
+	}
+	return out
 }
 
 // operandNets returns the nets an instruction reads, excluding ROM

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -202,5 +203,112 @@ func TestAuditCorruptionSensitivity(t *testing.T) {
 			}
 			t.Logf("detected: %s", msgs[0])
 		})
+	}
+}
+
+// fakeKernel returns a kernel for a compiled schedule whose functions
+// sweep its tape and count their calls: the binding and audit obligations
+// of a generated kernel, without generated code.
+func fakeKernel(c *compiled, calls *int) *kernel {
+	k := &kernel{name: "fake", fingerprint: tapeFingerprint(c.tape, c.lay)}
+	for _, r := range sweepRanges(c.lay) {
+		from, to := r[0], r[1]
+		k.segs = append(k.segs, kernelSeg{from: from, to: to, fn: func(vals []uint64) {
+			*calls++
+			c.tape.EvalRange(from, to, vals, vals)
+		}})
+	}
+	return k
+}
+
+// TestAuditKernelSensitivity: a kernel made from the audited tape audits
+// clean; another tape's fingerprint, a missing, shifted or undefined
+// function each yields a finding.
+func TestAuditKernelSensitivity(t *testing.T) {
+	c, err := randomNetlist(rand.New(rand.NewSource(5))).compiledSched()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := randomNetlist(rand.New(rand.NewSource(6))).compiledSched()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls int
+	if msgs := auditKernel(fakeKernel(c, &calls), c.tape, c.lay); len(msgs) != 0 {
+		t.Fatalf("kernel of the audited tape has findings: %v", msgs)
+	}
+	cases := map[string]func(k *kernel){
+		"foreign-fingerprint": func(k *kernel) { k.fingerprint = tapeFingerprint(other.tape, other.lay) },
+		"missing-function":    func(k *kernel) { k.segs = k.segs[:len(k.segs)-1] },
+		"shifted-range":       func(k *kernel) { k.segs[0].to-- },
+		"undefined-function":  func(k *kernel) { k.segs[0].fn = nil },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			k := fakeKernel(c, &calls)
+			corrupt(k)
+			msgs := auditKernel(k, c.tape, c.lay)
+			if len(msgs) == 0 {
+				t.Fatal("audit accepted a kernel that is not bound to the tape")
+			}
+			t.Logf("detected: %s", msgs[0])
+		})
+	}
+}
+
+// TestKernelBindsOnFingerprint: a kernel registered under a tape's
+// fingerprint is bound by the compile of another netlist with the same
+// tape, audited with it and swept through, and the simulator still matches
+// the reference; a range that is not one of its functions sweeps the
+// tape, and a netlist with another tape keeps the tape.
+func TestKernelBindsOnFingerprint(t *testing.T) {
+	build := func(seed int64) *Netlist { return randomNetlist(rand.New(rand.NewSource(seed))) }
+	first, err := build(11).compiledSched()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls int
+	k := fakeKernel(first, &calls)
+	kernels[k.fingerprint] = k
+	t.Cleanup(func() { delete(kernels, k.fingerprint) })
+
+	nl := build(11)
+	sim, err := NewSimulator(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.kernel == nil || sim.kernel.k != k {
+		t.Fatal("identical tape did not bind the registered kernel")
+	}
+	if msgs, ok := sim.AuditTape(); !ok || len(msgs) != 0 {
+		t.Fatalf("AuditTape: ok=%v findings=%v", ok, msgs)
+	}
+	ref, err := newReferenceSimulator(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	for cyc := 0; cyc < 20; cyc++ {
+		lane, v := r.Intn(64), r.Uint64()
+		for _, s := range []*Simulator{sim, ref} {
+			if err := s.SetInputLane("din", lane, v); err != nil {
+				t.Fatal(err)
+			}
+			s.Step()
+		}
+		compareSims(t, ref, sim, fmt.Sprintf("cyc %d", cyc))
+	}
+	if calls == 0 {
+		t.Fatal("no sweep ran through the kernel")
+	}
+	before := calls
+	seg := k.segs[len(k.segs)-1]
+	sim.kernel.EvalRange(seg.from, seg.to-1, sim.w.Vals, sim.w.Vals)
+	if calls != before {
+		t.Fatalf("range [%d,%d) is no kernel function but ran one", seg.from, seg.to-1)
+	}
+
+	if s, err := NewSimulator(build(12)); err != nil || s.kernel != nil {
+		t.Fatalf("another tape: kernel %v, %v", s.kernel, err)
 	}
 }

@@ -3,6 +3,8 @@ package netlist
 import (
 	"fmt"
 	"math/bits"
+
+	"rijndaelip/internal/lanesim"
 )
 
 // This file implements the simulator's evaluator: at construction the
@@ -27,6 +29,10 @@ import (
 //
 // Inversions are folded into XOR masks (^0 = inverted operand, 0 = plain),
 // so the hot loop never branches on polarity.
+//
+// The tape of the shipped lockstep netlist also exists as generated
+// straight-line Go (kernel.go); a simulator sweeps through that kernel
+// instead when its fingerprint matches the tape.
 
 // Tape opcodes.
 const (
@@ -52,11 +58,41 @@ type tapeInstr struct {
 }
 
 // tape is the compiled form of a netlist's combinational logic. It is
-// immutable after compileTape and holds no simulation state, so simulators
-// of the same netlist could share one.
+// immutable after compileTape and holds no simulation state, so every
+// simulator of a built netlist shares one (see compiled).
 type tape struct {
 	instrs []tapeInstr
 	tables []uint64 // distinct pre-expanded truth tables (lane words)
+}
+
+// compiled is a built netlist's evaluation schedule: its tape, the
+// lane-machine layout around it, and the generated kernel bound to the
+// tape, if one matches (kernel.go). It is immutable and shared by every
+// simulator of the build.
+type compiled struct {
+	tape   *tape
+	lay    *lanesim.Layout
+	kernel *kernelTape // nil when no generated kernel matches the tape
+}
+
+// compiledSched builds the netlist and returns its shared schedule,
+// compiling it on first use. Safe for concurrent simulator construction.
+func (nl *Netlist) compiledSched() (*compiled, error) {
+	if err := nl.Build(); err != nil {
+		return nil, err
+	}
+	nl.compMu.Lock()
+	defer nl.compMu.Unlock()
+	if nl.comp == nil {
+		t := compileTape(nl)
+		lay := layout(nl, t)
+		c := &compiled{tape: t, lay: lay}
+		if k := kernels[tapeFingerprint(t, lay)]; k != nil {
+			c.kernel = &kernelTape{k: k, tape: t}
+		}
+		nl.comp = c
+	}
+	return nl.comp, nil
 }
 
 // compileTape translates a built netlist's evaluation order into a tape.

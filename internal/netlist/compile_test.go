@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -329,40 +330,52 @@ func TestCompiledSetInputBitsLength(t *testing.T) {
 	}
 }
 
-// benchNetlist is a deterministic mid-size netlist for the Eval benchmarks.
-func benchNetlist() *Netlist {
-	return randomNetlist(rand.New(rand.NewSource(42)))
-}
-
-// BenchmarkNetlistEval measures steady-state Step throughput (one Eval plus
-// the clock edge) under scalar (lane-uniform broadcast) and 64-lane mixed
-// stimulus.
-func BenchmarkNetlistEval(b *testing.B) {
-	nl := benchNetlist()
-	for _, lanes := range []string{"scalar", "lanes64"} {
-		b.Run(lanes, func(b *testing.B) {
+// TestSharedCompileConcurrent: simulators of one built netlist, made and
+// stepped on several goroutines at once, share a single compiled schedule
+// and agree with each other; a mutation drops the schedule and the next
+// simulator recompiles.
+func TestSharedCompileConcurrent(t *testing.T) {
+	nl := randomNetlist(rand.New(rand.NewSource(21)))
+	if err := nl.Build(); err != nil {
+		t.Fatal(err)
+	}
+	sims := make([]*Simulator, 8)
+	var wg sync.WaitGroup
+	for i := range sims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			s, err := NewSimulator(nl)
 			if err != nil {
-				b.Fatal(err)
+				t.Error(err)
+				return
 			}
-			r := rand.New(rand.NewSource(7))
-			if lanes == "lanes64" {
-				for lane := 0; lane < 64; lane++ {
-					if err := s.SetInputLane("din", lane, r.Uint64()); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%16 == 0 {
-					if err := s.SetInput("ctl", uint64(i)); err != nil {
-						b.Fatal(err)
-					}
+			for cyc := 0; cyc < 20; cyc++ {
+				if err := s.SetInput("din", uint64(cyc)*0x9E3779B97F4A7C15); err != nil {
+					t.Error(err)
+					return
 				}
 				s.Step()
 			}
-		})
+			sims[i] = s
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, s := range sims[1:] {
+		if s.comp != sims[0].comp {
+			t.Fatalf("simulator %d compiled its own schedule", i+1)
+		}
+		compareSims(t, sims[0], s, fmt.Sprintf("simulator %d", i+1))
+	}
+	nl.AddOutput("extra", []NetID{Const1})
+	s, err := NewSimulator(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.comp == sims[0].comp {
+		t.Fatal("a mutated netlist kept its old schedule")
 	}
 }

@@ -139,3 +139,34 @@ func TestExportRejectsBroken(t *testing.T) {
 		t.Error("BLIF export of broken netlist accepted")
 	}
 }
+
+// Hooks for the external netlist_test package, which builds the shipped
+// cores (their packages import this one).
+
+// NewTapeSimulator is NewSimulator without the generated kernel: it sweeps
+// the compiled tape even when a kernel is bound to it.
+func NewTapeSimulator(nl *Netlist) (*Simulator, error) { return newSimulator(nl, false) }
+
+// NewReferenceSimulator is the test-only reference simulator.
+var NewReferenceSimulator = newReferenceSimulator
+
+// RandomNetlist is the differential fuzz suite's netlist generator.
+var RandomNetlist = randomNetlist
+
+// KernelBound reports whether the simulator sweeps through a generated
+// kernel.
+func (s *Simulator) KernelBound() bool { return s.kernel != nil }
+
+// StateWords returns the simulator's flip-flop lane words.
+func (s *Simulator) StateWords() []uint64 { return s.w.Q }
+
+// AuditKernel runs AuditCompiled and also reports whether a generated
+// kernel is bound to the netlist's tape.
+func AuditKernel(nl *Netlist) ([]string, bool, error) {
+	msgs, err := AuditCompiled(nl)
+	if err != nil {
+		return nil, false, err
+	}
+	c, err := nl.compiledSched()
+	return msgs, err == nil && c.kernel != nil, err
+}

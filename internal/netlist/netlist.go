@@ -5,7 +5,10 @@
 // and simulated cycle-accurately for functional sign-off.
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // NetID identifies a single-bit net. Net 0 is constant zero and net 1 is
 // constant one; both are always present.
@@ -79,6 +82,14 @@ type Netlist struct {
 	fanout  []int     // per-net fanout count (cell input uses)
 	built   bool
 	buildOK error
+
+	// The evaluation schedule every simulator of this build shares,
+	// compiled on the first NewSimulator or audit and dropped by Build
+	// whenever a mutator has cleared built. In-place edits of the
+	// exported cell slices clear nothing, so a schedule compiled before
+	// them does not see them.
+	compMu sync.Mutex
+	comp   *compiled
 }
 
 // CombKind distinguishes combinational element types in evaluation order.
@@ -206,6 +217,9 @@ func (nl *Netlist) Build() error {
 	}
 	nl.built = true
 	nl.buildOK = nl.build()
+	nl.compMu.Lock()
+	nl.comp = nil
+	nl.compMu.Unlock()
 	return nl.buildOK
 }
 

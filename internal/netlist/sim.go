@@ -34,10 +34,10 @@ import (
 // register visibility as RTL simulations.
 type Simulator struct {
 	*lanesim.Machine
-	nl   *Netlist
-	w    *lanesim.Words
-	lay  *lanesim.Layout
-	tape *tape // nil on the test-only reference simulator
+	nl     *Netlist
+	w      *lanesim.Words
+	comp   *compiled   // nil on the test-only reference simulator
+	kernel *kernelTape // the generated kernel this simulator sweeps through, nil: the tape
 
 	// Fault-injection state (see ScheduleFlip / StickFF / StickROMBit).
 	flips     map[int][]laneFlip // pending transient upsets, keyed by target cycle
@@ -65,7 +65,10 @@ type laneFlip struct {
 // compiled instruction tape: combinational logic runs as an ungated linear
 // sweep over fused word ops and fixed-arity LUT kernels, skipped whole when
 // no presented state, stimulus or ROM read data moved since the previous
-// evaluation.
+// evaluation. When a generated straight-line kernel's fingerprint matches
+// the tape (kernel.go), the sweep runs through the kernel instead. The
+// tape, layout and kernel lookup are compiled once per built netlist and
+// shared by all its simulators.
 func NewSimulator(nl *Netlist) (*Simulator, error) { return newSimulator(nl, true) }
 
 // NewCompiledSimulator is NewSimulator.
@@ -78,21 +81,32 @@ func NewCompiledSimulator(nl *Netlist) (*Simulator, error) { return NewSimulator
 // reference the tape is fuzzed against, observationally identical to
 // NewSimulator: same net values, sequential state, cycle counts, fault
 // semantics and EDAC read statistics.
-func newReferenceSimulator(nl *Netlist) (*Simulator, error) { return newSimulator(nl, false) }
-
-func newSimulator(nl *Netlist, compiled bool) (*Simulator, error) {
-	if err := nl.Build(); err != nil {
+// Only its ports, ROM declarations and latch come from the shared layout.
+func newReferenceSimulator(nl *Netlist) (*Simulator, error) {
+	c, err := nl.compiledSched()
+	if err != nil {
 		return nil, err
 	}
 	s := &Simulator{nl: nl}
-	if compiled {
-		s.tape = compileTape(nl)
-		s.lay = layout(nl, s.tape)
-		s.Machine, s.w = lanesim.New(s.lay, s.tape)
-	} else {
-		s.lay = layout(nl, nil)
-		s.Machine, s.w = lanesim.NewReference(s.lay, s.evalReference)
+	s.Machine, s.w = lanesim.NewReference(c.lay, s.evalReference)
+	s.w.Vals[Const1] = ^uint64(0)
+	return s, nil
+}
+
+// newSimulator returns a simulator sweeping the netlist's shared tape,
+// through its generated kernel when one is bound and useKernel is set.
+func newSimulator(nl *Netlist, useKernel bool) (*Simulator, error) {
+	c, err := nl.compiledSched()
+	if err != nil {
+		return nil, err
 	}
+	s := &Simulator{nl: nl, comp: c}
+	var sweep lanesim.Tape = c.tape
+	if useKernel && c.kernel != nil {
+		s.kernel = c.kernel
+		sweep = c.kernel
+	}
+	s.Machine, s.w = lanesim.New(c.lay, sweep)
 	s.w.Vals[Const1] = ^uint64(0)
 	return s, nil
 }
@@ -166,12 +180,10 @@ func layout(nl *Netlist, t *tape) *lanesim.Layout {
 			lr.Out[bit] = int32(r.Out[bit])
 		}
 	}
-	if t != nil {
-		lay.End = len(t.instrs)
-		for at := range t.instrs {
-			if ins := &t.instrs[at]; ins.op == opROM {
-				lay.Segs = append(lay.Segs, lanesim.Seg{ROM: int(ins.tbl), Stop: at, Resume: at + 1})
-			}
+	lay.End = len(t.instrs)
+	for at := range t.instrs {
+		if ins := &t.instrs[at]; ins.op == opROM {
+			lay.Segs = append(lay.Segs, lanesim.Seg{ROM: int(ins.tbl), Stop: at, Resume: at + 1})
 		}
 	}
 	return lay
