@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"rijndaelip/internal/logic"
 )
@@ -203,6 +204,8 @@ type ROM struct {
 	status [Words]Status
 	faulty int
 
+	token atomic.Uint64 // see Token; written under mu
+
 	corrected     uint64
 	uncorrectable uint64
 }
@@ -226,9 +229,13 @@ func (r *ROM) effective(w int) uint16 {
 	return r.code[w]&^r.stuckKnown[w] | r.stuckVal[w]&r.stuckKnown[w]
 }
 
-// refresh re-decodes one word into the read view. Callers hold mu.
+// refresh re-decodes one word into the read view, moving the token when
+// the word's data or status changes. Callers hold mu.
 func (r *ROM) refresh(w int) {
 	d, st := Decode(r.effective(w))
+	if d == r.data[w] && st == r.status[w] {
+		return
+	}
 	if (r.status[w] == Clean) != (st == Clean) {
 		if st == Clean {
 			r.faulty--
@@ -238,7 +245,27 @@ func (r *ROM) refresh(w int) {
 	}
 	r.data[w] = d
 	r.status[w] = st
+	r.moved()
 }
+
+// moved publishes a new token after the read view changed. Callers hold
+// mu.
+func (r *ROM) moved() {
+	tok := r.token.Load()&^1 + 2
+	if r.faulty > 0 {
+		tok |= 1
+	}
+	r.token.Store(tok)
+}
+
+// Token returns the store's read-view token. It changes whenever any
+// word's decoded data or status changes, and its low bit is set while any
+// word is faulty. Reading it takes no lock: two equal, clean tokens mean
+// a Gather at either instant returns the same data for the same addresses
+// and counts nothing, so a reader that presented the first Gather's data
+// may skip the second. Reads, gathers and scrubs that find nothing to
+// repair leave it unchanged.
+func (r *ROM) Token() uint64 { return r.token.Load() }
 
 // Gather performs the lane-parallel ROM read through the code: every lane
 // reads the post-correction data, and per-lane correction/uncorrectable
@@ -353,14 +380,19 @@ func (r *ROM) checkWordBit(word, bit int) {
 func (r *ROM) ClearFaults() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	moved := false
 	for w := 0; w < Words; w++ {
 		r.code[w] = Encode(r.golden[w])
 		r.stuckKnown[w] = 0
 		r.stuckVal[w] = 0
+		moved = moved || r.data[w] != r.golden[w] || r.status[w] != Clean
 		r.data[w] = r.golden[w]
 		r.status[w] = Clean
 	}
 	r.faulty = 0
+	if moved {
+		r.moved()
+	}
 }
 
 // FaultyWords reports how many words currently decode non-Clean.

@@ -168,3 +168,98 @@ func TestClearFaultsRestoresGolden(t *testing.T) {
 }
 
 func ptr(a [8]uint64) *[8]uint64 { return &a }
+
+// TestTokenMoves lists which operations move a store's read-view token: an
+// operation moves it exactly when some word's decoded data or status
+// changes, whether or not the store ends clean, and the low bit follows
+// FaultyWords. Reads, gathers, a scrub with nothing to repair, a scrub of
+// a hard fault and a stuck-at that agrees with the stored bit leave the
+// view, and so the token, unchanged.
+func TestTokenMoves(t *testing.T) {
+	alias := Encode(1) // a data bit's codeword: four bits, another valid word
+	cases := []struct {
+		name  string
+		setup func(r *ROM) // brings the store to the state under test
+		op    func(r *ROM)
+		moves bool
+	}{
+		{"Read", nil, func(r *ROM) { r.Read(5) }, false},
+		{"Gather", nil, func(r *ROM) { a := laneAddr(5); r.Gather(&a) }, false},
+		{"Gather on a faulty store", func(r *ROM) { r.FlipBit(5, 3) }, func(r *ROM) { a := laneAddr(5); r.Gather(&a) }, false},
+		{"clean Scrub", nil, func(r *ROM) { r.Scrub(5) }, false},
+		{"hard Scrub", func(r *ROM) { r.StickBit(5, 3, !r.CodewordBit(5, 3)) }, func(r *ROM) { r.Scrub(5) }, false},
+		{"benign StickBit", nil, func(r *ROM) { r.StickBit(5, 3, r.CodewordBit(5, 3)) }, false},
+		{"ClearFaults on a clean store", nil, func(r *ROM) { r.ClearFaults() }, false},
+		{"FlipBit", nil, func(r *ROM) { r.FlipBit(5, 3) }, true},
+		{"StickBit", nil, func(r *ROM) { r.StickBit(5, 3, !r.CodewordBit(5, 3)) }, true},
+		{"Scrub repair", func(r *ROM) { r.FlipBit(5, 3) }, func(r *ROM) { r.Scrub(5) }, true},
+		{"ClearFaults", func(r *ROM) { r.FlipBit(5, 3) }, func(r *ROM) { r.ClearFaults() }, true},
+		{"clean alias", nil, func(r *ROM) {
+			for bit := 0; bit < CodeBits; bit++ {
+				if alias>>uint(bit)&1 != 0 {
+					r.FlipBit(5, bit)
+				}
+			}
+		}, true},
+	}
+	for _, c := range cases {
+		r := New("sbox", identityContents())
+		if c.setup != nil {
+			c.setup(r)
+		}
+		before := r.Token()
+		c.op(r)
+		after := r.Token()
+		if moved := after != before; moved != c.moves {
+			t.Errorf("%s: token %#x -> %#x, moved %v, want %v", c.name, before, after, moved, c.moves)
+		}
+		if faulty := r.FaultyWords() > 0; (after&1 != 0) != faulty {
+			t.Errorf("%s: token %#x with %d faulty words: low bit must be set exactly while a word is faulty", c.name, after, r.FaultyWords())
+		}
+	}
+	r := New("sbox", identityContents())
+	for bit := 0; bit < CodeBits; bit++ {
+		if alias>>uint(bit)&1 != 0 {
+			r.FlipBit(5, bit)
+		}
+	}
+	if d, st := r.Read(5); st != Clean || d != gold(5)^1 {
+		t.Fatalf("clean alias reads %#02x, %v; want %#02x, clean", d, st, gold(5)^1)
+	}
+}
+
+// TestTokenConcurrentScrub reads the token and gathers on one goroutine
+// while another damages and scrubs the store, as a simulator does beside
+// its background scrubber. Run under -race. The token never goes back,
+// and once both are done it shows every move: each flip of a clean word
+// and each scrub repair moves it once.
+func TestTokenConcurrentScrub(t *testing.T) {
+	r := New("sbox", identityContents())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			w := i % Words
+			r.FlipBit(w, i%CodeBits)
+			r.Scrub(w)
+		}
+	}()
+	addr := laneAddr(7)
+	prev := r.Token()
+	for {
+		select {
+		case <-done:
+			if tok := r.Token(); tok != 2*2*500 || r.FaultyWords() != 0 {
+				t.Fatalf("after 500 flips and repairs: token %d, want %d; %d faulty words", tok, 2*2*500, r.FaultyWords())
+			}
+			return
+		default:
+		}
+		tok := r.Token()
+		if tok < prev {
+			t.Fatalf("token went back from %#x to %#x", prev, tok)
+		}
+		prev = tok
+		r.Gather(&addr)
+	}
+}

@@ -10,9 +10,9 @@ import (
 // replica of the same design, stepped cycle-for-cycle with identical
 // inputs — the narrowbus coupler idiom turned into a self-checking safety
 // mechanism (dual modular redundancy). After every Eval and Step the
-// watched observable ports of the two replicas are compared lane by lane,
-// accumulating a mask of diverged lanes and the cycle each lane first
-// diverged. The per-lane evidence matters: a supervised engine packing
+// observable ports data_ok and dout of the two replicas are compared lane
+// by lane, accumulating a mask of diverged lanes and the cycle each lane
+// first diverged. The per-lane evidence matters: a supervised engine packing
 // independent blocks onto the lanes needs to know *which* jobs rode
 // corrupted state, a fault campaign needs to know *when* each trial's
 // upset became visible, and a fault that strikes lane L must never be
@@ -27,10 +27,6 @@ type VectorLockstep struct {
 	Primary bfm.Sim
 	Shadow  bfm.Sim
 
-	// Watch lists the output ports compared each cycle. Defaults to the
-	// Table 1 observables: data_ok and dout.
-	Watch []string
-
 	cycle int
 	mask  uint64
 	first [bfm.Lanes]int
@@ -39,15 +35,11 @@ type VectorLockstep struct {
 // NewVectorLockstep pairs a primary lane-parallel simulation with its
 // fault-free shadow replica.
 func NewVectorLockstep(primary, shadow bfm.Sim) *VectorLockstep {
-	return &VectorLockstep{
-		Primary: primary,
-		Shadow:  shadow,
-		Watch:   []string{"data_ok", "dout"},
-	}
+	return &VectorLockstep{Primary: primary, Shadow: shadow}
 }
 
-// MismatchMask returns the accumulated mask of lanes on which any watched
-// port has ever diverged since the last Reset (or ClearMismatch).
+// MismatchMask returns the accumulated mask of lanes on which data_ok or
+// dout has ever diverged since the last Reset (or ClearMismatch).
 func (l *VectorLockstep) MismatchMask() uint64 { return l.mask }
 
 // FirstMismatch reports whether lane has diverged since the comparator
@@ -64,23 +56,29 @@ func (l *VectorLockstep) ClearMismatch() {
 	l.cycle = 0
 }
 
-// compare accumulates the diverged-lane mask over the watched ports.
+// compare accumulates the diverged-lane mask over the Table 1
+// observables, data_ok and dout.
 func (l *VectorLockstep) compare() {
-	for _, port := range l.Watch {
-		pw, err1 := l.Primary.OutputWords(port)
-		sw, err2 := l.Shadow.OutputWords(port)
-		if err1 != nil || err2 != nil {
-			continue
-		}
-		var d uint64
-		for i := range pw {
-			d |= pw[i] ^ sw[i]
-		}
-		for fresh := d &^ l.mask; fresh != 0; fresh &= fresh - 1 {
-			l.first[bits.TrailingZeros64(fresh)] = l.cycle
-		}
-		l.mask |= d
+	d := l.diverged("data_ok") | l.diverged("dout")
+	for fresh := d &^ l.mask; fresh != 0; fresh &= fresh - 1 {
+		l.first[bits.TrailingZeros64(fresh)] = l.cycle
 	}
+	l.mask |= d
+}
+
+// diverged returns the lanes on which port differs between the replicas;
+// a port either replica lacks compares equal.
+func (l *VectorLockstep) diverged(port string) uint64 {
+	pw, err1 := l.Primary.OutputWords(port)
+	sw, err2 := l.Shadow.OutputWords(port)
+	if err1 != nil || err2 != nil {
+		return 0
+	}
+	var d uint64
+	for i := range pw {
+		d |= pw[i] ^ sw[i]
+	}
+	return d
 }
 
 // Reset resets both replicas and clears the comparator.

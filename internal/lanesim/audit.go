@@ -6,9 +6,12 @@ import "fmt"
 // tape it schedules:
 //
 //   - the latch groups tile the state words in order;
-//   - the gather plan has exactly one segment per asynchronous ROM (the
-//     EDAC correction-counter contract: one Gather per async ROM per
-//     Eval) and none for a synchronous one;
+//   - the gather plan has exactly one segment per asynchronous ROM and
+//     none for a synchronous one. That is the EDAC correction-counter
+//     contract: a faulty store is gathered exactly once per Eval, so
+//     every counted read runs; a clean store may be skipped on a
+//     quiescent pass only because its gather would count nothing and
+//     return the data already presented (Machine.Eval);
 //   - segment positions never run backwards: each Stop is at or after the
 //     previous Resume, each Resume at or after its Stop, all within End,
 //     so a pass visits every tape position at most once.

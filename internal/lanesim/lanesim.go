@@ -3,11 +3,12 @@
 // registers, where stimulus and sequential state are presented, its latch
 // groups, its ROM macros and the gather plan of its compiled tape — and
 // embeds the Machine built from it. The Machine owns everything around the
-// tape: the lane words, write-tracked stimulus, compare-on-present state
-// presentation, the per-simulator EDAC ROM stores, the segmented Eval, the
-// latching Step, Reset and the cycle counter. What differs between the two
-// simulators stays with them: a Tape that sweeps a range, an independent
-// reference evaluator, and their literal or net accessors.
+// tape: the lane words, write-tracked stimulus and state, the
+// per-simulator EDAC ROM stores and the token check that skips their
+// clean, unchanged gathers, the segmented Eval, the latching Step, Reset
+// and the cycle counter. What differs between the two simulators stays
+// with them: a Tape that sweeps a range, an independent reference
+// evaluator, and their literal or net accessors.
 //
 // Lane/word data layout (see internal/logic/lanes.go): every simulated
 // value is a uint64 lane word whose bit L is the value seen by independent
@@ -90,8 +91,10 @@ type Seg struct {
 }
 
 // Words is a machine's mutable lane-word state. New hands it to the
-// simulator embedding the machine, for its reference evaluator, fault
-// injection and literal accessors.
+// simulator embedding the machine, for its reference evaluator, literal
+// accessors and reads of the state. Q and ROMQ are write-tracked: outside
+// this package they are written only through Machine.WriteState, so that
+// every write sets Dirty.
 type Words struct {
 	Src  []uint64    // presented stimulus and state (Vals itself when Layout.NumSrc is 0)
 	Vals []uint64    // evaluated values from the last Eval
@@ -100,9 +103,10 @@ type Words struct {
 	// Cycle counts Steps since construction or Reset.
 	Cycle int
 	// Dirty records that Vals may not be the tape's result: a stimulus
-	// write moved a word since the last Eval, or the machine was just
-	// built, Reset or had its state restored. With it clear and no
-	// presented state moving, Eval skips the sweep.
+	// write, a latch or a WriteState moved a word since the last Eval, or
+	// the machine was just built or Reset. With it set, Eval presents
+	// every state word and sweeps; with it clear, Eval skips the sweep
+	// unless a ROM's read data moved.
 	Dirty bool
 }
 
@@ -113,8 +117,15 @@ type Machine struct {
 	tape Tape   // nil on a reference machine
 	ref  func() // reference evaluator, nil on a tape machine
 	roms []*edac.ROM
+	// toks holds, per ROM, the store token read just before the Gather
+	// whose data is presented on the source array (noToken: none).
+	toks []uint64
 	w    Words
 }
+
+// noToken is an odd gather record: a store token is even while the store
+// is clean, so it never matches one and the next Eval gathers.
+const noToken = 1
 
 // New returns a machine that evaluates through tape, with state at its
 // power-up values.
@@ -127,7 +138,7 @@ func New(lay *Layout, tape Tape) (*Machine, *Words) { return newMachine(lay, tap
 func NewReference(lay *Layout, eval func()) (*Machine, *Words) { return newMachine(lay, nil, eval) }
 
 func newMachine(lay *Layout, tape Tape, ref func()) (*Machine, *Words) {
-	m := &Machine{lay: lay, tape: tape, ref: ref, roms: make([]*edac.ROM, len(lay.ROMs))}
+	m := &Machine{lay: lay, tape: tape, ref: ref, roms: make([]*edac.ROM, len(lay.ROMs)), toks: make([]uint64, len(lay.ROMs))}
 	m.w.Vals = make([]uint64, lay.NumVals)
 	m.w.Src = m.w.Vals
 	if lay.NumSrc > 0 {
@@ -152,7 +163,7 @@ func (m *Machine) Reset() {
 	}
 	clear(m.w.ROMQ)
 	m.w.Cycle = 0
-	m.w.Dirty = true
+	m.stateWritten()
 }
 
 // Cycle returns the number of Steps since construction or the last Reset.
@@ -169,21 +180,26 @@ func (m *Machine) ROMStores() []*edac.ROM { return m.roms }
 // logic on all lanes, resolving asynchronous ROM reads per lane. It does
 // not advance the clock.
 //
-// On the tape, state presentation compares each presented word with the
-// one the previous sweep ran on; a mismatch or a pending Dirty makes the
-// pass dirty. A dirty pass is one ungated sweep in segments: up to each
-// asynchronous ROM's Stop, one EDAC Gather of that ROM (its address cone
-// is resolved by then), its read data presented, and on from Resume; the
-// empty range between two consecutive ROMs is not swept at all. A
-// quiescent pass skips the sweep — Vals already hold its result, which is
-// what the driver's Eval-then-Step pattern hits every cycle — but still
-// performs every asynchronous ROM's Gather, so EDAC correction counters
-// match the reference's one Gather per async ROM per Eval. If a gather
-// returns moved data on a quiescent pass (the store was damaged or
-// scrubbed since the last Eval), the sweep resumes right after that ROM:
-// the skipped prefix provably held still. Fault injection therefore needs
-// no special casing: a struck state word or ROM word changes a presented
-// lane word, which makes the pass dirty.
+// On the tape, a pass is dirty when Dirty is set: a stimulus word or a
+// state word moved, or the machine was just built or Reset. A dirty pass
+// presents every state word and synchronous ROM register on the source
+// array, then sweeps in segments: up to each asynchronous ROM's Stop, one
+// EDAC Gather of that ROM (its address cone is resolved by then), its
+// read data presented, and on from Resume; the empty range between two
+// consecutive ROMs is not swept at all. A quiescent pass skips the sweep:
+// Vals already hold its result, which is what the driver's Eval-then-Step
+// pattern hits every cycle. It also skips an asynchronous ROM whose store
+// token (edac.ROM.Token) is clean and equal to the one read before the
+// Gather whose data is presented: the address and the decoded view are
+// both unchanged, so the Gather would return the presented data and
+// count nothing. A faulty store is gathered on every pass, quiescent or
+// not, so its EDAC correction counters match the reference's one Gather
+// per async ROM per Eval. If a gather returns moved data on a quiescent
+// pass (the store was damaged or scrubbed since the last Eval), the sweep
+// resumes right after that ROM: the skipped prefix provably held still.
+// Fault injection therefore needs no special casing: a struck state word
+// is written through WriteState, which sets Dirty, and a struck ROM word
+// moves its store's token.
 func (m *Machine) Eval() {
 	if m.ref != nil {
 		m.ref()
@@ -193,18 +209,14 @@ func (m *Machine) Eval() {
 	src := w.Src
 	dirty := w.Dirty
 	w.Dirty = false
-	for i, at := range lay.Present {
-		if q := w.Q[i]; src[at] != q {
-			src[at] = q
-			dirty = true
+	if dirty {
+		for i, at := range lay.Present {
+			src[at] = w.Q[i]
 		}
-	}
-	for i := range lay.ROMs {
-		if r := &lay.ROMs[i]; r.Sync {
-			for bit, at := range r.Out {
-				if q := w.ROMQ[i][bit]; src[at] != q {
-					src[at] = q
-					dirty = true
+		for i := range lay.ROMs {
+			if r := &lay.ROMs[i]; r.Sync {
+				for bit, at := range r.Out {
+					src[at] = w.ROMQ[i][bit]
 				}
 			}
 		}
@@ -215,6 +227,11 @@ func (m *Machine) Eval() {
 			m.tape.EvalRange(pos, seg.Stop, src, w.Vals)
 		}
 		pos = seg.Resume
+		tok := m.roms[seg.ROM].Token()
+		if !dirty && tok&1 == 0 && tok == m.toks[seg.ROM] {
+			continue
+		}
+		m.toks[seg.ROM] = tok
 		data := m.gather(seg.ROM)
 		for bit, at := range lay.ROMs[seg.ROM].Out {
 			if src[at] != data[bit] {
@@ -240,25 +257,56 @@ func (m *Machine) gather(i int) [8]uint64 {
 // Step runs one clock cycle: Eval, then latch the state words and the
 // synchronous ROM output registers. Both latch per lane: a state word's
 // lane L loads only when its group's enable is high on lane L, and a
-// group whose enable is low on every lane is skipped.
+// group whose enable is low on every lane is skipped. A latch that moves
+// any word sets Dirty; one that loads what was already held leaves the
+// next Eval quiescent.
 func (m *Machine) Step() {
 	m.Eval()
 	lay, w := m.lay, &m.w
+	var moved uint64
 	for _, g := range lay.Groups {
 		en := g.En.word(w.Vals)
 		if en == 0 {
 			continue
 		}
 		for i := g.Lo; i < g.Hi; i++ {
-			w.Q[i] = w.Q[i]&^en | lay.Next[i].word(w.Vals)&en
+			q := w.Q[i]&^en | lay.Next[i].word(w.Vals)&en
+			moved |= q ^ w.Q[i]
+			w.Q[i] = q
 		}
+	}
+	if moved != 0 {
+		w.Dirty = true
 	}
 	for i := range lay.ROMs {
 		if lay.ROMs[i].Sync {
-			w.ROMQ[i] = m.gather(i)
+			if data := m.gather(i); data != w.ROMQ[i] {
+				w.ROMQ[i] = data
+				w.Dirty = true
+			}
 		}
 	}
 	w.Cycle++
+}
+
+// WriteState hands the state words and the synchronous ROM output
+// registers to write, for a change made outside the clock: a fault
+// strike, a stuck-at being forced, a state restore. It then sets Dirty
+// and drops the per-ROM gather records, so the next Eval presents all
+// state and gathers every ROM. It is the only way to write either array
+// from outside this package (the lanesim-state-write lint rule).
+func (m *Machine) WriteState(write func(q []uint64, romq [][8]uint64)) {
+	write(m.w.Q, m.w.ROMQ)
+	m.stateWritten()
+}
+
+// stateWritten marks Vals stale and forgets which store views the
+// presented ROM data came from.
+func (m *Machine) stateWritten() {
+	m.w.Dirty = true
+	for i := range m.toks {
+		m.toks[i] = noToken
+	}
 }
 
 // SetInput drives an input port with the little-endian bits of value,

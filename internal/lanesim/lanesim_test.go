@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"rijndaelip/internal/edac"
 )
 
 // recTape records the ranges a machine sweeps; it computes nothing, so the
@@ -51,7 +53,7 @@ func toyLayout() *Layout {
 // dirty pass sweeps around the ROM, a quiescent pass sweeps nothing, a
 // rewrite of an unchanged input stays quiescent, and moved ROM read data
 // on a quiescent pass resumes the sweep right after the ROM. Every pass
-// gathers the ROM exactly once.
+// over the faulty store gathers it exactly once.
 func TestMachineSweepsSkipsAndResumes(t *testing.T) {
 	lay := toyLayout()
 	if msgs := lay.Audit(); len(msgs) != 0 {
@@ -115,6 +117,70 @@ func TestMachineSweepsSkipsAndResumes(t *testing.T) {
 	if got, _ := m.RegValue("r"); got[0] != 1 || m.Cycle() != 0 || !w.Dirty {
 		t.Fatalf("after Reset: r = %v, cycle %d, dirty %v", got, m.Cycle(), w.Dirty)
 	}
+}
+
+// TestMachineWriteTracksStateAndSkipsCleanGathers pins the two halves of
+// a free quiescent Eval. A clean store whose token has not moved is
+// neither gathered nor re-presented: a presented ROM word scribbled over
+// stays scribbled. A latch that loads what the register already holds
+// leaves the next Eval quiescent; one that moves it, or a WriteState,
+// makes it dirty and presents the new state. A clean alias moves the read
+// data without faulting the store, and its token alone makes the next
+// quiescent Eval gather and resume after the ROM.
+func TestMachineWriteTracksStateAndSkipsCleanGathers(t *testing.T) {
+	lay := toyLayout()
+	tape := &recTape{}
+	m, w := New(lay, tape)
+	rom := m.ROMStores()[0]
+	eval := func(what string, want ...[2]int) {
+		t.Helper()
+		tape.ranges = nil
+		m.Eval()
+		if !slices.Equal(tape.ranges, want) {
+			t.Fatalf("%s: swept %v, want %v", what, tape.ranges, want)
+		}
+	}
+	full := [][2]int{{0, 4}, {5, 8}}
+
+	eval("construction", full...)
+	w.Vals[10] ^= 1 // the presented ROM data bit 0, on lane 0
+	eval("quiescent over a clean store")
+	if w.Vals[10]&1 == uint64(lay.ROMs[0].Contents[0])&1 {
+		t.Fatal("a quiescent Eval re-presented a clean store's unchanged data")
+	}
+	w.Vals[10] ^= 1
+
+	m.Step() // r holds 1 and loads q[0] = Contents[0]&1 = 1: nothing moves
+	if w.Dirty {
+		t.Fatal("a latch that moved no word set Dirty")
+	}
+	eval("after a still latch")
+
+	m.WriteState(func(q []uint64, _ [][8]uint64) { q[0] = 0 })
+	eval("after WriteState", full...)
+	if w.Src[18] != 0 {
+		t.Fatalf("WriteState's word not presented: %#x", w.Src[18])
+	}
+	m.Step() // r loads 1 again: the latch moved it
+	if !w.Dirty {
+		t.Fatal("a latch that moved a word left Dirty clear")
+	}
+	eval("after a moving latch", full...)
+
+	alias := edac.Encode(1)
+	for bit := 0; bit < edac.CodeBits; bit++ {
+		if alias>>uint(bit)&1 != 0 {
+			rom.FlipBit(0, bit)
+		}
+	}
+	if rom.FaultyWords() != 0 {
+		t.Fatal("the alias faulted the store")
+	}
+	eval("after a clean alias", [2]int{5, 8})
+	if v, err := m.Output("q"); err != nil || v != uint64(lay.ROMs[0].Contents[0]^1) {
+		t.Fatalf("q = %#x, %v after a clean alias; want %#x", v, err, lay.ROMs[0].Contents[0]^1)
+	}
+	eval("quiescent after the alias")
 }
 
 // TestMachineSkipsEmptyRanges: consecutive ROMs, and a ROM at the end of

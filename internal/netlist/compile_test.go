@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"rijndaelip/internal/edac"
 )
 
 // randomNetlist builds a random but valid netlist: LUT layers over primary
@@ -220,18 +222,21 @@ func TestCompiledDifferentialFuzz(t *testing.T) {
 
 // TestCompiledQuiescentFuzz drives the paths the edit-every-cycle fuzz above
 // never reaches: cycles with no stimulus edit, the lockstep's Step, Eval,
-// Eval pattern (the later Evals skip the sweep), and ROM damage, repair or
-// scrubs landing between two Evals with unchanged inputs, where a quiescent
-// pass must resume right after the ROM whose read data moved. Reference and
-// compiled simulators are compared after every Eval and Step. The test also
-// requires that ROM activity moved net values on a quiescent Eval at least
-// once, so the resume path is not exercised vacuously.
+// Eval pattern (the later Evals skip the sweep and the clean gathers), and
+// ROM damage, repair, scrubs or a clean alias landing between two Evals
+// with unchanged inputs, where a quiescent pass must resume right after the
+// ROM whose read data moved. The alias leaves the store clean, so only its
+// token shows the move. A flip-flop strike between two quiescent Evals must
+// make the next one present state. Reference and compiled simulators are
+// compared after every Eval and Step. The test also requires that ROM
+// activity moved net values on a quiescent Eval at least once and that a
+// clean alias ran, so the resume path is not exercised vacuously.
 func TestCompiledQuiescentFuzz(t *testing.T) {
 	rounds, cycles := 10, 120
 	if testing.Short() {
 		rounds, cycles = 3, 40
 	}
-	moved := 0
+	moved, aliases := 0, 0
 	for round := 0; round < rounds; round++ {
 		r := rand.New(rand.NewSource(0x5EED + int64(round)))
 		nl := randomNetlist(r)
@@ -272,7 +277,7 @@ func TestCompiledQuiescentFuzz(t *testing.T) {
 				word |= int(ref.NetWord(a)>>uint(lane)&1) << uint(b)
 			}
 			touched := true
-			switch r.Intn(5) {
+			switch r.Intn(6) {
 			case 0: // two flips: uncorrectable, read data may move
 				b1, b2 := r.Intn(13), r.Intn(13)
 				both(func(s *Simulator) {
@@ -286,6 +291,24 @@ func TestCompiledQuiescentFuzz(t *testing.T) {
 				both(func(s *Simulator) { s.ROMStore(rom).Scrub(word) })
 			case 3:
 				both(func(s *Simulator) { s.ClearFaults() })
+			case 4:
+				// A clean alias: on a clean store, flipping the four
+				// codeword bits of one data bit's codeword turns the word
+				// into another valid codeword. The store stays clean but
+				// the read data moves.
+				alias := edac.Encode(1 << uint(r.Intn(edac.DataBits)))
+				both(func(s *Simulator) {
+					s.ROMStore(rom).ClearFaults()
+					for bit := 0; bit < edac.CodeBits; bit++ {
+						if alias>>uint(bit)&1 != 0 {
+							s.FlipROMBit(rom, word, bit)
+						}
+					}
+					if n := s.ROMStore(rom).FaultyWords(); n != 0 {
+						t.Fatalf("clean alias left %d faulty words", n)
+					}
+				})
+				aliases++
 			default:
 				touched = false
 			}
@@ -295,12 +318,19 @@ func TestCompiledQuiescentFuzz(t *testing.T) {
 				moved++
 			}
 			eval(cyc, "third Eval")
+
+			// A flip-flop strike between two quiescent Evals.
+			if r.Intn(3) == 0 {
+				ff, lanes := r.Intn(ref.NumFFs()), r.Uint64()|1
+				both(func(s *Simulator) { s.FlipFFLanes(ff, lanes) })
+				eval(cyc, "Eval after an FF strike")
+			}
 		}
 	}
-	if moved == 0 {
-		t.Fatal("ROM activity never moved net values on a quiescent Eval")
+	if moved == 0 || aliases == 0 {
+		t.Fatalf("ROM activity moved net values on %d quiescent Evals, %d clean aliases: the resume path ran vacuously", moved, aliases)
 	}
-	t.Logf("%d quiescent Evals saw ROM read data move", moved)
+	t.Logf("%d quiescent Evals saw ROM read data move; %d clean aliases ran", moved, aliases)
 }
 
 // TestCompiledSetInputBitsLength locks in the exact-length contract on the

@@ -22,8 +22,8 @@ import (
 // fingerprint of the netlist's tape and layout, so every other netlist
 // (other variants and ROM styles, hardened copies, random fuzz designs)
 // keeps the tape, the single general evaluator. The lane machine around
-// the sweep is unchanged: the quiescent skip, the one EDAC gather per
-// async ROM per Eval and resume-at-ROM stay in lanesim.Machine.
+// the sweep is unchanged: the quiescent skip, the EDAC gathers and
+// resume-at-ROM stay in lanesim.Machine.
 //
 // The chain that makes a kernel trustworthy: the static audit proves the
 // tape faithful to the netlist; the audit also checks that a bound

@@ -333,7 +333,7 @@ func (s *Simulator) FlipFFLanes(i int, lanes uint64) {
 	if lanes == 0 {
 		return
 	}
-	s.w.Q[i] ^= lanes
+	s.WriteState(func(q []uint64, _ [][8]uint64) { q[i] ^= lanes })
 	s.injected++
 }
 
@@ -464,11 +464,12 @@ func (s *Simulator) CopyStateFrom(o *Simulator) error {
 		return fmt.Errorf("netlist: CopyStateFrom across different netlists (%d/%d FFs, %d/%d ROMs)",
 			len(s.w.Q), len(o.w.Q), len(s.w.ROMQ), len(o.w.ROMQ))
 	}
-	copy(s.w.Q, o.w.Q)
-	copy(s.w.ROMQ, o.w.ROMQ)
+	s.WriteState(func(q []uint64, romq [][8]uint64) {
+		copy(q, o.w.Q)
+		copy(romq, o.w.ROMQ)
+	})
 	copy(s.w.Vals, o.w.Vals)
 	s.w.Cycle = o.w.Cycle
-	s.w.Dirty = true
 	s.flips = nil
 	s.applyStuck()
 	return nil
@@ -501,7 +502,7 @@ func (s *Simulator) applyStuck() {
 // that overrides the latched value.
 func (s *Simulator) force(i int, v bool) {
 	if want := logic.Word(v); s.w.Q[i] != want {
-		s.w.Q[i] = want
+		s.WriteState(func(q []uint64, _ [][8]uint64) { q[i] = want })
 		s.injected++
 	}
 }

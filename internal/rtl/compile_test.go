@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"rijndaelip/internal/edac"
 	"rijndaelip/internal/logic"
 )
 
@@ -253,18 +254,20 @@ func TestCompiledSetInputBitsLength(t *testing.T) {
 
 // TestRTLCompiledQuiescentFuzz drives the paths the edit-every-cycle fuzz
 // above never reaches: cycles with no stimulus edit, the Step, Eval, Eval
-// pattern (the later Evals skip the sweep), and ROM damage, repair or
-// scrubs landing between two Evals with unchanged inputs, where a quiescent
-// pass must resume right after the ROM whose read data moved. Reference and
-// compiled simulators are compared after every Eval and Step. The test also
-// requires that ROM activity moved node values on a quiescent Eval at least
-// once, so the resume path is not exercised vacuously.
+// pattern (the later Evals skip the sweep and the clean gathers), and ROM
+// damage, repair, scrubs or a clean alias landing between two Evals with
+// unchanged inputs, where a quiescent pass must resume right after the ROM
+// whose read data moved. The alias leaves the store clean, so only its
+// token shows the move. Reference and compiled simulators are compared
+// after every Eval and Step. The test also requires that ROM activity
+// moved node values on a quiescent Eval at least once and that a clean
+// alias ran, so the resume path is not exercised vacuously.
 func TestRTLCompiledQuiescentFuzz(t *testing.T) {
 	rounds, cycles := 8, 120
 	if testing.Short() {
 		rounds, cycles = 3, 40
 	}
-	moved := 0
+	moved, aliases := 0, 0
 	for round := 0; round < rounds; round++ {
 		r := rand.New(rand.NewSource(0x0DE5 + int64(round)))
 		d := randomDesign(t, r)
@@ -300,7 +303,7 @@ func TestRTLCompiledQuiescentFuzz(t *testing.T) {
 				word |= int(ref.LitWord(l)>>uint(lane)&1) << uint(b)
 			}
 			touched := true
-			switch r.Intn(5) {
+			switch r.Intn(6) {
 			case 0: // two flips: uncorrectable, read data may move
 				b1, b2 := r.Intn(13), r.Intn(13)
 				both(func(s *Simulator) {
@@ -318,6 +321,25 @@ func TestRTLCompiledQuiescentFuzz(t *testing.T) {
 						st.ClearFaults()
 					}
 				})
+			case 4:
+				// A clean alias: on a clean store, flipping the four
+				// codeword bits of one data bit's codeword turns the word
+				// into another valid codeword. The store stays clean but
+				// the read data moves.
+				alias := edac.Encode(1 << uint(r.Intn(edac.DataBits)))
+				both(func(s *Simulator) {
+					st := s.ROMStores()[rom]
+					st.ClearFaults()
+					for bit := 0; bit < edac.CodeBits; bit++ {
+						if alias>>uint(bit)&1 != 0 {
+							st.FlipBit(word, bit)
+						}
+					}
+					if n := st.FaultyWords(); n != 0 {
+						t.Fatalf("clean alias left %d faulty words", n)
+					}
+				})
+				aliases++
 			default:
 				touched = false
 			}
@@ -329,8 +351,8 @@ func TestRTLCompiledQuiescentFuzz(t *testing.T) {
 			eval(cyc, "third Eval")
 		}
 	}
-	if moved == 0 {
-		t.Fatal("ROM activity never moved node values on a quiescent Eval")
+	if moved == 0 || aliases == 0 {
+		t.Fatalf("ROM activity moved node values on %d quiescent Evals, %d clean aliases: the resume path ran vacuously", moved, aliases)
 	}
-	t.Logf("%d quiescent Evals saw ROM read data move", moved)
+	t.Logf("%d quiescent Evals saw ROM read data move; %d clean aliases ran", moved, aliases)
 }

@@ -35,9 +35,10 @@ type Design struct {
 // topological and a ROM's output pseudo-inputs are created after its
 // address cone exists, so sweeping up to each asynchronous ROM's first
 // output node guarantees its address is resolved; the gathered data is
-// presented and the sweep continues there — every node is visited exactly
-// once per Eval, and each async ROM is gathered exactly once (the
-// interpreter's EDAC-counter contract).
+// presented and the sweep continues there — every node is visited at most
+// once per Eval, and each async ROM is gathered at most once: exactly once
+// on a dirty pass or a faulty store (the interpreter's EDAC-counter
+// contract).
 type compSched struct {
 	tape   *logic.Compiled
 	layout *lanesim.Layout

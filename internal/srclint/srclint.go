@@ -18,7 +18,11 @@
 //     destroys reproducibility and benchmark integrity;
 //   - lock-copy: values of types containing sync.Mutex, sync.RWMutex or
 //     the other non-copyable sync/atomic state must not be copied by
-//     value (parameters, receivers, results or plain assignment).
+//     value (parameters, receivers, results or plain assignment);
+//   - lanesim-state-write: the lane machine's state words and ROM output
+//     registers (lanesim.Words.Q, ROMQ) are written only inside
+//     internal/lanesim, where every write sets Dirty; everyone else goes
+//     through Machine.WriteState.
 //
 // All findings carry exact file:line positions. The module is loaded and
 // type-checked from source via go/importer's source compiler, so the
@@ -56,6 +60,7 @@ func Rules() []Rule {
 		{"error-wrap", "fmt.Errorf must format error-typed arguments with %w, not %v/%s"},
 		{"sim-wallclock", "no time.Now/Sleep/Since/After/Tick* on the simulated-cycle hot path"},
 		{"lock-copy", "values containing sync.Mutex/RWMutex/WaitGroup/Once/Cond must not be copied"},
+		{"lanesim-state-write", "lanesim.Words.Q/ROMQ are written only in internal/lanesim or through Machine.WriteState"},
 	}
 }
 
@@ -79,6 +84,7 @@ func Analyze(pkgs []*Package) []Finding {
 		out = append(out, checkErrorWrap(p)...)
 		out = append(out, checkWallClock(p)...)
 		out = append(out, checkLockCopy(p)...)
+		out = append(out, checkStateWrites(p)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos

@@ -3,6 +3,7 @@ package srclint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -220,6 +221,112 @@ func Use(g *Guarded) *Guarded {
 	}
 }
 
+// writeModule lays out a synthetic module under a temporary root: files
+// maps a slash path relative to the root to its contents.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// stateWriteModule is a module with its own internal/lanesim: the owner
+// writes its state freely, and a simulator package outside it writes and
+// reads the state arrays and another type's Q.
+var stateWriteModule = map[string]string{
+	"go.mod": "module probe\n\ngo 1.24\n",
+	"internal/lanesim/lanesim.go": `package lanesim
+
+type Words struct {
+	Q    []uint64
+	ROMQ [][8]uint64
+}
+
+func (w *Words) Latch(v uint64) {
+	w.Q[0] = v
+	copy(w.ROMQ, [][8]uint64{{}})
+}
+
+func (w *Words) WriteState(write func(q []uint64, romq [][8]uint64)) { write(w.Q, w.ROMQ) }
+`,
+	"sim/sim.go": `package sim
+
+import "probe/internal/lanesim"
+
+type reg struct{ Q []uint64 }
+
+type embeds struct{ *lanesim.Words }
+
+type S struct {
+	w *lanesim.Words
+	e embeds
+	r reg
+}
+
+func (s *S) Bad() {
+	s.w.Q[0] ^= 1
+	s.w.ROMQ[0][3] = 2
+	copy(s.w.Q[1:], []uint64{1})
+	s.w.Q = nil
+	s.w.Q[1]++
+	clear(s.e.ROMQ)
+	for s.w.Q[2] = range 3 {
+	}
+}
+
+func (s *S) Fine() uint64 {
+	s.r.Q[0] = 1
+	s.w.WriteState(func(q []uint64, romq [][8]uint64) {
+		q[0] ^= 1
+		copy(romq, [][8]uint64{{}})
+	})
+	n := s.w.Q[0]
+	for i := range s.w.Q {
+		n += s.w.Q[i]
+	}
+	return n
+}
+`,
+}
+
+// TestLanesimStateWrite: every write into lanesim.Words.Q or ROMQ outside
+// internal/lanesim is flagged at its line; the owner's own writes, reads,
+// writes through WriteState's arguments and another type's Q field are
+// not.
+func TestLanesimStateWrite(t *testing.T) {
+	root := writeModule(t, stateWriteModule)
+	fs, err := Run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []int
+	for _, f := range fs {
+		if f.Rule != "lanesim-state-write" {
+			t.Errorf("unexpected finding: %v", f)
+			continue
+		}
+		if filepath.Base(f.Pos.Filename) != "sim.go" {
+			t.Errorf("finding outside the simulator package: %v", f)
+		}
+		lines = append(lines, f.Pos.Line)
+	}
+	want := []int{16, 17, 18, 19, 20, 21, 22}
+	if !slices.Equal(lines, want) {
+		t.Fatalf("findings on lines %v, want %v: %v", lines, want, fs)
+	}
+	if !strings.Contains(fs[5].Object, "ROMQ") || !strings.Contains(fs[5].Detail, "clear") {
+		t.Fatalf("clear through an embedding misreported: %v", fs[5])
+	}
+}
+
 // TestRepositoryClean is the satellite acceptance check: the analyzers run
 // over the real module and report nothing. Every finding they ever reported
 // on this tree has been fixed; new code must keep it that way.
@@ -240,7 +347,7 @@ func TestRepositoryClean(t *testing.T) {
 
 func TestRulesDocumented(t *testing.T) {
 	rules := Rules()
-	if len(rules) != 4 {
+	if len(rules) != 5 {
 		t.Fatalf("rule count %d", len(rules))
 	}
 	for _, r := range rules {
