@@ -19,7 +19,9 @@ bench:
 # shards x lanes grid (1/16/64 blocks per lane-packed submission), plus the
 # per-simulator Eval micro-benchmarks and the supervised netlist lockstep
 # transaction: a cheap smoke that surfaces
-# throughput-scaling regressions without the full bench suite.
+# throughput-scaling regressions without the full bench suite. The second
+# line runs with -benchmem, so BenchmarkVectorLockstep prints its
+# allocs/op (2: the lane boundary allocates only the result).
 # BenchmarkObsOverhead reports the instrumented/uninstrumented throughput
 # ratio (best of 5 alternating rounds per twin even at -benchtime=1x;
 # budget >= 0.95) as a metric; it does not fail on it, since a
@@ -27,7 +29,7 @@ bench:
 # `verify` alongside vet and the race sweep.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Engine|VectorLanes|ChaosRecovery|ObsOverhead)$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval|GatherROM|VectorLockstep)$$' -benchtime=1x ./internal/netlist/ ./internal/rtl/ ./internal/logic/ ./internal/faultcampaign/
+	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval|GatherROM|VectorLockstep)$$' -benchtime=1x -benchmem ./internal/netlist/ ./internal/rtl/ ./internal/logic/ ./internal/faultcampaign/
 
 # Machine-readable perf trajectory: runs the engine benchmarks and writes
 # cycles-per-block, Mbps and blocks/sec for every shards x lanes point of

@@ -29,6 +29,11 @@ const Lanes = logic.Lanes
 // through per-simulator EDAC stores (internal/edac): a single-bit ROM
 // storage error is corrected transparently, so the driver sees golden
 // data until damage exceeds what the code covers.
+//
+// OutputWords returns a slice the simulator owns: it is valid until the
+// simulator's next Eval, Step or OutputWords call, so a caller either
+// uses it at once or copies it. That is what lets the driver and the
+// lockstep comparator read whole ports every cycle without allocating.
 type Sim interface {
 	Reset()
 	SetInput(name string, value uint64) error
@@ -70,11 +75,12 @@ type DUT struct {
 // Driver drives one simulated device. Every data transaction carries up
 // to Lanes independent blocks, block L on lane L: the driver drives din per
 // lane, runs the one 50-cycle sequence all lanes share, and captures each
-// lane's dout on the cycle its data_ok rises. The lanes march in lockstep
-// because the core's control FSM depends only on the control pins
-// (setup/wr_key/wr_data/encdec), which the driver always broadcasts; only
-// the data path (din, key, dout) differs per lane. A one-block
-// transaction is the scalar case.
+// lane's dout on the cycle its data_ok rises: one OutputWords read of the
+// whole port, de-transposed (logic.UnpackLanes) for the lanes that rose.
+// The lanes march in lockstep because the core's control FSM depends only
+// on the control pins (setup/wr_key/wr_data/encdec), which the driver
+// always broadcasts; only the data path (din, key, dout) differs per lane.
+// A one-block transaction is the scalar case.
 type Driver struct {
 	DUT DUT
 	Sim Sim
@@ -229,7 +235,9 @@ func (d *Driver) setDirection(encrypt bool) error {
 // Transaction is the lane-by-lane record of one data transaction.
 type Transaction struct {
 	// Outs holds each used lane's dout, captured on the cycle its data_ok
-	// rose (nil for a lane whose data_ok never rose).
+	// rose (nil for a lane whose data_ok never rose). The lanes' slices
+	// share one backing array, capped so that an append to one lane's
+	// block never runs into the next.
 	Outs [][]byte
 	// Latency holds each used lane's cycles from the wr_data load edge to
 	// the first cycle its data_ok was observed high.
@@ -270,6 +278,7 @@ func (d *Driver) Transact(tx *Transaction, blocks [][]byte, encrypt bool) error 
 	d.Sim.Step() // load edge
 	d.clearControl()
 	tx.Outs = make([][]byte, len(blocks))
+	var outs []byte // every used lane's dout, one stride apart
 	pending := usedMask(len(blocks))
 	cycles := 0
 	for {
@@ -278,14 +287,24 @@ func (d *Driver) Transact(tx *Transaction, blocks [][]byte, encrypt bool) error 
 		if err != nil {
 			return err
 		}
-		for ready := okw[0] & pending; ready != 0; ready &= ready - 1 {
-			lane := bits.TrailingZeros64(ready)
-			if tx.Outs[lane], err = d.Sim.OutputBitsLane("dout", lane); err != nil {
+		ok := okw[0]
+		if ready := ok & pending; ready != 0 {
+			dout, err := d.Sim.OutputWords("dout")
+			if err != nil {
 				return err
 			}
-			tx.Latency[lane] = cycles
+			n := (len(dout) + 7) / 8
+			if outs == nil {
+				outs = make([]byte, n*len(blocks))
+			}
+			logic.UnpackLanes(outs, dout, ready)
+			for ; ready != 0; ready &= ready - 1 {
+				lane := bits.TrailingZeros64(ready)
+				tx.Outs[lane] = outs[n*lane : n*(lane+1) : n*(lane+1)]
+				tx.Latency[lane] = cycles
+			}
 		}
-		pending &^= okw[0]
+		pending &^= ok
 		if pending == 0 || cycles >= d.Timeout {
 			break
 		}

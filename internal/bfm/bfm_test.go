@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"rijndaelip/internal/aes"
 	"rijndaelip/internal/logic"
 	"rijndaelip/internal/netlist"
 	"rijndaelip/internal/rijndael"
@@ -371,5 +372,72 @@ func TestWatchdogWedgedFSM(t *testing.T) {
 	// load edge), proving the driver cannot spin unbounded on a dead core.
 	if spent := sim.Cycle() - before; spent > drv.Timeout+2 {
 		t.Errorf("driver spent %d cycles, budget %d", spent, drv.Timeout)
+	}
+}
+
+// doutRecorder wraps a simulator and, after every Eval, reads each of the
+// first n lanes through the per-lane accessors: the dout a lane showed on
+// the first Eval its data_ok was high, and how many Evals came before. It
+// is the reference the driver's bulk capture is checked against.
+type doutRecorder struct {
+	Sim
+	n     int
+	evals int
+	first [Lanes]int
+	dout  [Lanes][]byte
+}
+
+func (r *doutRecorder) Eval() {
+	r.Sim.Eval()
+	for lane := 0; lane < r.n; lane++ {
+		if ok, err := r.Sim.OutputLane("data_ok", lane); err == nil && ok == 1 && r.dout[lane] == nil {
+			r.dout[lane], _ = r.Sim.OutputBitsLane("dout", lane)
+			r.first[lane] = r.evals
+		}
+	}
+	r.evals++
+}
+
+// TestStaggeredCapture strikes lanes of the mapped core so that their
+// data_ok rises on different cycles: lane 1's round counter is knocked
+// back (late), lane 2's data_ok register is set mid-run (early, and its
+// dout moves again when the real result lands). Each lane must keep the
+// dout of its own data_ok cycle, as the per-lane reads see it then, and
+// later captures must not touch lanes already captured.
+func TestStaggeredCapture(t *testing.T) {
+	core, sim := mappedEncryptCore(t)
+	rec := &doutRecorder{Sim: sim, n: 4}
+	drv := NewPostSynthesis(core, rec)
+	key := make([]byte, 16)
+	if _, err := drv.LoadKey(key); err != nil {
+		t.Fatal(err)
+	}
+	sim.ScheduleFlipLanes(11, 1<<1, sim.FindFF("round[3]"))
+	sim.ScheduleFlipLanes(21, 1<<2, sim.FindFF("data_ok_reg[0]"))
+	blocks := make([][]byte, rec.n)
+	for i := range blocks {
+		blocks[i] = bytes.Repeat([]byte{byte(17 * (i + 1))}, 16)
+	}
+	var tx Transaction
+	if err := drv.Transact(&tx, blocks, true); err != nil {
+		t.Fatal(err)
+	}
+	want := [4]int{core.BlockLatency, 90, 21, core.BlockLatency}
+	if got := [4]int(tx.Latency[:4]); got != want || tx.Hung != 0 {
+		t.Fatalf("latencies %v (hung %#x), want %v: the strikes no longer stagger the lanes", got, tx.Hung, want)
+	}
+	for lane := range blocks {
+		if rec.first[lane] != tx.Latency[lane] || !bytes.Equal(tx.Outs[lane], rec.dout[lane]) {
+			t.Errorf("lane %d: captured %x after %d cycles, per-lane read %x after %d",
+				lane, tx.Outs[lane], tx.Latency[lane], rec.dout[lane], rec.first[lane])
+		}
+	}
+	for _, lane := range []int{0, 3} {
+		if ct, err := aes.EncryptBlock(key, blocks[lane]); err != nil || !bytes.Equal(tx.Outs[lane], ct) {
+			t.Errorf("on-time lane %d: %x, want %x", lane, tx.Outs[lane], ct)
+		}
+	}
+	if final, _ := sim.OutputBitsLane("dout", 2); bytes.Equal(final, tx.Outs[2]) {
+		t.Error("lane 2's dout never moved after its early data_ok: the case does not tell an early capture from a late one")
 	}
 }

@@ -67,7 +67,8 @@ func (l *VectorLockstep) compare() {
 }
 
 // diverged returns the lanes on which port differs between the replicas;
-// a port either replica lacks compares equal.
+// a port either replica lacks compares equal. Both reads are the
+// replicas' own buffers, so the compare allocates nothing.
 func (l *VectorLockstep) diverged(port string) uint64 {
 	pw, err1 := l.Primary.OutputWords(port)
 	sw, err2 := l.Shadow.OutputWords(port)
@@ -155,7 +156,10 @@ func (l *VectorLockstep) OutputBitsLane(name string, lane int) ([]byte, error) {
 	return l.Primary.OutputBitsLane(name, lane)
 }
 
-// OutputWords reads the primary replica's lane words.
+// OutputWords reads the primary replica's lane words. The slice is the
+// primary's own buffer, and the pair's Eval and Step refill it through the
+// comparator, so like any Sim's it is valid until the pair's next Eval,
+// Step or OutputWords call.
 func (l *VectorLockstep) OutputWords(name string) ([]uint64, error) {
 	return l.Primary.OutputWords(name)
 }

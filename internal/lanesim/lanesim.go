@@ -5,10 +5,11 @@
 // embeds the Machine built from it. The Machine owns everything around the
 // tape: the lane words, write-tracked stimulus and state, the
 // per-simulator EDAC ROM stores and the token check that skips their
-// clean, unchanged gathers, the segmented Eval, the latching Step, Reset
-// and the cycle counter. What differs between the two simulators stays
-// with them: a Tape that sweeps a range, an independent reference
-// evaluator, and their literal or net accessors.
+// clean, unchanged gathers, the segmented Eval, the latching Step, Reset,
+// the cycle counter and the per-port buffers OutputWords hands out. What
+// differs between the two simulators stays with them: a Tape that sweeps
+// a range, an independent reference evaluator, and their literal or net
+// accessors.
 //
 // Lane/word data layout (see internal/logic/lanes.go): every simulated
 // value is a uint64 lane word whose bit L is the value seen by independent
@@ -19,6 +20,7 @@
 package lanesim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"rijndaelip/internal/edac"
@@ -120,7 +122,15 @@ type Machine struct {
 	// toks holds, per ROM, the store token read just before the Gather
 	// whose data is presented on the source array (noToken: none).
 	toks []uint64
+	outs map[string]outPort
 	w    Words
+}
+
+// outPort is one output port: its per-bit value literals and the buffer
+// OutputWords fills and hands out.
+type outPort struct {
+	bus   []Lit
+	words []uint64
 }
 
 // noToken is an odd gather record: a store token is even while the store
@@ -146,6 +156,10 @@ func newMachine(lay *Layout, tape Tape, ref func()) (*Machine, *Words) {
 	}
 	m.w.Q = make([]uint64, len(lay.Init))
 	m.w.ROMQ = make([][8]uint64, len(lay.ROMs))
+	m.outs = make(map[string]outPort, len(lay.Outputs))
+	for name, bus := range lay.Outputs {
+		m.outs[name] = outPort{bus: bus, words: make([]uint64, len(bus))}
+	}
 	for i := range lay.ROMs {
 		m.roms[i] = edac.New(lay.ROMs[i].Name, *lay.ROMs[i].Contents)
 	}
@@ -366,9 +380,9 @@ func (m *Machine) setValue(name string, lanes, value uint64, wide string) error 
 	if len(at) > 64 {
 		return fmt.Errorf("%s: input %q wider than 64 bits, use %s", m.lay.Pkg, name, wide)
 	}
-	for bit, i := range at {
-		m.drive(i, lanes, value>>uint(bit)&1 != 0)
-	}
+	var bits [8]byte
+	binary.LittleEndian.PutUint64(bits[:], value)
+	m.drive(at, lanes, bits[:])
 	return nil
 }
 
@@ -380,18 +394,23 @@ func (m *Machine) setBits(name string, lanes uint64, bits []byte) error {
 	if want := (len(at) + 7) / 8; len(bits) != want {
 		return fmt.Errorf("%s: input %q needs %d bytes for %d bits, got %d bytes", m.lay.Pkg, name, want, len(at), len(bits))
 	}
-	for bit, i := range at {
-		m.drive(i, lanes, bits[bit/8]>>(uint(bit)%8)&1 != 0)
-	}
+	m.drive(at, lanes, bits)
 	return nil
 }
 
-// drive sets stimulus word i to v on the masked lanes. A write that moves
-// the word makes the next Eval sweep.
-func (m *Machine) drive(i int32, lanes uint64, v bool) {
-	old := m.w.Src[i]
-	if w := old&^lanes | logic.Word(v)&lanes; w != old {
-		m.w.Src[i] = w
+// drive sets stimulus word at[i] to bit i of bits on the masked lanes,
+// without a branch per bit. It sets Dirty if and only if a word moved, so
+// rewriting what the port already holds leaves the next Eval quiescent.
+func (m *Machine) drive(at []int32, lanes uint64, bits []byte) {
+	src := m.w.Src
+	var moved uint64
+	for bit, i := range at {
+		old := src[i]
+		w := old&^lanes | -uint64(bits[bit/8]>>(uint(bit)%8)&1)&lanes
+		moved |= w ^ old
+		src[i] = w
+	}
+	if moved != 0 {
 		m.w.Dirty = true
 	}
 }
@@ -406,10 +425,11 @@ func (m *Machine) OutputLane(name string, lane int) (uint64, error) {
 	if _, err := m.laneMask(lane); err != nil {
 		return 0, err
 	}
-	bus, err := m.output(name)
+	p, err := m.output(name)
 	if err != nil {
 		return 0, err
 	}
+	bus := p.bus
 	if len(bus) > 64 {
 		return 0, fmt.Errorf("%s: output %q wider than 64 bits, use OutputBits", m.lay.Pkg, name)
 	}
@@ -429,12 +449,12 @@ func (m *Machine) OutputBitsLane(name string, lane int) ([]byte, error) {
 	if _, err := m.laneMask(lane); err != nil {
 		return nil, err
 	}
-	bus, err := m.output(name)
+	p, err := m.output(name)
 	if err != nil {
 		return nil, err
 	}
-	bits := make([]byte, (len(bus)+7)/8)
-	for bit, l := range bus {
+	bits := make([]byte, (len(p.bus)+7)/8)
+	for bit, l := range p.bus {
 		bits[bit/8] |= byte(l.word(m.w.Vals)>>uint(lane)&1) << (uint(bit) % 8)
 	}
 	return bits, nil
@@ -442,25 +462,28 @@ func (m *Machine) OutputBitsLane(name string, lane int) ([]byte, error) {
 
 // OutputWords reads an output port as raw lane words: element i is the
 // lane word of port bit i (bit L = lane L's value). This is the transposed
-// view vectorized monitors use to compare all lanes in one pass.
+// view vectorized monitors use to compare all lanes in one pass, and the
+// driver's bulk dout capture. It does not allocate: the slice is a buffer
+// the machine owns, one per port, refilled by every call for that port.
+// It is valid until the machine's next Eval, Step or OutputWords call;
+// a caller that keeps the words longer copies them.
 func (m *Machine) OutputWords(name string) ([]uint64, error) {
-	bus, err := m.output(name)
+	p, err := m.output(name)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]uint64, len(bus))
-	for bit, l := range bus {
-		out[bit] = l.word(m.w.Vals)
+	for bit, l := range p.bus {
+		p.words[bit] = l.word(m.w.Vals)
 	}
-	return out, nil
+	return p.words, nil
 }
 
-func (m *Machine) output(name string) ([]Lit, error) {
-	bus, ok := m.lay.Outputs[name]
+func (m *Machine) output(name string) (outPort, error) {
+	p, ok := m.outs[name]
 	if !ok {
-		return nil, fmt.Errorf("%s: no output port %q", m.lay.Pkg, name)
+		return outPort{}, fmt.Errorf("%s: no output port %q", m.lay.Pkg, name)
 	}
-	return bus, nil
+	return p, nil
 }
 
 // RegValue returns the lane-0 state of a named register as packed bytes,

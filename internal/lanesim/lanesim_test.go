@@ -1,11 +1,14 @@
 package lanesim
 
 import (
+	"bytes"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"rijndaelip/internal/edac"
+	"rijndaelip/internal/logic"
 )
 
 // recTape records the ranges a machine sweeps; it computes nothing, so the
@@ -281,5 +284,99 @@ func TestLayoutAuditSensitivity(t *testing.T) {
 			}
 			t.Logf("detected: %s", msgs[0])
 		})
+	}
+}
+
+// TestMachineDriveTracksMoves: a port write sets Dirty if and only if it
+// moves a stimulus word. Rewriting the bits a port already holds, on one
+// lane or broadcast, leaves the next Eval quiescent; one moved bit on one
+// lane makes it sweep, and lands on that lane alone.
+func TestMachineDriveTracksMoves(t *testing.T) {
+	tape := &recTape{}
+	m, w := New(toyLayout(), tape)
+	full := [][2]int{{0, 4}, {5, 8}}
+	write := func(what string, dirty bool, set func() error) {
+		t.Helper()
+		if err := set(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Dirty != dirty {
+			t.Fatalf("%s: Dirty %v, want %v", what, w.Dirty, dirty)
+		}
+		tape.ranges = nil
+		m.Eval()
+		var want [][2]int
+		if dirty {
+			want = full
+		}
+		if !slices.Equal(tape.ranges, want) {
+			t.Fatalf("%s: swept %v, want %v", what, tape.ranges, want)
+		}
+	}
+	m.Eval()
+	write("broadcast", true, func() error { return m.SetInputBits("a", []byte{0x5a}) })
+	write("same broadcast", false, func() error { return m.SetInputBits("a", []byte{0x5a}) })
+	write("same value", false, func() error { return m.SetInput("a", 0x5a) })
+	write("same bits on lane 7", false, func() error { return m.SetInputBitsLane("a", 7, []byte{0x5a}) })
+	write("same value on lane 63", false, func() error { return m.SetInputLane("a", 63, 0x5a) })
+	write("bit 0 moved on lane 7", true, func() error { return m.SetInputBitsLane("a", 7, []byte{0x5b}) })
+	if got, want := w.Src[2], uint64(1)<<7; got != want {
+		t.Fatalf("a[0] = %#x after the lane write, want %#x", got, want)
+	}
+	for bit := 1; bit < 8; bit++ {
+		if got, want := w.Src[2+bit], logic.Word(0x5a>>bit&1 != 0); got != want {
+			t.Fatalf("a[%d] = %#x, want %#x: an unmoved bit changed", bit, got, want)
+		}
+	}
+	write("bit 7 moved on lane 0", true, func() error { return m.SetInputLane("a", 0, 0xda) })
+	write("same lane value", false, func() error { return m.SetInputLane("a", 0, 0xda) })
+}
+
+// TestUnpackLanesMatchesOutputBitsLane checks the driver's bulk capture
+// against the per-lane read: for random lane words on ports of 1, 13 and
+// 128 bits (plain and inverted literals), every used-lane count and random
+// ready masks, logic.UnpackLanes over OutputWords must give each ready
+// lane exactly OutputBitsLane's bytes and leave every other lane's bytes
+// alone.
+func TestUnpackLanesMatchesOutputBitsLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, width := range []int{1, 13, 128} {
+		bus := make([]Lit, width)
+		for i := range bus {
+			bus[i] = Lit(i)<<1 | Lit(rng.Intn(2))
+		}
+		lay := &Layout{Pkg: "wide", NumVals: width, Outputs: map[string][]Lit{"y": bus}}
+		m, w := New(lay, &recTape{})
+		n := (width + 7) / 8
+		for used := 1; used <= logic.Lanes; used++ {
+			for v := range w.Vals {
+				w.Vals[v] = rng.Uint64()
+			}
+			ready := rng.Uint64()
+			if used < logic.Lanes {
+				ready &= 1<<uint(used) - 1
+			}
+			words, err := m.OutputWords("y")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]byte, n*used)
+			for i := range dst {
+				dst[i] = 0xa5
+			}
+			logic.UnpackLanes(dst, words, ready)
+			for lane := 0; lane < used; lane++ {
+				got := dst[n*lane : n*(lane+1)]
+				want := bytes.Repeat([]byte{0xa5}, n)
+				if ready>>uint(lane)&1 != 0 {
+					if want, err = m.OutputBitsLane("y", lane); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("width %d, %d lanes, ready %#x: lane %d unpacked %x, want %x", width, used, ready, lane, got, want)
+				}
+			}
+		}
 	}
 }

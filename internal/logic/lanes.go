@@ -1,5 +1,7 @@
 package logic
 
+import "math/bits"
+
 // Lane/word data layout
 //
 // Every value flowing through Eval/EvalInto is a uint64 *lane word*: bit L
@@ -14,8 +16,9 @@ package logic
 // A bus-level value for lane L is therefore *word-transposed*: bit b of
 // the bus lives at bit L of word b, not packed contiguously. Word(v)
 // broadcasts a scalar across all lanes (the layout every scalar API uses),
-// and GatherROM is the raw per-lane gather primitive over a 256-byte
-// table. The simulators do not call it on ROM contents directly: each ROM
+// UnpackLanes turns bus words back into packed per-lane bytes, and
+// GatherROM is the raw per-lane gather primitive over a 256-byte table.
+// The simulators do not call GatherROM on ROM contents directly: each ROM
 // macro's words sit behind an EDAC (SECDED) code in internal/edac, whose
 // store decodes — correcting single-bit errors and counting the event —
 // into a post-correction byte table and hands *that* table to GatherROM.
@@ -90,6 +93,36 @@ func GatherROM(contents *[256]byte, addr *[8]uint64) [8]uint64 {
 		}
 	}
 	return out
+}
+
+// UnpackLanes de-transposes bus words into packed per-lane bytes, the
+// inverse of the word-transposed layout: words[i] is the lane word of bus
+// bit i, and for every lane L set in lanes, dst[L*n:(L+1)*n] receives lane
+// L's bus value with bit i at byte i/8 bit i%8, where n = (len(words)+7)/8.
+// Bytes of lanes outside the mask are left untouched; dst must reach the
+// highest masked lane's bytes. It works on 8x8 blocks like GatherROM's
+// divergent path: byte g of bus words 8k..8k+7, packed into one uint64, is
+// a matrix whose row b holds bus bit 8k+b of lanes 8g..8g+7, and
+// transposing it puts lane 8g+j's byte k in byte j.
+func UnpackLanes(dst []byte, words []uint64, lanes uint64) {
+	n := (len(words) + 7) / 8
+	for g := uint(0); g < Lanes; g += 8 {
+		sel := lanes >> g & 0xff
+		if sel == 0 {
+			continue
+		}
+		for k := 0; k < n; k++ {
+			var m uint64
+			for b, w := range words[8*k : min(8*k+8, len(words))] {
+				m |= (w >> g & 0xff) << (8 * uint(b))
+			}
+			m = transpose8(m)
+			for s := sel; s != 0; s &= s - 1 {
+				j := bits.TrailingZeros64(s)
+				dst[(int(g)+j)*n+k] = byte(m >> (8 * uint(j)))
+			}
+		}
+	}
 }
 
 // transpose8 transposes an 8x8 bit matrix held row-major in a uint64 (bit

@@ -124,6 +124,26 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestRingGrowsToCapacity: a ring allocates its slots as events arrive,
+// never more than its capacity, and keeps the same retained window while
+// it grows as once it is full.
+func TestRingGrowsToCapacity(t *testing.T) {
+	r := NewRing(100)
+	if cap(r.buf) != 0 {
+		t.Fatalf("a fresh ring holds %d slots, want none", cap(r.buf))
+	}
+	for i := 1; i <= 250; i++ {
+		r.Emit(Event{Kind: KindRetry, Shard: i})
+		got := r.Snapshot()
+		if want := min(i, 100); len(got) != want || got[0].Shard != i-want+1 || got[want-1].Shard != i {
+			t.Fatalf("after %d events: %d retained, shards %d..%d", i, len(got), got[0].Shard, got[len(got)-1].Shard)
+		}
+		if cap(r.buf) > 100 {
+			t.Fatalf("after %d events the ring holds %d slots, past its capacity 100", i, cap(r.buf))
+		}
+	}
+}
+
 // TestRingConcurrentEmitDump hammers Emit from several goroutines while
 // another snapshots continuously — the -race gate for the trace path.
 func TestRingConcurrentEmitDump(t *testing.T) {

@@ -89,16 +89,19 @@ func (e Event) String() string {
 	return s
 }
 
-// Ring is a bounded, overwrite-on-full event trace. Emit stamps sequence
-// and time and writes into a fixed slot array — no per-event allocation —
-// and Snapshot returns a consistent oldest-first copy. A mutex (not a
-// lock-free scheme) keeps concurrent Emit and Snapshot race-clean;
-// supervision transitions are orders of magnitude rarer than blocks, so
-// the lock is never contended on the block path.
+// Ring is a bounded, overwrite-on-full event trace. Its slot array grows
+// by doubling as events arrive, up to exactly the ring's capacity, so a
+// ring that never sees an event costs nothing; once full, Emit overwrites
+// the oldest slot in place, with no per-event allocation. Snapshot
+// returns a consistent oldest-first copy. A mutex (not a lock-free
+// scheme) keeps concurrent Emit and Snapshot race-clean; supervision
+// transitions are orders of magnitude rarer than blocks, so the lock is
+// never contended on the block path.
 type Ring struct {
 	mu  sync.Mutex
-	buf []Event
-	seq uint64 // total events ever emitted
+	n   uint64  // capacity
+	buf []Event // event with Seq s at index (s-1)%n
+	seq uint64  // total events ever emitted
 }
 
 // NewRing returns a ring holding the last n events (n <= 0 selects 1024).
@@ -106,7 +109,7 @@ func NewRing(n int) *Ring {
 	if n <= 0 {
 		n = 1024
 	}
-	return &Ring{buf: make([]Event, n)}
+	return &Ring{n: uint64(n)}
 }
 
 // Emit records one event, overwriting the oldest when full. The ring
@@ -118,7 +121,18 @@ func (r *Ring) Emit(ev Event) {
 	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
-	r.buf[int((r.seq-1)%uint64(len(r.buf)))] = ev
+	if r.seq <= r.n {
+		if len(r.buf) == cap(r.buf) {
+			// Double, but never past the capacity: a full ring holds
+			// exactly n slots.
+			grown := make([]Event, len(r.buf), min(max(2*r.seq, 16), r.n))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, ev)
+	} else {
+		r.buf[(r.seq-1)%r.n] = ev
+	}
 	r.mu.Unlock()
 }
 
@@ -134,23 +148,20 @@ func (r *Ring) Seq() uint64 {
 func (r *Ring) Overwritten() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seq <= uint64(len(r.buf)) {
+	if r.seq <= r.n {
 		return 0
 	}
-	return r.seq - uint64(len(r.buf))
+	return r.seq - r.n
 }
 
 // Snapshot returns the retained events, oldest first.
 func (r *Ring) Snapshot() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := uint64(len(r.buf))
-	if r.seq < n {
-		n = r.seq
-	}
+	n := min(r.seq, r.n)
 	out := make([]Event, 0, n)
 	for s := r.seq - n + 1; s <= r.seq; s++ {
-		out = append(out, r.buf[int((s-1)%uint64(len(r.buf)))])
+		out = append(out, r.buf[(s-1)%r.n])
 	}
 	return out
 }
