@@ -36,10 +36,10 @@ bench-smoke:
 # the compiled-tape simulation (the only evaluator) —
 # plus the supervised engine's chaos-recovery and triage/scrub counters
 # (detections, transients, in-place recoveries, quarantines, respawns,
-# scrub sweeps/corrected/uncorrectable) and the observability registry's
+# scrub corrected/uncorrectable) and the observability registry's
 # final snapshot — to BENCH_engine.json, so regressions are diffable
-# across PRs. The chaos_recovery faultfree/scrub row pair is the
-# scrub-overhead measurement. Each sub-benchmark runs one untimed warmup
+# across PRs. The chaos_recovery faultfree row includes the post-job ROM
+# scrub, which finds every store clean. Each sub-benchmark runs one untimed warmup
 # iteration plus twenty timed ones, three times over (-count=3, best run
 # kept per grid point): rates come from the warm steady state, not shard
 # construction cold-start, and best-of-three damps the single-CPU
@@ -68,10 +68,15 @@ chaos-smoke:
 # The mixed-fault triage gate under the race detector: seeded transient
 # flips PLUS welded stuck-at ROM bits into the same live pool. Transients
 # must recover in place; the EDAC-masked stuck-ats must be found by the
-# background scrubber, localized to the exact ROM word, and healed by
-# quarantine + respawn; zero mismatches. Wired into `verify`.
+# post-job ROM scrub, localized to the exact ROM word, and healed by
+# quarantine + respawn; zero mismatches. The second line pins the scrub's
+# detection bound (a weld is found right after the job it was planted
+# on, with the shard's worker as the engine's only goroutine) and holds
+# the trace's scrub corrections to the ScrubCorrected counter. Wired into
+# `verify`.
 triage-smoke:
 	$(GO) test -race -short -run '^TestTriageGate$$' -v ./internal/chaos/
+	$(GO) test -race -short -run '^(TestScrubDetectsWeldAfterItsJob|TestScrubCorrectTraceMatchesCounter)$$' -v .
 
 # The observability smoke under the race detector: a supervised engine
 # absorbs a welded fault while its registry and trace ring are scraped

@@ -101,8 +101,8 @@ func BenchmarkRadiationHardening(b *testing.B) {
 // lockstep/watchdog (~2x, the shadow replica) and inverse/watchdog (2x
 // cycles, the second transaction). The engine's cycle account includes
 // the wr_data load edge, so a supervised block costs 51 cycles against
-// HardwareBlock's 50. The background scrubber is off so each row prices
-// its check policy alone.
+// HardwareBlock's 50. Nothing is struck, so the post-job ROM scrub finds
+// every store clean and each row prices its check policy alone.
 func BenchmarkResilience(b *testing.B) {
 	encImpl, err := rijndaelip.Build(rijndaelip.Encrypt, rijndaelip.Acex1K())
 	if err != nil {
@@ -134,7 +134,6 @@ func BenchmarkResilience(b *testing.B) {
 
 	// device is the single self-checking device: one shard, one lane.
 	device := func(b *testing.B, impl *rijndaelip.Implementation, sup rijndaelip.SupervisorOptions) *rijndaelip.Engine {
-		sup.ScrubInterval = -1
 		eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{Shards: 1, MaxLanes: 1, Supervise: &sup})
 		if err != nil {
 			b.Fatal(err)

@@ -43,7 +43,7 @@ func main() {
 	chaosBlocks := flag.Int("chaos-blocks", 256, "blocks per chaos wave")
 	chaosWaves := flag.Int("chaos-waves", 4, "chaos waves (respawned shards rejoin between waves)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the chaos traffic and strike schedule")
-	stuckAt := flag.Int("stuckat", 0, "weld one stuck-at ROM bit into each of M shards during the chaos run (EDAC-masked: only the background scrubber can find them)")
+	stuckAt := flag.Int("stuckat", 0, "weld one stuck-at ROM bit into each of M shards during the chaos run (EDAC-masked: only the post-job ROM scrub can find them)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /trace, /debug/vars and /debug/pprof on this address during engine and chaos runs (e.g. :9100)")
 	traceDump := flag.Bool("trace-dump", false, "print the supervision event trace after an engine or chaos run")
 	flag.Parse()
@@ -202,9 +202,9 @@ func runChaos(impl *rijndaelip.Implementation, key []byte, shards, lanes, rate, 
 		fail("chaos: %v", err)
 	}
 	fmt.Println(rep)
-	fmt.Printf("triage: %d transients recovered in place, %d escalations, %d persistent classifications; scrub: %d sweeps, %d repaired, %d uncorrectable\n",
+	fmt.Printf("triage: %d transients recovered in place, %d escalations, %d persistent classifications; scrub: %d repaired, %d uncorrectable\n",
 		rep.Stats.Transients, rep.Stats.Escalations, rep.Stats.Persistents,
-		rep.Stats.ScrubSweeps, rep.Stats.ScrubCorrected, rep.Stats.ScrubUncorrectable)
+		rep.Stats.ScrubCorrected, rep.Stats.ScrubUncorrectable)
 	for _, d := range rep.Diagnoses {
 		fmt.Printf("diagnosis: %v\n", d)
 	}

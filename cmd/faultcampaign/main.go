@@ -12,8 +12,8 @@
 // The plain configuration additionally classifies every fault as recovered
 // or persistent through the triage retry (the same strike-free re-run the
 // engine supervisor uses in place), and a rom-stuck row welds EDAC-masked
-// stuck-at bits into the S-box ROMs — the fault class only the background
-// scrubber can find.
+// stuck-at bits into the S-box ROMs — the fault class only the engine's
+// ROM scrub can find.
 package main
 
 import (

@@ -133,30 +133,23 @@ type engineShard struct {
 	id int
 
 	// state is the supervision lifecycle (healthy / quarantined / dead);
-	// unsupervised engines keep every shard healthy forever. drv, sim and
-	// lock are written at construction and by the respawner while the
-	// shard is quarantined; the worker reads them only while the shard is
-	// healthy, so the atomic state transitions order the accesses.
+	// unsupervised engines keep every shard healthy forever. Only the
+	// shard's worker changes it. drv, sim and lock belong to the worker:
+	// written at construction and by respawn, which runs on the worker.
 	state atomic.Int32
 	gen   atomic.Uint64
 	drv   *bfm.Driver
 	sim   *netlist.Simulator            // primary mapped simulation (supervised only)
 	lock  *faultcampaign.VectorLockstep // shadow comparator (CheckLockstep only)
 
-	// runMu serializes transaction execution (worker) with replacement
-	// driver installation (respawner): a scrubber-initiated quarantine can
-	// start a respawn while the worker is still mid-transaction, and the
-	// two must not race on drv/sim/lock/transientLog.
-	runMu sync.Mutex
-
 	// stores publishes the primary simulation's EDAC ROM stores (type
-	// []*edac.ROM) to the background scrubber, which runs on its own
-	// goroutine and must not read the drv/sim fields.
+	// []*edac.ROM) to Stats, which runs on other goroutines and must not
+	// read the drv/sim fields.
 	stores atomic.Value
 
 	// transientLog holds the submission ordinals of this incarnation's
 	// transient classifications (the sliding-window error budget). Touched
-	// only under runMu; reset by respawn.
+	// only by the worker; reset by respawn.
 	transientLog []uint64
 
 	// lat is the submit→complete wall-clock latency histogram of jobs this
@@ -178,14 +171,13 @@ type engineShard struct {
 	transients           atomic.Uint64
 	persistents          atomic.Uint64
 	inPlace              atomic.Uint64
-	scrubSweeps          atomic.Uint64
 	scrubCorrected       atomic.Uint64
 	scrubUncorrectable   atomic.Uint64
 	romCorrectedBase     atomic.Uint64
 	romUncorrectableBase atomic.Uint64
 }
 
-// publishStores exposes the primary sim's EDAC stores to the scrubber.
+// publishStores exposes the primary sim's EDAC stores to Stats.
 func (s *engineShard) publishStores() {
 	if s.sim != nil {
 		s.stores.Store(s.sim.ROMStores())
@@ -326,12 +318,6 @@ func (im *Implementation) NewEngine(key []byte, opts EngineOptions) (*Engine, er
 		e.wg.Add(1)
 		go e.worker(s)
 	}
-	if sup != nil && sup.ScrubInterval > 0 {
-		for _, s := range e.shards {
-			e.wg.Add(1)
-			go e.scrubber(s)
-		}
-	}
 	return e, nil
 }
 
@@ -451,10 +437,14 @@ func (e *Engine) poke() {
 	}
 }
 
+// worker is the one goroutine that owns shard s: it runs the shard's
+// transactions, scrubs its ROM stores after each supervised job, and
+// respawns it after a quarantine.
 func (e *Engine) worker(s *engineShard) {
 	defer e.wg.Done()
 	for {
-		if s.state.Load() == shardHealthy {
+		switch s.state.Load() {
+		case shardHealthy:
 			// Fast path: the shard's own queue.
 			select {
 			case j := <-s.q:
@@ -466,12 +456,18 @@ func (e *Engine) worker(s *engineShard) {
 			if e.trySteal(s) {
 				continue
 			}
+		case shardQuarantined:
+			if e.respawn(s) {
+				continue
+			}
+			e.drain(s)
+			return
 		}
 		select {
 		case j := <-s.q:
-			// run redistributes the job if this shard is not healthy, so
-			// a submission that raced onto a quarantined queue can never
-			// stall or touch sick hardware.
+			// run redistributes the job if this shard is dead, so a
+			// submission that raced onto its queue can never stall or
+			// touch sick hardware.
 			e.run(s, j)
 		case <-e.wake:
 			// A submission landed somewhere; rescan.
@@ -521,13 +517,18 @@ func (e *Engine) drain(s *engineShard) {
 
 func (e *Engine) run(s *engineShard, j *engineJob) {
 	if s.state.Load() != shardHealthy {
-		// The job raced onto a quarantined (or dead) shard's queue; hand
-		// it to a healthy sibling instead of trusting sick hardware.
+		// The job raced onto a dead shard's queue; hand it to a healthy
+		// sibling instead of trusting sick hardware.
 		e.redistribute(j)
 		return
 	}
 	if e.sup != nil {
 		e.runSupervised(s, j)
+		if s.state.Load() == shardHealthy {
+			if d, ok := e.scrub(s); ok {
+				e.classifyPersistent(s, d)
+			}
+		}
 		return
 	}
 	outs, err := e.transact(s, j, s.submissions.Add(1), true)
@@ -838,11 +839,9 @@ type ShardStats struct {
 	Transients        uint64
 	Persistents       uint64
 	InPlaceRecoveries uint64
-	// Scrub and EDAC shares: completed full scrub passes, words repaired /
-	// found hard by this shard's scrubber and diagnosis sweeps, and EDAC
-	// read-path correction events across all of the shard's driver
-	// generations.
-	ScrubSweeps           uint64
+	// Scrub and EDAC shares: words repaired / found hard by this shard's
+	// scrubs, and EDAC read-path correction events across all of the
+	// shard's driver generations.
 	ScrubCorrected        uint64
 	ScrubUncorrectable    uint64
 	ROMCorrectedReads     uint64
@@ -895,27 +894,25 @@ type EngineStats struct {
 	// Every detection is classified: Transients recovered with one
 	// in-place retry and stayed within the shard's error budget (no
 	// quarantine); Persistents quarantined the shard — repeat failures,
-	// ROM damage found by triage or the scrubber, and budget Escalations
-	// all count here. InPlaceRecoveries counts successful strike-free
-	// retries (a budget escalation still recovered its data in place, so
-	// InPlaceRecoveries >= Transients). Detections may exceed
+	// ROM damage found by triage or the post-job scrub, and budget
+	// Escalations all count here. InPlaceRecoveries counts successful
+	// strike-free retries (a budget escalation still recovered its data in
+	// place, so InPlaceRecoveries >= Transients). Detections may exceed
 	// Transients+Persistents (classification in flight), and Persistents
-	// may exceed what detections explain: the background scrubber
-	// classifies EDAC-masked ROM damage persistent without any
-	// transaction-level detection ever firing.
+	// may exceed what detections explain: the post-job scrub classifies
+	// EDAC-masked ROM damage persistent without any transaction-level
+	// detection ever firing.
 	Transients        uint64
 	Persistents       uint64
 	InPlaceRecoveries uint64
 	Escalations       uint64
-	// Memory-integrity counters. ScrubSweeps counts completed full passes
-	// over a shard's ROM stores; ScrubCorrected counts words whose
-	// correctable error a sweep rewrote successfully (SEUs flushed);
-	// ScrubUncorrectable counts words a sweep could not repair (stuck bit
+	// Memory-integrity counters. ScrubCorrected counts words whose
+	// correctable error a scrub rewrote successfully (SEUs flushed);
+	// ScrubUncorrectable counts words a scrub could not repair (stuck bit
 	// or multi-bit damage — each such find quarantines its shard).
 	// ROMCorrectedReads / ROMUncorrectableReads count EDAC read-path
 	// events: transactions that touched a faulty word and got corrected
 	// (or raw, for multi-bit) data.
-	ScrubSweeps           uint64
 	ScrubCorrected        uint64
 	ScrubUncorrectable    uint64
 	ROMCorrectedReads     uint64
@@ -986,7 +983,6 @@ func (e *Engine) Stats() EngineStats {
 			Transients:         transients,
 			Persistents:        persistents,
 			InPlaceRecoveries:  inPlace,
-			ScrubSweeps:        s.scrubSweeps.Load(),
 			ScrubCorrected:     s.scrubCorrected.Load(),
 			ScrubUncorrectable: s.scrubUncorrectable.Load(),
 		}
@@ -1008,7 +1004,6 @@ func (e *Engine) Stats() EngineStats {
 		st.Transients += ss.Transients
 		st.Persistents += ss.Persistents
 		st.InPlaceRecoveries += ss.InPlaceRecoveries
-		st.ScrubSweeps += ss.ScrubSweeps
 		st.ScrubCorrected += ss.ScrubCorrected
 		st.ScrubUncorrectable += ss.ScrubUncorrectable
 		if ss.Cycles > st.MaxShardCycles {

@@ -58,7 +58,6 @@ type benchRow struct {
 	Persistents        uint64 `json:"persistents,omitempty"`
 	InPlaceRecoveries  uint64 `json:"in_place_recoveries,omitempty"`
 	Escalations        uint64 `json:"escalations,omitempty"`
-	ScrubSweeps        uint64 `json:"scrub_sweeps,omitempty"`
 	ScrubCorrected     uint64 `json:"scrub_corrected,omitempty"`
 	ScrubUncorrectable uint64 `json:"scrub_uncorrectable,omitempty"`
 
@@ -246,7 +245,6 @@ func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStat
 		Persistents:        st.Persistents,
 		InPlaceRecoveries:  st.InPlaceRecoveries,
 		Escalations:        st.Escalations,
-		ScrubSweeps:        st.ScrubSweeps,
 		ScrubCorrected:     st.ScrubCorrected,
 		ScrubUncorrectable: st.ScrubUncorrectable,
 
@@ -450,10 +448,8 @@ func BenchmarkVectorLanes(b *testing.B) {
 
 // BenchmarkChaosRecovery measures the supervised engine's throughput with
 // the recovery machinery live: sub-benchmark "faultfree" is a supervised
-// 4-shard pool with no strikes and no scrubber (the cost of lockstep
-// supervision itself), "scrub" adds an aggressive background ROM scrubber
-// to the strike-free pool (the faultfree/scrub pair is the EXPERIMENTS.md
-// scrub-overhead measurement), and "chaos" adds seeded strikes about once
+// 4-shard pool with no strikes (the cost of lockstep supervision itself,
+// post-job ROM scrub included), and "chaos" adds seeded strikes about once
 // per 5 submissions, so the rows in BENCH_engine.json track the recovery
 // tax (detection → triage retry → quarantine → hot-respawn) across PRs,
 // alongside the detections/triage/scrub counters.
@@ -470,19 +466,14 @@ func BenchmarkChaosRecovery(b *testing.B) {
 	cases := []struct {
 		name    string
 		strikes bool
-		scrub   time.Duration
 	}{
-		{"faultfree", false, -1},
-		{"scrub", false, 100 * time.Microsecond},
-		{"chaos", true, -1},
+		{"faultfree", false},
+		{"chaos", true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			sup := &rijndaelip.SupervisorOptions{
-				Check:         rijndaelip.CheckLockstep,
-				ScrubInterval: tc.scrub,
-			}
+			sup := &rijndaelip.SupervisorOptions{Check: rijndaelip.CheckLockstep}
 			var inj *chaos.Injector
 			if tc.strikes {
 				inj = chaos.NewInjector(chaos.Config{Seed: 42, Period: 5}, impl.Core.BlockLatency)

@@ -12,7 +12,8 @@
 // Beyond transient flips, the injector can weld stuck-at ROM bits into
 // live shards (Config.StuckAt). A single stuck bit is corrected by the
 // EDAC code on every read, so no output check can ever fire for it — the
-// run then gates on the background scrubber finding and localizing it.
+// run then gates on the engine's post-job scrub finding and localizing
+// it.
 //
 // Everything is seeded: the traffic, the strike schedule and the struck
 // flip-flops all derive from Config.Seed, so a failing run reproduces.
@@ -47,7 +48,7 @@ type Config struct {
 	// StuckAt welds one stuck-at ROM bit into each of the first StuckAt
 	// shards, once that shard has traffic flowing (its second submission).
 	// The welded bit is EDAC-masked — every read is corrected, outputs
-	// stay bit-exact — so only the background scrubber can find it; the
+	// stay bit-exact — so only the engine's ROM scrub can find it; the
 	// triage gate asserts it does, word-accurately. Respawned shards are
 	// not re-struck.
 	StuckAt int
@@ -158,35 +159,21 @@ func (in *Injector) Planted() []Planted {
 	return append([]Planted(nil), in.planted...)
 }
 
-// RunConfig describes one harness run.
+// RunConfig describes one harness run. The engine is supervised with
+// CheckLockstep — the only policy that catches persistent key-schedule
+// corruption, which is what random strikes mostly produce — and the
+// supervisor's defaults for everything else.
 type RunConfig struct {
 	// Shards and MaxLanes shape the engine (defaults 4 and 8; small lane
 	// packing keeps the submission count high, which is what the strike
-	// schedule keys on). QueueDepth passes through (default 2).
-	Shards     int
-	MaxLanes   int
-	QueueDepth int
+	// schedule keys on).
+	Shards   int
+	MaxLanes int
 	// Blocks is the number of 16-byte blocks pushed per wave (default
 	// 256); Waves is how many waves run back to back (default 1) — waves
-	// give background respawns traffic to rejoin.
+	// give respawned shards traffic to rejoin.
 	Blocks int
 	Waves  int
-	// Check is the detection policy (default CheckLockstep — the only
-	// policy that catches persistent key-schedule corruption, which is
-	// what random strikes mostly produce).
-	Check rijndaelip.CheckPolicy
-	// Supervisor knobs passed through (zero values take the supervisor's
-	// defaults).
-	RetryBudget        int
-	RespawnBackoff     int // milliseconds; 0 keeps the 1ms default
-	MaxRespawnFailures int
-	// Triage and scrubber knobs passed through (zero values take the
-	// supervisor's defaults; the triage gate shortens ScrubInterval so
-	// planted stuck-ats are found within the run).
-	TransientBudget int
-	TransientWindow int
-	ScrubInterval   time.Duration
-	ScrubWords      int
 	// Baseline also runs an identically configured, strike-free engine
 	// over the same traffic and records its cycles/block, so recovery
 	// overhead is measurable.
@@ -209,7 +196,7 @@ type Report struct {
 	// Strikes is how many transient upsets the injector armed.
 	Strikes uint64
 	// Planted lists the stuck-at ROM bits the injector welded; Localized
-	// is how many of them the engine's triage/scrubber matched with a
+	// is how many of them the engine's triage/scrub matched with a
 	// word-accurate ROM diagnosis (gate: Localized == len(Planted)).
 	Planted   []Planted
 	Localized int
@@ -247,9 +234,8 @@ func (r *Report) VerifyLadder() error {
 		case obs.KindPersistent:
 			persistent[ev.Shard]++
 		case obs.KindQuarantine:
-			// Several near-simultaneous persistents can fold into one
-			// quarantine (the CAS arbitrates), but at least one must come
-			// first.
+			// Every quarantine follows the persistent classification
+			// that caused it.
 			if persistent[ev.Shard] == 0 {
 				return fmt.Errorf("chaos: trace %s without a preceding persistent classification", ev)
 			}
@@ -312,8 +298,8 @@ func (r *Report) String() string {
 }
 
 // settleTimeout and settleLocalizedTimeout bound how long Run waits for
-// the pool to heal between waves / for the scrubber to find every planted
-// stuck-at. They are variables so tests can shrink them to exercise the
+// the pool to heal between waves / for every planted stuck-at to be
+// localized and its shard respawned. They are variables so tests can shrink them to exercise the
 // timeout paths without multi-second stalls.
 var (
 	settleTimeout          = 5 * time.Second
@@ -381,15 +367,15 @@ func localized(planted []Planted, diags []rijndaelip.Diagnosis) int {
 	return n
 }
 
-// settleLocalized waits (bounded, cancellable) for the background
-// scrubber to localize every planted stuck-at and for the pool to heal —
-// welded bits are EDAC-masked, so no amount of traffic forces the issue;
-// only scrub time does.
+// settleLocalized waits (bounded, cancellable) for every planted stuck-at
+// to be localized and for the pool to heal. The post-job scrub finds a
+// weld right after the job it was planted on; what is left to wait for is
+// the respawn backoff.
 func settleLocalized(ctx context.Context, eng *rijndaelip.Engine, shards int, planted []Planted) error {
 	return await(ctx, settleLocalizedTimeout, func() bool {
 		return localized(planted, eng.Diagnoses()) == len(planted) && eng.Stats().HealthyShards == shards
 	}, func() string {
-		return fmt.Sprintf("scrubber localization (%d/%d planted stuck-ats diagnosed, %d/%d shards healthy)",
+		return fmt.Sprintf("scrub localization (%d/%d planted stuck-ats diagnosed, %d/%d shards healthy)",
 			localized(planted, eng.Diagnoses()), len(planted), eng.Stats().HealthyShards, shards)
 	})
 }
@@ -411,29 +397,15 @@ func Run(ctx context.Context, impl *rijndaelip.Implementation, key []byte, rc Ru
 	if rc.Waves <= 0 {
 		rc.Waves = 1
 	}
-	check := rc.Check
-	if check == rijndaelip.CheckNone {
-		check = rijndaelip.CheckLockstep
-	}
 	inj := NewInjector(rc.Chaos, impl.Core.BlockLatency)
 	sup := rijndaelip.SupervisorOptions{
-		Check:              check,
-		RetryBudget:        rc.RetryBudget,
-		MaxRespawnFailures: rc.MaxRespawnFailures,
-		TransientBudget:    rc.TransientBudget,
-		TransientWindow:    rc.TransientWindow,
-		ScrubInterval:      rc.ScrubInterval,
-		ScrubWords:         rc.ScrubWords,
-		Strike:             inj.Strike,
-	}
-	if rc.RespawnBackoff > 0 {
-		sup.RespawnBackoff = time.Duration(rc.RespawnBackoff) * time.Millisecond
+		Check:  rijndaelip.CheckLockstep,
+		Strike: inj.Strike,
 	}
 	opts := rijndaelip.EngineOptions{
-		Shards:     rc.Shards,
-		QueueDepth: rc.QueueDepth,
-		MaxLanes:   rc.MaxLanes,
-		Supervise:  &sup,
+		Shards:    rc.Shards,
+		MaxLanes:  rc.MaxLanes,
+		Supervise: &sup,
 	}
 	eng, err := impl.NewEngine(key, opts)
 	if err != nil {
@@ -467,7 +439,7 @@ func Run(ctx context.Context, impl *rijndaelip.Implementation, key []byte, rc Ru
 			}
 		}
 		rep.Blocks += rc.Blocks
-		// Let background respawns land before the next wave (and before the
+		// Let respawns land before the next wave (and before the
 		// final stats snapshot): strikes never kill shards permanently here,
 		// so a full pool is the steady state the counters should reflect.
 		if err := settle(ctx, eng, rc.Shards); err != nil {

@@ -120,19 +120,17 @@ func traceKinds(events []obs.Event) map[obs.Kind]uint64 {
 // flips AND welded stuck-at ROM bits into the same live pool. Every
 // transient must recover in place; every stuck-at — invisible to output
 // checks, because the EDAC code corrects it on each read — must be found
-// by the background scrubber, localized to the exact ROM word, and healed
+// by the post-job ROM scrub, localized to the exact ROM word, and healed
 // by quarantine + respawn; and not a single block may diverge from the
 // software reference.
 func TestTriageGate(t *testing.T) {
 	impl := chaosImpl(t)
 	rc := RunConfig{
-		Shards:        4,
-		MaxLanes:      4,
-		Blocks:        192,
-		Waves:         3,
-		ScrubInterval: 100 * time.Microsecond,
-		ScrubWords:    512,
-		Chaos:         Config{Seed: 9, Period: 25, StuckAt: 2},
+		Shards:   4,
+		MaxLanes: 4,
+		Blocks:   192,
+		Waves:    3,
+		Chaos:    Config{Seed: 9, Period: 25, StuckAt: 2},
 	}
 	if testing.Short() {
 		rc.Blocks, rc.Waves = 96, 2
@@ -155,7 +153,7 @@ func TestTriageGate(t *testing.T) {
 		t.Errorf("transient triage accounting off: %+v", rep.Stats)
 	}
 	if rep.Localized != len(rep.Planted) {
-		t.Errorf("scrubber localized %d of %d welded ROM bits: planted %v, diagnosed %v",
+		t.Errorf("scrub localized %d of %d welded ROM bits: planted %v, diagnosed %v",
 			rep.Localized, len(rep.Planted), rep.Planted, rep.Diagnoses)
 	}
 	if rep.Stats.ScrubUncorrectable < uint64(len(rep.Planted)) {
@@ -167,7 +165,7 @@ func TestTriageGate(t *testing.T) {
 	if rep.Stats.HealthyShards != rc.Shards {
 		t.Errorf("pool did not heal: %d/%d shards healthy", rep.Stats.HealthyShards, rc.Shards)
 	}
-	// The mixed-fault ladder — scrubber-found persistents included — must
+	// The mixed-fault ladder — scrub-found persistents included — must
 	// replay cleanly from the trace, and every planted weld must show up
 	// as a rom-caused persistent classification event.
 	if err := rep.VerifyLadder(); err != nil {

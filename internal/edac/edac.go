@@ -15,9 +15,8 @@
 // The store distinguishes the two upset classes that matter for triage:
 // FlipBit models a radiation-induced SEU in the memory array — wrong until
 // rewritten, gone after a scrub — while StickBit models a hard stuck-at
-// fault that re-asserts itself after every rewrite. A background scrubber
-// sweeping Scrub over all words repairs the former and surfaces the
-// latter.
+// fault that re-asserts itself after every rewrite. A scrub of the faulty
+// words repairs the former and surfaces the latter.
 package edac
 
 import (
@@ -182,9 +181,10 @@ type BadWord struct {
 // ROM is an EDAC-wrapped 256x8 ROM store. The golden contents are encoded
 // into per-word SECDED codewords at construction; reads decode through the
 // code, so injected bit errors in the stored array are corrected (and
-// counted) transparently. The store is safe for concurrent use: the
-// simulator owning it reads on its worker goroutine while a background
-// scrubber sweeps and repairs words.
+// counted) transparently. The store is safe for concurrent use, since
+// Stats and the EDAC counters are read from other goroutines; in the
+// supervised engine the reads, the injected faults and the scrubs of a
+// store all run on the worker goroutine of the shard that owns it.
 type ROM struct {
 	mu     sync.Mutex
 	name   string

@@ -229,8 +229,8 @@ func TestTokenMoves(t *testing.T) {
 }
 
 // TestTokenConcurrentScrub reads the token and gathers on one goroutine
-// while another damages and scrubs the store, as a simulator does beside
-// its background scrubber. Run under -race. The token never goes back,
+// while another damages and scrubs the store: the interleaving the store's
+// lock permits. Run under -race. The token never goes back,
 // and once both are done it shows every move: each flip of a clean word
 // and each scrub repair moves it once.
 func TestTokenConcurrentScrub(t *testing.T) {

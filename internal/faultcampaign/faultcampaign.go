@@ -266,7 +266,7 @@ func RunFaults(cfg Config, faults []Fault) (*Result, error) {
 // own scalar transaction. The transient-vs-persistent breakdown is always
 // armed: a stuck bit the EDAC code masks end to end still classifies
 // Persistent, because the damage survives the scrub rewrite (this is
-// exactly the fault class only the engine's background scrubber can see).
+// exactly the fault class only the engine's ROM scrub can see).
 func RunStuckAt(cfg Config, faults []ROMFault) (*Result, error) {
 	cfg.ClassifyPersistence = true
 	c, err := newCampaign(cfg)

@@ -232,7 +232,7 @@ func TestClassifyPersistenceBreakdown(t *testing.T) {
 // stuck codeword bit is corrected on every read (SilentCorrect — no
 // output check can ever fire) yet stays Persistent, because the scrub
 // rewrite cannot clear welded storage. This is exactly the class only the
-// engine's background scrubber detects.
+// engine's ROM scrub detects.
 func TestRunStuckAtROMCampaign(t *testing.T) {
 	core, nl := buildEncryptCore(t)
 	faults := []ROMFault{

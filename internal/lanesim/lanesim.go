@@ -187,7 +187,7 @@ func (m *Machine) Cycle() int { return m.w.Cycle }
 // ordered like the simulator's ROM declarations. The stores are simulator
 // state: injecting a bit fault into one faults this simulator only, and
 // the golden contents are never modified. They are safe for concurrent
-// use, so a background scrubber may sweep them while the simulator runs.
+// use, so their counters may be read while the simulator runs.
 func (m *Machine) ROMStores() []*edac.ROM { return m.roms }
 
 // Eval propagates stimulus and the current state through the combinational

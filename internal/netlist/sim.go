@@ -398,8 +398,8 @@ func (s *Simulator) NumROMs() int { return len(s.nl.ROMs) }
 func (s *Simulator) ROMName(i int) string { return s.nl.ROMs[i].Name }
 
 // ROMStore returns the EDAC store ROM macro i reads through. The store is
-// safe for concurrent use, so a background scrubber may sweep it while
-// the simulator runs on its own goroutine.
+// safe for concurrent use, so its counters may be read while the
+// simulator runs on its own goroutine.
 func (s *Simulator) ROMStore(i int) *edac.ROM { return s.ROMStores()[i] }
 
 // FlipROMBit injects a transient upset into ROM storage: codeword bit

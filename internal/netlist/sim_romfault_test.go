@@ -72,7 +72,7 @@ func TestStickROMBitSurvivesResetAndScrub(t *testing.T) {
 	if v, _ := sim.Output("data"); byte(v) != gf256.SBox(0x10) {
 		t.Fatalf("read = %#x, want %#x", v, gf256.SBox(0x10))
 	}
-	// ...but the scrubber sees a hard fault the rewrite cannot clear.
+	// ...but a scrub sees a hard fault the rewrite cannot clear.
 	if got := store.Scrub(0x10); got != edac.ScrubHard {
 		t.Fatalf("scrub = %v", got)
 	}

@@ -37,8 +37,8 @@ const (
 	KindRespawnFailure Kind = "respawn-failure"
 	// KindShardDead: the permanent-defect circuit breaker parked a shard.
 	KindShardDead Kind = "shard-dead"
-	// KindScrubCorrect: the background scrubber rewrote a correctable
-	// EDAC word in place.
+	// KindScrubCorrect: a ROM scrub (after a job, or in diagnosis)
+	// rewrote a correctable EDAC word in place.
 	KindScrubCorrect Kind = "scrub-correct"
 	// KindFallback: blocks were served by the software reference.
 	KindFallback Kind = "fallback"

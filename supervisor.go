@@ -40,9 +40,15 @@ const (
 // cross-checked by a lockstep shadow replica or an inverse-operation
 // check, and any detection triggers
 // the recovery ladder — retry in place, re-queue the failed submission to
-// a healthy shard, quarantine the sick shard, hot-respawn it in the
-// background, and degrade to the software reference only when every
-// replica is out of service.
+// a healthy shard, quarantine the sick shard, hot-respawn it, and degrade
+// to the software reference only when every replica is out of service.
+//
+// Each shard's worker goroutine is the only one that touches the shard's
+// simulators, EDAC ROM stores and driver. After every job it scrubs the
+// ROM words its stores report faulty (correctable errors are rewritten;
+// a word that stays bad quarantines the shard with a ROM diagnosis), and
+// a quarantined shard's worker waits out the respawn backoff and rebuilds
+// the shard itself.
 //
 // A single self-checking device is the one-shard, one-lane case:
 //
@@ -82,7 +88,8 @@ type SupervisorOptions struct {
 	// shard's submission ordinal, and its primary simulator. Chaos
 	// harnesses use it to arm ScheduleFlipLanes upsets that land
 	// mid-transaction. The hook runs on the worker goroutine that owns the
-	// simulator, so it may touch the simulator without extra locking.
+	// simulator, so it may touch the simulator without extra locking, and
+	// ROM damage it plants is found by the scrub that follows the job.
 	Strike func(shard int, submission uint64, sim *netlist.Simulator)
 	// RespawnHook, when set, gates every respawn attempt: it is invoked
 	// with the shard id and the consecutive-failure ordinal before the
@@ -102,19 +109,6 @@ type SupervisorOptions struct {
 	// TransientWindow is the budget window, in per-shard submissions.
 	// Default 64.
 	TransientWindow int
-	// ScrubInterval is the tick period of the per-shard background ROM
-	// scrubber, which sweeps ScrubWords EDAC words per tick between
-	// transactions: correctable storage errors are rewritten in place,
-	// and a word that stays bad (stuck bit, multi-bit damage) quarantines
-	// the shard with a ROM-localized diagnosis. 0 selects the default
-	// (1ms); a negative value disables scrubbing. Scrubbing runs on wall
-	// time, off the simulated-cycle path, so it costs zero simulated
-	// cycles per block — the trade-off is purely detection latency vs
-	// host CPU (see DESIGN.md §7).
-	ScrubInterval time.Duration
-	// ScrubWords is how many ROM words one scrub tick visits. Default 64
-	// (a full 8-ROM sweep every 32 ticks).
-	ScrubWords int
 }
 
 // Shard supervision states. Unsupervised engines keep every shard healthy
@@ -170,7 +164,7 @@ const (
 )
 
 // Diagnosis is one persistent-fault localization record, appended every
-// time triage (or the background scrubber) classifies a shard fault as
+// time triage (or the post-job scrub) classifies a shard fault as
 // persistent and quarantines it.
 type Diagnosis struct {
 	// Shard is the sick shard; Generation its driver generation at
@@ -235,12 +229,6 @@ func normalizedSupervisor(im *Implementation, opts *SupervisorOptions) (*Supervi
 	if s.TransientWindow <= 0 {
 		s.TransientWindow = 64
 	}
-	if s.ScrubInterval == 0 {
-		s.ScrubInterval = time.Millisecond
-	}
-	if s.ScrubWords <= 0 {
-		s.ScrubWords = 64
-	}
 	return &s, nil
 }
 
@@ -300,16 +288,11 @@ func (e *Engine) buildDriver() (*bfm.Driver, *netlist.Simulator, *faultcampaign.
 // A transient costs one extra transaction and a budget strike — no
 // quarantine, no respawn. A persistent classification runs the targeted
 // diagnosis pass (ROM sweep, then power-on self-test) to localize the
-// fault, records a Diagnosis, and walks the PR-4 recovery ladder
+// fault, records a Diagnosis, and walks the recovery ladder
 // (quarantine → hot-respawn → degrade). Detected faults are never
 // surfaced to the caller either way — correct data comes from the retry,
 // a sibling, or the software fallback.
 func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
-	// runMu serializes this transaction against respawn installation: a
-	// scrubber-initiated quarantine may start the respawner while this
-	// worker is still mid-transaction on the old driver.
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
 	sub := s.submissions.Add(1)
 	outs, err := e.attempt(s, j, sub, true)
 	if err == nil {
@@ -439,7 +422,7 @@ func (e *Engine) deliver(s *engineShard, j *engineJob, outs [][]byte) {
 // uses before deciding whether an in-place retry can possibly help. Words
 // the code can still correct are deliberately excluded: a correctable SEU
 // is masked on every read (it cannot have caused the detection) and the
-// scrubber will rewrite it, so it must not veto the retry.
+// post-job scrub will rewrite it, so it must not veto the retry.
 func shardROMDamage(s *engineShard) (rom string, word int, ok bool) {
 	if s.sim == nil {
 		return "", 0, false
@@ -456,9 +439,9 @@ func shardROMDamage(s *engineShard) (rom string, word int, ok bool) {
 
 // recordTransient logs one transient classification against the shard's
 // sliding-window error budget and reports whether the budget is now
-// exhausted (the caller escalates). Called only by the shard's worker
-// under runMu; the log is reset on respawn — the budget belongs to one
-// hardware incarnation.
+// exhausted (the caller escalates). Called only by the shard's worker;
+// the log is reset on respawn — the budget belongs to one hardware
+// incarnation.
 func (e *Engine) recordTransient(s *engineShard, sub uint64) bool {
 	log := append(s.transientLog, sub)
 	lo := 0
@@ -470,9 +453,9 @@ func (e *Engine) recordTransient(s *engineShard, sub uint64) bool {
 }
 
 // classifyPersistent records a persistent-fault classification: counters,
-// the localization record, and the quarantine that starts the PR-4
-// recovery ladder. The caller supplies the diagnosis (either known ROM
-// damage, an escalation verdict, or the result of diagnose).
+// the localization record, and the quarantine that starts the recovery
+// ladder. The caller supplies the diagnosis (known ROM damage, an
+// escalation verdict, a scrub find, or the result of diagnose).
 func (e *Engine) classifyPersistent(s *engineShard, d Diagnosis) {
 	s.persistents.Add(1)
 	d.Shard = s.id
@@ -484,30 +467,12 @@ func (e *Engine) classifyPersistent(s *engineShard, d Diagnosis) {
 }
 
 // diagnose localizes a persistent fault after a failed in-place retry:
-// first a full ROM sweep (scrubbing every word of every store — damage
-// the read path has not touched yet still shows up here), then the
-// power-on self-test on the live driver to implicate the flip-flop
-// region. Repairs the sweep happens to make are counted like background
-// scrub repairs.
+// first the ROM scrub (damage the read path has not touched yet still
+// shows up in the stores' faulty-word lists), then the power-on self-test
+// on the live driver to implicate the flip-flop region.
 func (e *Engine) diagnose(s *engineShard) Diagnosis {
-	if s.sim != nil {
-		for _, store := range s.sim.ROMStores() {
-			if store.FaultyWords() == 0 {
-				continue
-			}
-			for w := 0; w < edac.Words; w++ {
-				switch store.Scrub(w) {
-				case edac.ScrubRepaired:
-					s.scrubCorrected.Add(1)
-				case edac.ScrubHard:
-					return Diagnosis{Cause: CauseROM, ROM: store.Name(), Word: w,
-						Detail: "diagnosis sweep: stuck bit re-asserted after rewrite"}
-				case edac.ScrubUncorrectable:
-					return Diagnosis{Cause: CauseROM, ROM: store.Name(), Word: w,
-						Detail: "diagnosis sweep: multi-bit damage beyond SECDED"}
-				}
-			}
-		}
+	if d, ok := e.scrub(s); ok {
+		return d
 	}
 	if err := e.selfTest(s.drv); err != nil {
 		return Diagnosis{Cause: CauseFF, Detail: "POST failed: " + err.Error()}
@@ -515,88 +480,53 @@ func (e *Engine) diagnose(s *engineShard) Diagnosis {
 	return Diagnosis{Cause: CauseFF, Detail: "POST passed after failed retry; intermittent state corruption"}
 }
 
-// scrubber is shard s's background ROM patrol: every ScrubInterval it
-// sweeps ScrubWords words of the shard's EDAC stores (round-robin across
-// the ROM macros), rewriting correctable errors in place. A word that
-// stays bad after the rewrite — a stuck bit or multi-bit damage — is
-// persistent memory damage on a live shard: the scrubber localizes it and
-// quarantines the shard without waiting for traffic to trip over it. This
-// is what catches EDAC-masked faults: a single stuck ROM bit is corrected
-// on every read, so no output check will ever fire for it.
-func (e *Engine) scrubber(s *engineShard) {
-	defer e.wg.Done()
-	t := time.NewTicker(e.sup.ScrubInterval)
-	defer t.Stop()
-	rom, word := 0, 0
-	for {
-		select {
-		case <-e.closed:
-			return
-		case <-t.C:
-		}
-		if s.state.Load() != shardHealthy {
+// scrub repairs the primary simulation's damaged ROM words. It runs on
+// the shard's worker after every supervised job (and inside diagnose):
+// every fault source reaches a store on the worker — in the Strike hook
+// or during a transaction — so the sweep that follows the job sees all of
+// it. A store whose token's low bit is clear holds no faulty word and is
+// skipped without taking its lock; only the words a store lists as bad
+// are visited. A correctable error is rewritten in place (counted and
+// traced as a scrub correction); a word that stays bad after the rewrite
+// — a stuck bit or multi-bit damage — is persistent memory damage, and
+// scrub returns its ROM-localized diagnosis. This is what catches
+// EDAC-masked faults: a single stuck ROM bit is corrected on every read,
+// so no output check will ever fire for it.
+func (e *Engine) scrub(s *engineShard) (Diagnosis, bool) {
+	if s.sim == nil {
+		return Diagnosis{}, false
+	}
+	for _, store := range s.sim.ROMStores() {
+		if store.Token()&1 == 0 {
 			continue
 		}
-		cur, _ := s.stores.Load().([]*edac.ROM)
-		if len(cur) == 0 {
-			continue
-		}
-		if rom >= len(cur) {
-			rom, word = 0, 0
-		}
-		for k := 0; k < e.sup.ScrubWords; k++ {
-			res := cur[rom].Scrub(word)
-			name, w := cur[rom].Name(), word
-			word++
-			if word == edac.Words {
-				word = 0
-				if rom++; rom == len(cur) {
-					rom = 0
-					s.scrubSweeps.Add(1)
-				}
-			}
-			switch res {
+		for _, bad := range store.BadWords() {
+			switch res := store.Scrub(bad.Word); res {
 			case edac.ScrubRepaired:
 				s.scrubCorrected.Add(1)
 				e.emit(obs.Event{Kind: obs.KindScrubCorrect, Shard: s.id, Generation: s.gen.Load(),
-					Cause: CauseROM, Detail: fmt.Sprintf("rom %s word 0x%02x rewritten", name, w)})
+					Cause: CauseROM, Detail: fmt.Sprintf("rom %s word 0x%02x rewritten", store.Name(), bad.Word)})
 			case edac.ScrubHard, edac.ScrubUncorrectable:
 				s.scrubUncorrectable.Add(1)
-				detail := "scrubber: stuck bit re-asserted after rewrite"
+				detail := "scrub: stuck bit re-asserted after rewrite"
 				if res == edac.ScrubUncorrectable {
-					detail = "scrubber: multi-bit damage beyond SECDED"
+					detail = "scrub: multi-bit damage beyond SECDED"
 				}
-				e.classifyPersistent(s, Diagnosis{Cause: CauseROM, ROM: name, Word: w, Detail: detail})
-			}
-			if s.state.Load() != shardHealthy {
-				break
+				return Diagnosis{Cause: CauseROM, ROM: store.Name(), Word: bad.Word, Detail: detail}, true
 			}
 		}
 	}
+	return Diagnosis{}, false
 }
 
 // quarantine takes a shard out of rotation after a persistent
-// classification: its queued jobs are handed to healthy siblings, and a
-// background respawner starts rebuilding it. Both the shard's own worker
-// (triage) and its background scrubber (memory damage) can move a shard
-// out of healthy, so the CAS arbitrates: exactly one caller wins and
-// spawns the respawner.
+// classification. Only the shard's own worker classifies, so the state
+// change needs no arbitration; the worker's loop then runs respawn, which
+// hands queued jobs to healthy siblings while the shard is rebuilt.
 func (e *Engine) quarantine(s *engineShard) {
-	if !s.state.CompareAndSwap(shardHealthy, shardQuarantined) {
-		return
-	}
+	s.state.Store(shardQuarantined)
 	s.quarantines.Add(1)
 	e.emit(obs.Event{Kind: obs.KindQuarantine, Shard: s.id, Generation: s.gen.Load()})
-	for {
-		select {
-		case j := <-s.q:
-			e.redistribute(j)
-		default:
-			e.wg.Add(1)
-			go e.respawner(s)
-			return
-		}
-	}
 }
 
 // requeue sends a detected-bad job back through the pool within its retry
@@ -659,20 +589,27 @@ func (e *Engine) fallback(j *engineJob) {
 	j.batch.complete(nil)
 }
 
-// respawner rebuilds a quarantined shard in the background: exponential
-// backoff between attempts, a power-on self-test before the replacement
-// rejoins the pool, and the permanent-defect circuit breaker after
-// MaxRespawnFailures consecutive failures.
-func (e *Engine) respawner(s *engineShard) {
-	defer e.wg.Done()
+// respawn rebuilds a quarantined shard on its own worker: exponential
+// backoff between attempts (jobs that reach the shard's queue meanwhile
+// are handed to healthy siblings), a power-on self-test before the
+// replacement rejoins the pool, and the permanent-defect circuit breaker
+// after MaxRespawnFailures consecutive failures. It reports false if the
+// engine closed during a backoff.
+func (e *Engine) respawn(s *engineShard) bool {
 	backoff := e.sup.RespawnBackoff
 	for attempt := 1; ; attempt++ {
 		t := time.NewTimer(backoff)
-		select {
-		case <-e.closed:
-			t.Stop()
-			return
-		case <-t.C:
+	wait:
+		for {
+			select {
+			case j := <-s.q:
+				e.redistribute(j)
+			case <-e.closed:
+				t.Stop()
+				return false
+			case <-t.C:
+				break wait
+			}
 		}
 		err := e.respawnShard(s, attempt)
 		if err == nil {
@@ -682,7 +619,7 @@ func (e *Engine) respawner(s *engineShard) {
 			e.emit(obs.Event{Kind: obs.KindRespawn, Shard: s.id, Generation: gen,
 				Attempt: attempt})
 			e.poke()
-			return
+			return true
 		}
 		e.respawnFailures.Add(1)
 		e.emit(obs.Event{Kind: obs.KindRespawnFailure, Shard: s.id,
@@ -691,21 +628,19 @@ func (e *Engine) respawner(s *engineShard) {
 			s.state.Store(shardDead)
 			e.emit(obs.Event{Kind: obs.KindShardDead, Shard: s.id, Generation: s.gen.Load(),
 				Attempt: attempt, Detail: "respawn circuit breaker tripped"})
-			return
+			return true
 		}
 		backoff *= 2
 	}
 }
 
-// respawnShard builds and self-tests one replacement driver. The shard's
-// driver fields are written only here and at construction; runMu
-// serializes the installation against a worker that may still be
-// finishing a transaction on the retiring driver (a scrubber-initiated
-// quarantine does not wait for the worker), and the atomic state
-// transition publishes the new fields. Respawning resets the transient
-// error budget — it belongs to the retired hardware incarnation — and
-// folds the retiring EDAC stores' read counters so Stats stays monotonic
-// across generations.
+// respawnShard builds and self-tests one replacement driver and installs
+// it. The shard's driver fields are written only here and at
+// construction, both on the goroutine that runs the shard's
+// transactions; the stores hand-off publishes the new EDAC stores to
+// Stats. Respawning resets the transient error budget — it belongs to the
+// retired hardware incarnation — and folds the retiring EDAC stores' read
+// counters so Stats stays monotonic across generations.
 func (e *Engine) respawnShard(s *engineShard, attempt int) error {
 	if e.sup.RespawnHook != nil {
 		if err := e.sup.RespawnHook(s.id, attempt); err != nil {
@@ -719,12 +654,10 @@ func (e *Engine) respawnShard(s *engineShard, attempt int) error {
 	if err := e.selfTest(drv); err != nil {
 		return err
 	}
-	s.runMu.Lock()
 	s.foldROMStats()
 	s.drv, s.sim, s.lock = drv, sim, lock
 	s.publishStores()
 	s.transientLog = nil
-	s.runMu.Unlock()
 	return nil
 }
 

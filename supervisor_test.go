@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"rijndaelip/internal/edac"
 	"rijndaelip/internal/modes"
 	"rijndaelip/internal/netlist"
+	"rijndaelip/internal/obs"
 )
 
 // supImpl caches an encrypt-only build for the supervisor tests (the
@@ -36,7 +38,8 @@ func supImpl(t testing.TB) *rijndaelip.Implementation {
 }
 
 // waitEngine polls the engine stats until cond is satisfied or the
-// deadline passes (background respawns land asynchronously).
+// deadline passes (respawns land after their backoff, asynchronously to
+// the caller).
 func waitEngine(t *testing.T, eng *rijndaelip.Engine, what string, cond func(rijndaelip.EngineStats) bool) rijndaelip.EngineStats {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -115,9 +118,8 @@ func TestSupervisedEngineFaultFree(t *testing.T) {
 // stuck bit re-asserts through the state restoration), the failed
 // submission must be re-queued to the healthy sibling (so every
 // caller-visible block stays bit-exact and in order), the sick shard
-// must be quarantined with a flip-flop-region diagnosis, and the
-// background respawner must return it to service with a bumped
-// generation.
+// must be quarantined with a flip-flop-region diagnosis, and its worker
+// must respawn it back into service with a bumped generation.
 func TestSupervisedEngineQuarantineRespawnRecovery(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("supervised-key-1")
@@ -168,7 +170,7 @@ func TestSupervisedEngineQuarantineRespawnRecovery(t *testing.T) {
 	if d := diags[0]; d.Cause != rijndaelip.CauseFF || d.Shard != 0 {
 		t.Fatalf("diagnosis = %v, want shard 0 cause %q", d, rijndaelip.CauseFF)
 	}
-	// The respawner runs in the background; wait for the shard to rejoin.
+	// The respawn lands after its backoff; wait for the shard to rejoin.
 	st = waitEngine(t, eng, "hot-respawn", func(st rijndaelip.EngineStats) bool {
 		return st.Respawns >= 1 && st.HealthyShards == 2
 	})
@@ -338,9 +340,8 @@ func TestSupervisedEngineInverseNeedsBothVariant(t *testing.T) {
 // classification the state machine must reach — transient (in-place
 // retry, no quarantine), persistent flip-flop damage (failed retry, POST
 // diagnosis), persistent ROM damage (short-circuit on known bad words,
-// word-accurate diagnosis), and error-budget escalation. Background
-// scrubbing is disabled so only the worker-side triage path runs. Run
-// with -race.
+// word-accurate diagnosis), and error-budget escalation. In every case
+// triage classifies before the post-job ROM scrub could. Run with -race.
 func TestSupervisorTriageClassification(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("triage-table-key")
@@ -477,7 +478,6 @@ func TestSupervisorTriageClassification(t *testing.T) {
 				Supervise: &rijndaelip.SupervisorOptions{
 					Check:           check,
 					TransientBudget: tc.budget,
-					ScrubInterval:   -1, // worker-side triage only
 					Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
 						tc.strike(&once, submission, sim)
 					},
@@ -503,12 +503,12 @@ func TestSupervisorTriageClassification(t *testing.T) {
 	}
 }
 
-// TestScrubberDetectsEDACMaskedStuckBit pins the tentpole's key scenario:
+// TestScrubberDetectsEDACMaskedStuckBit pins the ROM scrub's key scenario:
 // a single stuck ROM bit is corrected by the EDAC code on every read, so
 // outputs stay bit-exact and no output comparator can ever fire — the
-// background scrubber is the only detector. It must localize the word,
-// quarantine the shard with a ROM diagnosis, and hand it to the respawner,
-// all without a single data mismatch. Run with -race.
+// post-job scrub is the only detector. It must localize the word,
+// quarantine the shard with a ROM diagnosis, and respawn it, all without
+// a single data mismatch. Run with -race.
 func TestScrubberDetectsEDACMaskedStuckBit(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("scrubber-key-000")
@@ -522,9 +522,7 @@ func TestScrubberDetectsEDACMaskedStuckBit(t *testing.T) {
 		Shards:   2,
 		MaxLanes: 2,
 		Supervise: &rijndaelip.SupervisorOptions{
-			Check:         rijndaelip.CheckLockstep,
-			ScrubInterval: 100 * time.Microsecond,
-			ScrubWords:    edac.Words, // one full ROM per tick
+			Check: rijndaelip.CheckLockstep,
 			Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
 				if shard != 0 {
 					return
@@ -552,8 +550,8 @@ func TestScrubberDetectsEDACMaskedStuckBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkECB(t, got, src, key)
-	// The scrubber must find the masked fault and the respawner heal it.
-	st := waitEngine(t, eng, "scrubber-driven quarantine and respawn", func(st rijndaelip.EngineStats) bool {
+	// The scrub must find the masked fault and the respawn heal it.
+	st := waitEngine(t, eng, "scrub-driven quarantine and respawn", func(st rijndaelip.EngineStats) bool {
 		return st.ScrubUncorrectable >= 1 && st.Respawns >= 1 && st.HealthyShards == 2
 	})
 	// The EDAC code masked the fault end to end: the output comparators
@@ -571,7 +569,7 @@ func TestScrubberDetectsEDACMaskedStuckBit(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("scrubber did not localize rom %q word %#x: %v", wantROM, word, eng.Diagnoses())
+		t.Errorf("scrub did not localize rom %q word %#x: %v", wantROM, word, eng.Diagnoses())
 	}
 	// The healed pool serves hardware traffic again.
 	before := st.Blocks
@@ -585,10 +583,10 @@ func TestScrubberDetectsEDACMaskedStuckBit(t *testing.T) {
 	}
 }
 
-// TestEngineCloseDuringRespawnBackoff is the shutdown-race satellite for
-// the recovery ladder: Close landing while a quarantined shard's
-// respawner is parked in its (deliberately huge) backoff must return
-// promptly and leak nothing. Run with -race.
+// TestEngineCloseDuringRespawnBackoff is the shutdown race of the
+// recovery ladder: Close landing while a quarantined shard's worker is
+// parked in its (deliberately huge) respawn backoff must return promptly
+// and leak nothing. Run with -race.
 func TestEngineCloseDuringRespawnBackoff(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("close-backoff-k0")
@@ -600,8 +598,7 @@ func TestEngineCloseDuringRespawnBackoff(t *testing.T) {
 			MaxLanes: 2,
 			Supervise: &rijndaelip.SupervisorOptions{
 				Check:          rijndaelip.CheckLockstep,
-				RespawnBackoff: time.Minute, // park the respawner mid-backoff
-				ScrubInterval:  -1,
+				RespawnBackoff: time.Minute, // park the respawn mid-backoff
 				Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
 					if shard != 0 {
 						return
@@ -645,6 +642,171 @@ func TestEngineCloseDuringRespawnBackoff(t *testing.T) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestScrubDetectsWeldAfterItsJob pins the post-job scrub's detection
+// bound on a single self-checking device: a stuck ROM bit welded before
+// submission 3 is EDAC-masked, so no output check fires, yet the scrub
+// that follows that very job must localize it and quarantine the shard.
+// Submissions 4..10 therefore never reach hardware: the long respawn
+// backoff holds the shard out and the software reference serves them.
+// While it waits, the shard's worker is the engine's only goroutine.
+// Goroutines are counted by their stacks, so ones that other tests leave
+// winding down do not move the count.
+func TestScrubDetectsWeldAfterItsJob(t *testing.T) {
+	impl := supImpl(t)
+	key := []byte("scrub-bound-key0")
+	const word, bit = 0x51, 6
+	var (
+		mu      sync.Mutex
+		romName string
+	)
+	baseline, _ := engineGoroutines()
+	eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
+		Shards:   1,
+		MaxLanes: 1,
+		Supervise: &rijndaelip.SupervisorOptions{
+			Check:          rijndaelip.CheckLockstep,
+			RespawnBackoff: time.Minute, // hold the shard quarantined
+			Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
+				if submission != 3 {
+					return
+				}
+				mu.Lock()
+				romName = sim.ROMName(0)
+				mu.Unlock()
+				sim.StickROMBit(0, word, bit, !sim.ROMStore(0).CodewordBit(word, bit))
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	src := make([]byte, 10*16)
+	for i := range src {
+		src[i] = byte(i*29 + 1)
+	}
+	got, err := eng.EncryptECB(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkECB(t, got, src, key)
+	st := eng.Stats()
+	if st.Submissions != 3 || st.FallbackBlocks != 7 || st.Detections != 0 {
+		t.Errorf("weld before submission 3: submissions=%d fallback=%d detections=%d, want 3/7/0",
+			st.Submissions, st.FallbackBlocks, st.Detections)
+	}
+	if h := st.Shards[0].Health; h != "quarantined" {
+		t.Errorf("shard health = %q, want quarantined", h)
+	}
+	mu.Lock()
+	wantROM := romName
+	mu.Unlock()
+	var rom []rijndaelip.Diagnosis
+	for _, d := range eng.Diagnoses() {
+		if d.Cause == rijndaelip.CauseROM {
+			rom = append(rom, d)
+		}
+	}
+	if len(rom) != 1 || rom[0].ROM != wantROM || rom[0].Word != word {
+		t.Errorf("want one ROM diagnosis of rom %q word %#x, got %v", wantROM, word, eng.Diagnoses())
+	}
+	// One worker and nothing else: the scrub and the respawn both run on
+	// it. The worker enters respawn just after the quarantine, which the
+	// caller may see first.
+	all, respawning := engineGoroutines()
+	for deadline := time.Now().Add(5 * time.Second); respawning == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		all, respawning = engineGoroutines()
+	}
+	if all != baseline+1 || respawning != 1 {
+		t.Errorf("during respawn backoff: %d engine goroutines (%d in respawn), want %d (baseline %d + one worker, in respawn)",
+			all, respawning, baseline+1, baseline)
+	}
+}
+
+// engineGoroutines counts the goroutines whose stack runs through an
+// Engine method, and how many of those are in its respawn.
+func engineGoroutines() (all, respawning int) {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "rijndaelip.(*Engine).") {
+			all++
+			if strings.Contains(g, "rijndaelip.(*Engine).respawn(") {
+				respawning++
+			}
+		}
+	}
+	return all, respawning
+}
+
+// TestScrubCorrectTraceMatchesCounter holds the trace to the counters
+// for the repairs diagnose makes: a strike flips one correctable ROM bit
+// and welds a flip-flop, so the in-place retry fails and diagnose's ROM
+// scrub rewrites the flipped word before POST implicates the flip-flops.
+// Every repair counted in ScrubCorrected must appear in the trace as a
+// scrub correction.
+func TestScrubCorrectTraceMatchesCounter(t *testing.T) {
+	impl := supImpl(t)
+	key := []byte("scrub-trace-key0")
+	var once sync.Once
+	eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
+		Shards:   1,
+		MaxLanes: 2,
+		Supervise: &rijndaelip.SupervisorOptions{
+			Check: rijndaelip.CheckLockstep,
+			Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
+				once.Do(func() {
+					sim.FlipROMBit(0, 0x17, 2)
+					sim.StickFF(sim.FindFF("s0[0]"), false)
+				})
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	src := make([]byte, 8*16)
+	for i := range src {
+		src[i] = byte(i*11 + 5)
+	}
+	got, err := eng.EncryptECB(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkECB(t, got, src, key)
+	st := waitEngine(t, eng, "respawn after the flip-flop weld", func(st rijndaelip.EngineStats) bool {
+		return st.Respawns >= 1
+	})
+	if d := eng.Diagnoses(); len(d) == 0 || d[0].Cause != rijndaelip.CauseFF {
+		t.Fatalf("want a flip-flop diagnosis from diagnose, got %v", d)
+	}
+	if st.ScrubCorrected == 0 {
+		t.Fatalf("diagnose repaired no ROM word: %+v", st)
+	}
+	ring := eng.Trace()
+	if ring.Overwritten() != 0 {
+		t.Fatalf("trace ring lost %d events", ring.Overwritten())
+	}
+	var traced uint64
+	for _, ev := range ring.Snapshot() {
+		if ev.Kind == obs.KindScrubCorrect {
+			traced++
+		}
+	}
+	if traced != st.ScrubCorrected {
+		t.Errorf("trace holds %d scrub corrections, Stats().ScrubCorrected = %d", traced, st.ScrubCorrected)
 	}
 }
 
