@@ -15,20 +15,23 @@ short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One pass over the sharded-engine scaling curve (1/2/4/8 shards) and the
+# One Build of the encryptor and of the combined core on the Acex1K (the
+# set-up layer: core generation, LUT mapping, fit and timing), one pass over
+# the sharded-engine scaling curve (1/2/4/8 shards) and the
 # shards x lanes grid (1/16/64 blocks per lane-packed submission), plus the
 # per-simulator Eval micro-benchmarks and the supervised netlist lockstep
-# transaction: a cheap smoke that surfaces
-# throughput-scaling regressions without the full bench suite. The second
-# line runs with -benchmem, so BenchmarkVectorLockstep prints its
-# allocs/op (2: the lane boundary allocates only the result).
+# transaction: a cheap smoke that surfaces set-up and
+# throughput-scaling regressions without the full bench suite. Both lines
+# run with -benchmem, so BenchmarkBuild prints the mapper's transient
+# bytes and BenchmarkVectorLockstep its allocs/op (2: the lane boundary
+# allocates only the result).
 # BenchmarkObsOverhead reports the instrumented/uninstrumented throughput
 # ratio (best of 5 alternating rounds per twin even at -benchtime=1x;
 # budget >= 0.95) as a metric; it does not fail on it, since a
 # wall-clock ratio on a shared host is not a deterministic gate. Wired into
 # `verify` alongside vet and the race sweep.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '^Benchmark(Engine|VectorLanes|ChaosRecovery|ObsOverhead)$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench '^Benchmark(Build|Engine|VectorLanes|ChaosRecovery|ObsOverhead)$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval|GatherROM|VectorLockstep)$$' -benchtime=1x -benchmem ./internal/netlist/ ./internal/rtl/ ./internal/logic/ ./internal/faultcampaign/
 
 # Machine-readable perf trajectory: runs the engine benchmarks and writes

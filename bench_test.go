@@ -18,6 +18,22 @@ import (
 	"rijndaelip/internal/rtl"
 )
 
+// BenchmarkBuild times one complete Build on the Acex1K — core
+// generation, LUT mapping, fitting and timing — for the encryptor and the
+// combined core: the set-up layer every engine pays once. Run with
+// -benchmem; the mapper's transient arena shows in B/op.
+func BenchmarkBuild(b *testing.B) {
+	for _, v := range []rijndaelip.Variant{rijndaelip.Encrypt, rijndaelip.Both} {
+		b.Run(v.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rijndaelip.Build(v, rijndaelip.Acex1K()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTable1DeviceSignals regenerates Table 1: the device interface
 // pin budget for each variant (261 pins single-direction, 262 combined).
 func BenchmarkTable1DeviceSignals(b *testing.B) {

@@ -53,17 +53,21 @@ func (a Lit) String() string {
 }
 
 type node struct {
-	f0, f1 Lit // AND fanins; f0 == invalidLit marks a primary input
+	// AND fanins. f0 == invalidLit marks a primary input, whose f1 then
+	// holds the input ordinal.
+	f0, f1 Lit
 }
 
 func (n *node) isInput() bool { return n.f0 == invalidLit }
+
+// ordinal returns the creation index of an input node.
+func (n *node) ordinal() int { return int(n.f1) }
 
 // Net is an and-inverter graph. The zero value is not usable; create nets
 // with New.
 type Net struct {
 	nodes  []node
 	inputs []uint32          // node ids of primary inputs, in creation order
-	inOrd  map[uint32]int    // node id -> input ordinal
 	strash map[[2]Lit]uint32 // structural hashing of AND nodes
 	names  map[uint32]string // optional debug names for inputs
 }
@@ -72,7 +76,6 @@ type Net struct {
 func New() *Net {
 	return &Net{
 		nodes:  []node{{}}, // node 0: constant false
-		inOrd:  map[uint32]int{},
 		strash: map[[2]Lit]uint32{},
 		names:  map[uint32]string{},
 	}
@@ -90,8 +93,7 @@ func (n *Net) NumAnds() int { return len(n.nodes) - 1 - len(n.inputs) }
 // Input creates a new primary input and returns its positive literal.
 func (n *Net) Input() Lit {
 	id := uint32(len(n.nodes))
-	n.nodes = append(n.nodes, node{f0: invalidLit})
-	n.inOrd[id] = len(n.inputs)
+	n.nodes = append(n.nodes, node{f0: invalidLit, f1: Lit(len(n.inputs))})
 	n.inputs = append(n.inputs, id)
 	return Lit(id << 1)
 }
@@ -114,11 +116,11 @@ func (n *Net) IsInput(a Lit) bool {
 // InputOrdinal returns the creation index of the input node a refers to.
 // It panics if a is not an input literal.
 func (n *Net) InputOrdinal(a Lit) int {
-	ord, ok := n.inOrd[a.Node()]
-	if !ok {
+	id := a.Node()
+	if id == 0 || int(id) >= len(n.nodes) || !n.nodes[id].isInput() {
 		panic("logic: InputOrdinal of non-input literal")
 	}
-	return ord
+	return n.nodes[id].ordinal()
 }
 
 // InputLit returns the positive literal of input ordinal i.

@@ -60,7 +60,7 @@ func (n *Net) AuditCompiled(c *Compiled) []string {
 			fail("n%d: AND node compiled as input ordinal %d", id, ord)
 			continue
 		}
-		if want := n.inOrd[uint32(id)]; int(ord) != want {
+		if want := n.nodes[id].ordinal(); int(ord) != want {
 			fail("n%d: input ordinal %d, AIG says %d", id, ord, want)
 		}
 	}

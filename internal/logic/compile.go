@@ -5,9 +5,8 @@ import "slices"
 // Compiled is a flat, cache-friendly instruction tape translated from a
 // Net's node array. The AIG's node ids are already topological (fanins are
 // created before the nodes that use them), so evaluation is a single linear
-// sweep: no map lookups (the interpreter resolves every input ordinal
-// through n.inOrd per pass) and no per-node branching, neither on node kind
-// nor on edge polarity.
+// sweep with no per-node branching, neither on node kind nor on edge
+// polarity.
 //
 // The tape splits the nodes by kind. Each AND node is one packed
 // instruction — its two fanin literals in one uint64, a in the low half and
@@ -45,7 +44,7 @@ func (n *Net) Compile() *Compiled {
 		nd := &n.nodes[id]
 		if nd.isInput() {
 			c.inID = append(c.inID, int32(id))
-			c.inOrd = append(c.inOrd, int32(n.inOrd[uint32(id)]))
+			c.inOrd = append(c.inOrd, int32(nd.ordinal()))
 			continue
 		}
 		c.ands = append(c.ands, uint64(nd.f0)|uint64(nd.f1)<<32)

@@ -24,7 +24,7 @@ func (n *Net) EvalInto(inputs, values []uint64) {
 	for id := 1; id < len(n.nodes); id++ {
 		nd := &n.nodes[id]
 		if nd.isInput() {
-			values[id] = inputs[n.inOrd[uint32(id)]]
+			values[id] = inputs[nd.ordinal()]
 		} else {
 			values[id] = litVal(values, nd.f0) & litVal(values, nd.f1)
 		}
@@ -57,7 +57,7 @@ func (n *Net) EvalLits(lits []Lit, inputs []uint64) []uint64 {
 // Cone returns the node ids in the transitive fanin of the given roots
 // (excluding the constant node), in topological order (fanins first).
 func (n *Net) Cone(roots []Lit) []uint32 {
-	seen := make(map[uint32]bool)
+	seen := make([]bool, len(n.nodes))
 	var order []uint32
 	var stack []uint32
 	for _, r := range roots {
@@ -138,42 +138,63 @@ func (n *Net) TruthTable(root Lit, leaves []Lit) uint64 {
 		0xFFFF0000FFFF0000,
 		0xFFFFFFFF00000000,
 	}
-	leafVal := make(map[uint32]uint64, len(leaves))
-	leafInv := make(map[uint32]bool, len(leaves))
+	// The memo holds the constant node, the leaves and every node evaluated
+	// so far. A cut's interior is a handful of nodes, so a linear scan (from
+	// the newest entry) beats hashing, and the fixed buffers keep a typical
+	// call allocation-free.
+	var idBuf [32]uint32
+	var valBuf [32]uint64
+	ids, vals := idBuf[:0], valBuf[:0]
 	for i, l := range leaves {
-		leafVal[l.Node()] = patterns[i]
-		leafInv[l.Node()] = l.Inverted()
-	}
-	values := map[uint32]uint64{0: 0}
-	var eval func(id uint32) uint64
-	eval = func(id uint32) uint64 {
-		if v, ok := values[id]; ok {
-			return v
+		v := patterns[i]
+		if l.Inverted() {
+			v = ^v
 		}
-		if v, ok := leafVal[id]; ok {
-			if leafInv[id] {
-				v = ^v
+		ids, vals = append(ids, l.Node()), append(vals, v)
+	}
+	ids, vals = append(ids, 0), append(vals, 0)
+	lookup := func(id uint32) (uint64, bool) {
+		for k := len(ids) - 1; k >= 0; k-- {
+			if ids[k] == id {
+				return vals[k], true
 			}
-			values[id] = v
-			return v
+		}
+		return 0, false
+	}
+	// Iterative post-order evaluation from the root down to the leaves.
+	var stackBuf [32]uint32
+	stack := append(stackBuf[:0], root.Node())
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		if _, ok := lookup(id); ok {
+			stack = stack[:len(stack)-1]
+			continue
 		}
 		nd := &n.nodes[id]
 		if nd.isInput() {
 			panic("logic: TruthTable cone reaches an unlisted input")
 		}
-		v0 := eval(nd.f0.Node())
+		v0, ok0 := lookup(nd.f0.Node())
+		v1, ok1 := lookup(nd.f1.Node())
+		if !ok0 {
+			stack = append(stack, nd.f0.Node())
+		}
+		if !ok1 {
+			stack = append(stack, nd.f1.Node())
+		}
+		if !ok0 || !ok1 {
+			continue
+		}
 		if nd.f0.Inverted() {
 			v0 = ^v0
 		}
-		v1 := eval(nd.f1.Node())
 		if nd.f1.Inverted() {
 			v1 = ^v1
 		}
-		v := v0 & v1
-		values[id] = v
-		return v
+		ids, vals = append(ids, id), append(vals, v0&v1)
+		stack = stack[:len(stack)-1]
 	}
-	v := eval(root.Node())
+	v, _ := lookup(root.Node())
 	if root.Inverted() {
 		v = ^v
 	}

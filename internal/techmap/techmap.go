@@ -12,8 +12,10 @@
 package techmap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"rijndaelip/internal/logic"
 	"rijndaelip/internal/netlist"
@@ -49,13 +51,21 @@ type cut struct {
 	n      int8
 	depth  int32   // 1 + max leaf arrival
 	flow   float64 // area flow estimate
+	// sig has bit id%64 set for every leaf id: two cuts whose signatures
+	// together have more than K bits cannot merge into a K-feasible cut.
+	sig uint64
 }
 
 func (c *cut) leafSlice() []uint32 { return c.leaves[:c.n] }
 
+// trivialCut is the one-leaf cut {id}.
+func trivialCut(id uint32, depth int32, flow float64) cut {
+	return cut{leaves: [4]uint32{id}, n: 1, depth: depth, flow: flow, sig: 1 << (id % 64)}
+}
+
 // mergeCuts unions two cuts; reports failure if the union exceeds k leaves.
 func mergeCuts(a, b *cut, k int) (cut, bool) {
-	var m cut
+	m := cut{sig: a.sig | b.sig}
 	i, j := 0, 0
 	for i < int(a.n) || j < int(b.n) {
 		var next uint32
@@ -86,6 +96,18 @@ func mergeCuts(a, b *cut, k int) (cut, bool) {
 	return m, true
 }
 
+// cutPriority orders a node's candidate cuts: fastest first, then least
+// area flow, then fewest leaves.
+func cutPriority(a, b cut) int {
+	if a.depth != b.depth {
+		return cmp.Compare(a.depth, b.depth)
+	}
+	if a.flow != b.flow {
+		return cmp.Compare(a.flow, b.flow)
+	}
+	return cmp.Compare(a.n, b.n)
+}
+
 // MappedLUT is one LUT of the chosen cover, expressed over AIG node ids.
 type MappedLUT struct {
 	Node   uint32   // AIG node implemented (positive function)
@@ -97,22 +119,25 @@ type MappedLUT struct {
 // the root literals they must realize.
 type Cover struct {
 	aig   *logic.Net
-	opt   Options
 	roots []logic.Lit
 	LUTs  []MappedLUT
-	byNod map[uint32]int // node id -> index into LUTs
-	Depth int            // mapped LUT depth of the deepest root
+	Depth int // mapped LUT depth of the deepest root
 }
 
 // Map runs priority-cut mapping of the cone feeding roots.
+//
+// All per-node state lives in slices indexed by AIG node id, and every
+// node's cuts live in one arena: node id owns arena[lo[id]:hi[id]], its
+// priority cuts best first, followed by its trivial cut {id}.
 func Map(aig *logic.Net, roots []logic.Lit, opt Options) (*Cover, error) {
 	opt = opt.withDefaults()
 	cone := aig.Cone(roots)
+	isInput := func(id uint32) bool { return aig.IsInput(logic.Lit(id << 1)) }
 
 	// AIG fanout estimate for area flow.
-	refs := make(map[uint32]float64, len(cone))
+	refs := make([]float64, aig.NumNodes())
 	for _, id := range cone {
-		if aig.IsInput(logic.Lit(id << 1)) {
+		if isInput(id) {
 			continue
 		}
 		f0, f1 := aig.Fanins(id)
@@ -123,26 +148,30 @@ func Map(aig *logic.Net, roots []logic.Lit, opt Options) (*Cover, error) {
 		refs[r.Node()]++
 	}
 
-	cuts := make(map[uint32][]cut, len(cone))
-	arrival := make(map[uint32]int32, len(cone))
-	flowOf := make(map[uint32]float64, len(cone))
-	best := make(map[uint32]cut, len(cone))
+	lo := make([]int32, aig.NumNodes())
+	hi := make([]int32, aig.NumNodes())
+	arrival := make([]int32, aig.NumNodes())
+	flowOf := make([]float64, aig.NumNodes())
+	arena := make([]cut, 0, len(cone)*(opt.MaxCuts+1))
+	var cand []cut
 
 	for _, id := range cone {
-		if aig.IsInput(logic.Lit(id << 1)) {
-			trivial := cut{n: 1}
-			trivial.leaves[0] = id
-			cuts[id] = []cut{trivial}
-			arrival[id] = 0
-			flowOf[id] = 0
+		start := int32(len(arena))
+		if isInput(id) {
+			arena = append(arena, trivialCut(id, 0, 0))
+			lo[id], hi[id] = start, start+1
 			continue
 		}
 		f0, f1 := aig.Fanins(id)
-		n0, n1 := f0.Node(), f1.Node()
-		var cand []cut
-		for i := range cuts[n0] {
-			for j := range cuts[n1] {
-				m, ok := mergeCuts(&cuts[n0][i], &cuts[n1][j], opt.K)
+		cuts0 := arena[lo[f0.Node()]:hi[f0.Node()]]
+		cuts1 := arena[lo[f1.Node()]:hi[f1.Node()]]
+		cand = cand[:0]
+		for i := range cuts0 {
+			for j := range cuts1 {
+				if bits.OnesCount64(cuts0[i].sig|cuts1[j].sig) > opt.K {
+					continue // more than K distinct leaves: mergeCuts would fail
+				}
+				m, ok := mergeCuts(&cuts0[i], &cuts1[j], opt.K)
 				if !ok {
 					continue
 				}
@@ -166,32 +195,35 @@ func Map(aig *logic.Net, roots []logic.Lit, opt Options) (*Cover, error) {
 		if len(cand) == 0 {
 			return nil, fmt.Errorf("techmap: node %d has no feasible cut", id)
 		}
-		sort.Slice(cand, func(a, b int) bool {
-			if cand[a].depth != cand[b].depth {
-				return cand[a].depth < cand[b].depth
+		// The sort is not stable: tied cuts end up in the order this
+		// pdqsort gives them, which TestMappedNetlistGolden pins. Another
+		// sort algorithm may pick other cuts among ties.
+		slices.SortFunc(cand, cutPriority)
+		// Keep the first MaxCuts distinct cuts in priority order.
+	next:
+		for _, c := range cand {
+			for _, kept := range arena[start:] {
+				if kept.n == c.n && kept.leaves == c.leaves {
+					continue next
+				}
 			}
-			if cand[a].flow != cand[b].flow {
-				return cand[a].flow < cand[b].flow
+			arena = append(arena, c)
+			if len(arena)-int(start) == opt.MaxCuts {
+				break
 			}
-			return cand[a].n < cand[b].n
-		})
-		cand = dedupeCuts(cand)
-		if len(cand) > opt.MaxCuts {
-			cand = cand[:opt.MaxCuts]
 		}
-		best[id] = cand[0]
-		arrival[id] = cand[0].depth
-		flowOf[id] = cand[0].flow
+		best := arena[start]
+		arrival[id] = best.depth
+		flowOf[id] = best.flow
 		// Parents may also use this node as a leaf (trivial cut).
-		trivial := cut{n: 1, depth: cand[0].depth, flow: cand[0].flow}
-		trivial.leaves[0] = id
-		cuts[id] = append(cand, trivial)
+		arena = append(arena, trivialCut(id, best.depth, best.flow))
+		lo[id], hi[id] = start, int32(len(arena))
 	}
 
 	// Cover extraction from the roots downward.
-	cov := &Cover{aig: aig, opt: opt, roots: append([]logic.Lit(nil), roots...),
-		byNod: map[uint32]int{}}
-	needed := make(map[uint32]bool)
+	cov := &Cover{aig: aig, roots: append([]logic.Lit(nil), roots...)}
+	// needed marks the AND nodes the cover implements.
+	needed := make([]bool, aig.NumNodes())
 	var depth int32
 	for _, r := range roots {
 		id := r.Node()
@@ -199,37 +231,38 @@ func Map(aig *logic.Net, roots []logic.Lit, opt Options) (*Cover, error) {
 			continue
 		}
 		needed[id] = true
-		if arrival[id] > depth {
-			depth = arrival[id]
-		}
+		depth = max(depth, arrival[id])
 	}
 	cov.Depth = int(depth)
 	// Area recovery: every root may relax to the global mapped depth (the
 	// clock is set by the worst endpoint), and internal nodes inherit
 	// required times from their parents. A node with slack takes its
-	// minimum-area-flow cut instead of its fastest one.
-	chosen := make(map[uint32]cut, len(needed))
-	required := make(map[uint32]int32, len(needed))
-	for id := range needed {
-		required[id] = depth
+	// minimum-area-flow cut instead of its fastest one. A parent requires
+	// its leaves one level earlier than itself, so a leaf's required time
+	// is the earliest over its parents, and always below depth.
+	required := make([]int32, aig.NumNodes())
+	for i := range required {
+		required[i] = depth
 	}
 	// Walk the cone in reverse topological order so parents mark leaves
-	// (and propagate required times) before the leaves are visited.
+	// (and propagate required times) before the leaves are visited. A
+	// cut's leaves precede its node in the cone, so the walk reaches every
+	// needed AND node exactly once, after all its parents: it chooses each
+	// node's cut as it goes and emits the cover in reverse topological
+	// order.
 	for i := len(cone) - 1; i >= 0; i-- {
 		id := cone[i]
-		if !needed[id] || aig.IsInput(logic.Lit(id<<1)) {
+		if !needed[id] || isInput(id) {
 			continue
 		}
-		c := best[id]
+		// The priority cuts, without the trivial self-cut, which cannot
+		// implement the node.
+		cuts := arena[lo[id] : hi[id]-1]
+		c := cuts[0]
 		if !opt.NoAreaRecovery {
 			req := required[id]
 			bestFlow := c.flow
-			// cuts[id] holds the priority cuts followed by the trivial
-			// self-cut, which cannot implement the node.
-			for _, cand := range cuts[id] {
-				if cand.n == 1 && cand.leaves[0] == id {
-					continue
-				}
+			for _, cand := range cuts {
 				var d int32
 				for _, lf := range cand.leafSlice() {
 					if arrival[lf] >= d {
@@ -244,51 +277,20 @@ func Map(aig *logic.Net, roots []logic.Lit, opt Options) (*Cover, error) {
 				}
 			}
 		}
-		chosen[id] = c
-		for _, lf := range c.leafSlice() {
-			if aig.IsInput(logic.Lit(lf << 1)) {
+		var leafLits [4]logic.Lit
+		for k, lf := range c.leafSlice() {
+			leafLits[k] = logic.Lit(lf << 1)
+			if isInput(lf) {
 				continue
 			}
 			needed[lf] = true
-			r := required[id] - 1
-			if cur, ok := required[lf]; !ok || r < cur {
-				required[lf] = r
-			}
+			required[lf] = min(required[lf], required[id]-1)
 		}
+		tt := uint16(aig.TruthTable(logic.Lit(id<<1), leafLits[:c.n]))
+		cov.LUTs = append(cov.LUTs, MappedLUT{Node: id, Leaves: slices.Clone(c.leafSlice()), TT: tt})
 	}
-	// Emit chosen LUTs in topological order with their truth tables.
-	for _, id := range cone {
-		if !needed[id] || aig.IsInput(logic.Lit(id<<1)) {
-			continue
-		}
-		c, ok := chosen[id]
-		if !ok {
-			c = best[id]
-		}
-		leaves := append([]uint32(nil), c.leafSlice()...)
-		leafLits := make([]logic.Lit, len(leaves))
-		for i, lf := range leaves {
-			leafLits[i] = logic.Lit(lf << 1)
-		}
-		tt := uint16(aig.TruthTable(logic.Lit(id<<1), leafLits))
-		cov.byNod[id] = len(cov.LUTs)
-		cov.LUTs = append(cov.LUTs, MappedLUT{Node: id, Leaves: leaves, TT: tt})
-	}
+	slices.Reverse(cov.LUTs)
 	return cov, nil
-}
-
-func dedupeCuts(cs []cut) []cut {
-	seen := make(map[[5]uint32]bool, len(cs))
-	out := cs[:0]
-	for _, c := range cs {
-		key := [5]uint32{uint32(c.n), c.leaves[0], c.leaves[1], c.leaves[2], c.leaves[3]}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, c)
-	}
-	return out
 }
 
 // NumLUTs returns the LUT count of the cover.
@@ -330,8 +332,11 @@ type EmitEnv struct {
 // in both polarities by roots is duplicated.
 func (c *Cover) Emit(env EmitEnv) ([]netlist.NetID, error) {
 	aig := c.aig
-	needPos := map[uint32]bool{}
-	needNeg := map[uint32]bool{}
+	// Per AIG node, indexed by node id: the root polarities demanded, and
+	// the nets emitted so far. No LUT drives net 0 (the constant Const0),
+	// so 0 marks a net not yet emitted.
+	needPos := make([]bool, aig.NumNodes())
+	needNeg := make([]bool, aig.NumNodes())
 	for _, r := range c.roots {
 		id := r.Node()
 		if id == 0 || aig.IsInput(r) {
@@ -343,28 +348,24 @@ func (c *Cover) Emit(env EmitEnv) ([]netlist.NetID, error) {
 			needPos[id] = true
 		}
 	}
-	// Internal leaf uses demand the carrying polarity only; we always carry
-	// the polarity chosen below and fold in consumers.
-	carryNeg := map[uint32]bool{}
-	for _, ml := range c.LUTs {
-		if !needPos[ml.Node] && needNeg[ml.Node] {
-			carryNeg[ml.Node] = true
-		}
-	}
+	// A mapped node carries its positive polarity unless roots demand only
+	// the negative one. Internal leaf uses demand the carrying polarity only;
+	// LUT masks fold in the inversion.
+	carryNeg := func(id uint32) bool { return needNeg[id] && !needPos[id] }
 
-	posNet := map[uint32]netlist.NetID{}      // net carrying chosen polarity
-	dupNet := map[uint32]netlist.NetID{}      // net carrying the opposite polarity (duplicated)
-	inputNegNet := map[uint32]netlist.NetID{} // inverters for negated input roots
+	posNet := make([]netlist.NetID, aig.NumNodes())      // net carrying the carried polarity
+	dupNet := make([]netlist.NetID, aig.NumNodes())      // net carrying the opposite polarity (duplicated)
+	inputNegNet := make([]netlist.NetID, aig.NumNodes()) // inverters for negated input roots
 
 	leafNet := func(id uint32) (netlist.NetID, bool) {
 		if aig.IsInput(logic.Lit(id << 1)) {
 			return env.InputNet(aig.InputOrdinal(logic.Lit(id << 1))), false
 		}
-		n, ok := posNet[id]
-		if !ok {
+		n := posNet[id]
+		if n == 0 {
 			panic("techmap: leaf emitted out of order")
 		}
-		return n, carryNeg[id]
+		return n, carryNeg(id)
 	}
 
 	for i := range c.LUTs {
@@ -379,7 +380,7 @@ func (c *Cover) Emit(env EmitEnv) ([]netlist.NetID, error) {
 				tt = flipVar(tt, v, k)
 			}
 		}
-		if carryNeg[ml.Node] {
+		if carryNeg(ml.Node) {
 			tt = invertTT(tt, k)
 		}
 		out := env.NL.NewNet()
@@ -412,24 +413,19 @@ func (c *Cover) Emit(env EmitEnv) ([]netlist.NetID, error) {
 				out[i] = base
 				continue
 			}
-			inv, ok := inputNegNet[id]
-			if !ok {
-				inv = env.NL.NewNet()
-				env.NL.AddLUT(netlist.LUT{Inputs: []netlist.NetID{base}, Mask: 0b01, Out: inv})
-				inputNegNet[id] = inv
+			if inputNegNet[id] == 0 {
+				inputNegNet[id] = env.NL.NewNet()
+				env.NL.AddLUT(netlist.LUT{Inputs: []netlist.NetID{base}, Mask: 0b01, Out: inputNegNet[id]})
 			}
-			out[i] = inv
+			out[i] = inputNegNet[id]
 		default:
-			wantNeg := r.Inverted()
-			haveNeg := carryNeg[id]
-			if wantNeg == haveNeg {
+			if r.Inverted() == carryNeg(id) {
 				out[i] = posNet[id]
 			} else {
-				d, ok := dupNet[id]
-				if !ok {
+				if dupNet[id] == 0 {
 					return nil, fmt.Errorf("techmap: missing polarity for root %v", r)
 				}
-				out[i] = d
+				out[i] = dupNet[id]
 			}
 		}
 	}
