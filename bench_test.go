@@ -11,6 +11,7 @@ package rijndaelip_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rijndaelip"
@@ -21,7 +22,9 @@ import (
 // BenchmarkBuild times one complete Build on the Acex1K — core
 // generation, LUT mapping, fitting and timing — for the encryptor and the
 // combined core: the set-up layer every engine pays once. Run with
-// -benchmem; the mapper's transient arena shows in B/op.
+// -benchmem; the mapper's transient arena shows in B/op. The live-KiB
+// metric is what one built Implementation keeps on the heap after a
+// forced GC: the memory a design holds for the life of its engines.
 func BenchmarkBuild(b *testing.B) {
 	for _, v := range []rijndaelip.Variant{rijndaelip.Encrypt, rijndaelip.Both} {
 		b.Run(v.String(), func(b *testing.B) {
@@ -30,8 +33,25 @@ func BenchmarkBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			base := liveHeap()
+			impl, err := rijndaelip.Build(v, rijndaelip.Acex1K())
+			if err != nil {
+				b.Fatal(err)
+			}
+			live := liveHeap() - base
+			runtime.KeepAlive(impl)
+			b.ReportMetric(float64(live)/1024, "live-KiB")
 		})
 	}
+}
+
+// liveHeap returns the bytes of live heap objects after a forced GC.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkTable1DeviceSignals regenerates Table 1: the device interface

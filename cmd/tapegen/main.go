@@ -1,7 +1,8 @@
-// Command tapegen writes the straight-line kernel of the shipped lockstep
+// Command tapegen writes the straight-line kernel of the shipped Encrypt
 // netlist — the Encrypt core as rijndaelip.Build maps it for the Acex1K
-// (asynchronous S-box ROMs, default mapper options) — to kernel_encrypt.go
-// in the current directory. It is run by go generate in internal/netlist:
+// (asynchronous S-box ROMs, default mapper options), which every Encrypt
+// engine shard runs — to kernel_encrypt.go in the current directory. It
+// is run by go generate in internal/netlist:
 //
 //	go generate ./internal/netlist
 //

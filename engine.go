@@ -114,9 +114,9 @@ type EngineOptions struct {
 	// 4×(BlockLatency+KeySetupCycles+2)).
 	Watchdog int
 	// Supervise arms the per-shard supervision layer (detect → re-queue →
-	// quarantine → hot-respawn → degrade); see SupervisorOptions. A
-	// supervised engine simulates the technology-mapped netlist on every
-	// shard instead of the RTL, so fault campaigns and chaos harnesses can
+	// quarantine → hot-respawn → degrade); see SupervisorOptions. Every
+	// shard, supervised or not, simulates the technology-mapped netlist;
+	// supervision adds the checks, so fault campaigns and chaos harnesses
 	// strike real flip-flops of live shards.
 	Supervise *SupervisorOptions
 	// DisableObs turns off the metrics registry and event-trace ring.
@@ -139,7 +139,7 @@ type engineShard struct {
 	state atomic.Int32
 	gen   atomic.Uint64
 	drv   *bfm.Driver
-	sim   *netlist.Simulator            // primary mapped simulation (supervised only)
+	sim   *netlist.Simulator            // primary mapped simulation
 	lock  *faultcampaign.VectorLockstep // shadow comparator (CheckLockstep only)
 
 	// stores publishes the primary simulation's EDAC ROM stores (type
@@ -179,9 +179,7 @@ type engineShard struct {
 
 // publishStores exposes the primary sim's EDAC stores to Stats.
 func (s *engineShard) publishStores() {
-	if s.sim != nil {
-		s.stores.Store(s.sim.ROMStores())
-	}
+	s.stores.Store(s.sim.ROMStores())
 }
 
 // foldROMStats accumulates the retiring stores' EDAC read counters into

@@ -501,25 +501,17 @@ func NewKeyedFactory(core *rijndael.Core, key []byte) (*KeyedFactory, error) {
 	return &KeyedFactory{core: core, key: append([]byte(nil), key...)}, nil
 }
 
-// Clone builds a fresh cycle-accurate simulation of the core, runs the key
-// load and setup walk over the bus, and returns the ready-to-process
-// driver together with the key-setup cycles it spent.
-func (f *KeyedFactory) Clone() (*Driver, int, error) { return f.keyed(New(f.core)) }
-
 // CloneVectorSim runs the factory's key-load sequence over a caller-built
 // simulation of the same core — a post-synthesis netlist simulator, a
-// lockstep pair wrapping one, or any other Sim — and returns the keyed
-// driver. The package stays decoupled from any particular simulator
-// implementation: the caller owns construction, the factory owns the bus
-// protocol. This is the hot-respawn building block a self-healing engine
-// uses to stamp out a replacement for a quarantined shard.
+// lockstep pair wrapping one, the RTL simulator or any other Sim — and
+// returns the keyed driver with the key-setup cycles it spent. The package
+// stays decoupled from any particular simulator implementation: the caller
+// owns construction, the factory owns the bus protocol. This is how an
+// engine builds every shard, at start-up and at hot-respawn.
 func (f *KeyedFactory) CloneVectorSim(sim Sim) (*Driver, int, error) {
-	return f.keyed(NewPostSynthesis(f.core, sim))
-}
-
-// keyed loads the factory key (broadcast across all lanes, so any subset
-// of lanes can process blocks under it) into d.
-func (f *KeyedFactory) keyed(d *Driver) (*Driver, int, error) {
+	// The key is broadcast across all lanes, so any subset of lanes can
+	// process blocks under it.
+	d := NewPostSynthesis(f.core, sim)
 	cycles, err := d.LoadKey(f.key)
 	if err != nil {
 		return nil, 0, err

@@ -237,11 +237,11 @@ func TestKeyedFactoryClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, setupA, err := f.Clone()
+	a, setupA, err := f.CloneVectorSim(core.Design.NewSimulator())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, setupB, err := f.Clone()
+	b, setupB, err := f.CloneVectorSim(core.Design.NewSimulator())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,8 +68,8 @@ func (n *node) ordinal() int { return int(n.f1) }
 type Net struct {
 	nodes  []node
 	inputs []uint32          // node ids of primary inputs, in creation order
-	strash map[[2]Lit]uint32 // structural hashing of AND nodes
-	names  map[uint32]string // optional debug names for inputs
+	strash map[[2]Lit]uint32 // structural hashing of AND nodes; nil after DropHashIndex
+	names  []string          // optional debug names of inputs, by input ordinal
 }
 
 // New returns an empty net containing only the constant node.
@@ -77,7 +77,6 @@ func New() *Net {
 	return &Net{
 		nodes:  []node{{}}, // node 0: constant false
 		strash: map[[2]Lit]uint32{},
-		names:  map[uint32]string{},
 	}
 }
 
@@ -101,12 +100,22 @@ func (n *Net) Input() Lit {
 // NamedInput creates a primary input carrying a debug name.
 func (n *Net) NamedInput(name string) Lit {
 	l := n.Input()
-	n.names[l.Node()] = name
+	ord := n.InputOrdinal(l)
+	n.names = append(n.names, make([]string, ord+1-len(n.names))...)
+	n.names[ord] = name
 	return l
 }
 
 // InputName returns the debug name of an input node, if any.
-func (n *Net) InputName(id uint32) string { return n.names[id] }
+func (n *Net) InputName(id uint32) string {
+	if int(id) >= len(n.nodes) || !n.nodes[id].isInput() {
+		return ""
+	}
+	if ord := n.nodes[id].ordinal(); ord < len(n.names) {
+		return n.names[ord]
+	}
+	return ""
+}
 
 // IsInput reports whether the literal refers to a primary-input node.
 func (n *Net) IsInput(a Lit) bool {
@@ -153,6 +162,9 @@ func (n *Net) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
+	if n.strash == nil {
+		n.rehash()
+	}
 	if id, ok := n.strash[[2]Lit{a, b}]; ok {
 		return Lit(id << 1)
 	}
@@ -160,6 +172,29 @@ func (n *Net) And(a, b Lit) Lit {
 	n.nodes = append(n.nodes, node{f0: a, f1: b})
 	n.strash[[2]Lit{a, b}] = id
 	return Lit(id << 1)
+}
+
+// DropHashIndex releases the structural-hash index and trims the node
+// slice to its length. A finished design only reads its net, and the index
+// is most of the memory the net holds. A later And rebuilds the index from
+// the nodes, so node ids and literals stay exactly as if it had never been
+// dropped. That And writes the net even for an existing pair, so no And
+// may run concurrently with any other use of the net.
+func (n *Net) DropHashIndex() {
+	n.strash = nil
+	n.nodes = append(make([]node, 0, len(n.nodes)), n.nodes...)
+}
+
+// rehash rebuilds the structural-hash index from the AND nodes. And never
+// creates two nodes with the same fanin pair, so every pair maps to the one
+// node And returned for it.
+func (n *Net) rehash() {
+	n.strash = make(map[[2]Lit]uint32, n.NumAnds())
+	for id := 1; id < len(n.nodes); id++ {
+		if nd := &n.nodes[id]; !nd.isInput() {
+			n.strash[[2]Lit{nd.f0, nd.f1}] = uint32(id)
+		}
+	}
 }
 
 // Or returns a literal for a OR b.

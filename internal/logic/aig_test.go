@@ -49,6 +49,74 @@ func TestStructuralHashing(t *testing.T) {
 	}
 }
 
+// TestDropHashIndex pins the index drop a built design makes: re-issuing
+// every existing AND pair (in either operand order) returns the same
+// literal without adding a node, new pairs continue the numbering, and a
+// net that drops its index at random points grows node for node like one
+// that never does.
+func TestDropHashIndex(t *testing.T) {
+	// grow replays the same pseudo-random construction on n, calling drop
+	// before each step where drop is set.
+	grow := func(n *Net, steps int, seed int64, drop func(step int) bool) {
+		rng := rand.New(rand.NewSource(seed))
+		lits := []Lit{n.Input(), n.Input(), n.Input(), n.Input()}
+		for i := 0; i < steps; i++ {
+			if drop != nil && drop(i) {
+				n.DropHashIndex()
+			}
+			a := lits[rng.Intn(len(lits))] ^ Lit(rng.Intn(2))
+			b := lits[rng.Intn(len(lits))] ^ Lit(rng.Intn(2))
+			switch rng.Intn(4) {
+			case 0:
+				lits = append(lits, n.Input())
+			case 1:
+				lits = append(lits, n.Xor(a, b))
+			default:
+				lits = append(lits, n.And(a, b))
+			}
+		}
+	}
+
+	n := New()
+	grow(n, 400, 1, nil)
+	nodes := n.NumNodes()
+	n.DropHashIndex()
+	if n.strash != nil || cap(n.nodes) != len(n.nodes) {
+		t.Fatalf("after the drop: index %v, %d nodes in a cap-%d slice", n.strash != nil, len(n.nodes), cap(n.nodes))
+	}
+	for id := 1; id < nodes; id++ {
+		if n.nodes[id].isInput() {
+			continue
+		}
+		f0, f1 := n.Fanins(uint32(id))
+		if got := n.And(f0, f1); got != Lit(id<<1) {
+			t.Fatalf("And(%v, %v) = %v after the drop, want n%d", f0, f1, got, id)
+		}
+		if got := n.And(f1, f0); got != Lit(id<<1) {
+			t.Fatalf("And(%v, %v) = %v after the drop, want n%d", f1, f0, got, id)
+		}
+	}
+	if n.NumNodes() != nodes {
+		t.Fatalf("re-issuing existing pairs grew the net from %d to %d nodes", nodes, n.NumNodes())
+	}
+	a, b := n.Input(), n.Input()
+	if got, want := n.And(a, b), Lit((nodes+2)<<1); got != want {
+		t.Errorf("new pair after the drop = %v, want %v", got, want)
+	}
+
+	plain, dropped := New(), New()
+	grow(plain, 2000, 2, nil)
+	grow(dropped, 2000, 2, func(step int) bool { return step%97 == 0 })
+	if plain.NumNodes() != dropped.NumNodes() {
+		t.Fatalf("dropping the index changed the node count: %d vs %d", plain.NumNodes(), dropped.NumNodes())
+	}
+	for id := range plain.nodes {
+		if plain.nodes[id] != dropped.nodes[id] {
+			t.Fatalf("node %d differs: %+v vs %+v", id, plain.nodes[id], dropped.nodes[id])
+		}
+	}
+}
+
 func TestLitHelpers(t *testing.T) {
 	n := New()
 	a := n.Input()

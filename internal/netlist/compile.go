@@ -30,7 +30,7 @@ import (
 // Inversions are folded into XOR masks (^0 = inverted operand, 0 = plain),
 // so the hot loop never branches on polarity.
 //
-// The tape of the shipped lockstep netlist also exists as generated
+// The tape of the shipped Encrypt netlist also exists as generated
 // straight-line Go (kernel.go); a simulator sweeps through that kernel
 // instead when its fingerprint matches the tape.
 

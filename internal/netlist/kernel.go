@@ -10,7 +10,7 @@ import (
 
 // This file binds generated straight-line kernels to compiled tapes, the
 // compiled-simulation technique of ESSENT (Beamer & Donofrio, DAC 2020).
-// cmd/tapegen, run by go generate, emits the tape of the shipped lockstep
+// cmd/tapegen, run by go generate, emits the tape of the shipped Encrypt
 // netlist (the Encrypt core, ROMAsync, mapped with techmap.Options{}) as
 // one Go function per sweep range of its layout's gather plan
 // (kernelgen.go). Each function works over the value array as a

@@ -88,14 +88,14 @@ type Builder struct {
 	outputs []port
 	regs    []regDef
 	roms    []romDef
-	inKind  map[int]inputSource // AIG input ordinal -> source
+	inKind  []inputSource // by AIG input ordinal
 }
 
 // inputSource records what drives an AIG pseudo-input.
 type inputSource struct {
-	kind int // srcPI, srcReg, srcROM
-	idx  int // port/reg/rom index
-	bit  int
+	kind uint8 // srcPI, srcReg, srcROM
+	idx  int32 // port/reg/rom index
+	bit  int32
 }
 
 const (
@@ -106,7 +106,16 @@ const (
 
 // NewBuilder returns an empty design builder.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, aig: logic.New(), inKind: map[int]inputSource{}}
+	return &Builder{name: name, aig: logic.New()}
+}
+
+// input creates a named AIG pseudo-input driven by src.
+func (b *Builder) input(name string, src inputSource) logic.Lit {
+	l := b.aig.NamedInput(name)
+	ord := b.aig.InputOrdinal(l)
+	b.inKind = append(b.inKind, make([]inputSource, ord+1-len(b.inKind))...)
+	b.inKind[ord] = src
+	return l
 }
 
 // Logic exposes the underlying AIG for building combinational expressions.
@@ -116,8 +125,7 @@ func (b *Builder) Logic() *logic.Net { return b.aig }
 func (b *Builder) Input(name string, width int) Bus {
 	bus := make(Bus, width)
 	for i := range bus {
-		bus[i] = b.aig.NamedInput(fmt.Sprintf("%s[%d]", name, i))
-		b.inKind[b.aig.InputOrdinal(bus[i])] = inputSource{kind: srcPI, idx: len(b.inputs), bit: i}
+		bus[i] = b.input(fmt.Sprintf("%s[%d]", name, i), inputSource{kind: srcPI, idx: int32(len(b.inputs)), bit: int32(i)})
 	}
 	b.inputs = append(b.inputs, port{name: name, bus: bus})
 	return bus
@@ -134,8 +142,7 @@ func (b *Builder) Reg(name string, width int) *Reg {
 	q := make(Bus, width)
 	idx := len(b.regs)
 	for i := range q {
-		q[i] = b.aig.NamedInput(fmt.Sprintf("%s.q[%d]", name, i))
-		b.inKind[b.aig.InputOrdinal(q[i])] = inputSource{kind: srcReg, idx: idx, bit: i}
+		q[i] = b.input(fmt.Sprintf("%s.q[%d]", name, i), inputSource{kind: srcReg, idx: int32(idx), bit: int32(i)})
 	}
 	b.regs = append(b.regs, regDef{name: name, q: q, en: logic.True, init: make([]bool, width)})
 	return &Reg{Name: name, Q: q, b: b, idx: idx}
@@ -179,8 +186,7 @@ func (b *Builder) ROM(name string, addr Bus, contents [256]byte, style ROMStyle)
 	out := make(Bus, 8)
 	idx := len(b.roms)
 	for i := range out {
-		out[i] = b.aig.NamedInput(fmt.Sprintf("%s.dout[%d]", name, i))
-		b.inKind[b.aig.InputOrdinal(out[i])] = inputSource{kind: srcROM, idx: idx, bit: i}
+		out[i] = b.input(fmt.Sprintf("%s.dout[%d]", name, i), inputSource{kind: srcROM, idx: int32(idx), bit: int32(i)})
 	}
 	b.roms = append(b.roms, romDef{
 		name: name, style: style, addr: append(Bus(nil), addr...),

@@ -140,6 +140,9 @@ func (b *Builder) Build() (*Design, error) {
 	if err := d.computeROMLevels(); err != nil {
 		return nil, err
 	}
+	// Simulation, synthesis and verification only read the net, so the
+	// hash index that construction needed is dropped here.
+	b.aig.DropHashIndex()
 	return d, nil
 }
 
@@ -379,6 +382,10 @@ func (d *Design) SynthesizeTracked(opt techmap.Options) (*SynthResult, error) {
 		}
 		nl.AddOutput(p.name, nets)
 	}
+	// The netlist lives as long as the design's implementation, so the
+	// append slack of the cell-by-cell build is dropped.
+	nl.LUTs = append([]netlist.LUT(nil), nl.LUTs...)
+	nl.FFs = append([]netlist.FF(nil), nl.FFs...)
 	if err := nl.Build(); err != nil {
 		return nil, fmt.Errorf("rtl %s: synthesized netlist invalid: %w", d.Name, err)
 	}

@@ -56,9 +56,9 @@ const (
 //		Supervise: &SupervisorOptions{Check: CheckLockstep}})
 //	blk := eng.Block() // a modes.Block that absorbs detected faults
 //
-// Supervised shards simulate the technology-mapped netlist (like the
-// fault campaigns) rather than the RTL, so chaos harnesses can strike
-// real flip-flops of live shards mid-traffic.
+// Every shard simulates the technology-mapped netlist (like the fault
+// campaigns), so chaos harnesses can strike real flip-flops of live
+// shards mid-traffic.
 type SupervisorOptions struct {
 	// Check selects the per-transaction detection mechanism. CheckNone
 	// relies on the watchdog and latency assertion alone; CheckLockstep
@@ -232,36 +232,31 @@ func normalizedSupervisor(im *Implementation, opts *SupervisorOptions) (*Supervi
 	return &s, nil
 }
 
-// buildDriver stamps out one shard's keyed driver. The plain engine
-// clones the RTL simulation; a supervised engine clones a post-synthesis
-// netlist simulation (optionally wrapped in a lockstep pair with a
-// fault-free shadow) so the supervisor checks — and chaos harnesses
-// strike — real mapped flip-flops, exactly like the fault campaigns. The
-// same path serves construction and hot-respawn.
+// buildDriver stamps out one shard's keyed driver over a post-synthesis
+// simulation of the implementation's mapped netlist — the IP as the
+// device holds it, exactly like the fault campaigns. A supervised shard
+// adds the latency assertion and, under CheckLockstep, wraps the netlist
+// in a lockstep pair with a fault-free shadow, so the supervisor checks —
+// and chaos harnesses strike — real mapped flip-flops. The same path
+// serves construction and hot-respawn.
 func (e *Engine) buildDriver() (*bfm.Driver, *netlist.Simulator, *faultcampaign.VectorLockstep, error) {
+	main, err := netlist.NewSimulator(e.impl.Netlist.nl)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	var (
-		drv  *bfm.Driver
-		main *netlist.Simulator
+		sim  bfm.Sim = main
 		lock *faultcampaign.VectorLockstep
-		err  error
 	)
-	if e.sup == nil {
-		drv, _, err = e.factory.Clone()
-	} else {
-		if main, err = netlist.NewSimulator(e.impl.Netlist.nl); err != nil {
+	if e.sup != nil && e.sup.Check == CheckLockstep {
+		shadow, err := netlist.NewSimulator(e.impl.Netlist.nl)
+		if err != nil {
 			return nil, nil, nil, err
 		}
-		var sim bfm.Sim = main
-		if e.sup.Check == CheckLockstep {
-			shadow, err := netlist.NewSimulator(e.impl.Netlist.nl)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			lock = faultcampaign.NewVectorLockstep(main, shadow)
-			sim = lock
-		}
-		drv, _, err = e.factory.CloneVectorSim(sim)
+		lock = faultcampaign.NewVectorLockstep(main, shadow)
+		sim = lock
 	}
+	drv, _, err := e.factory.CloneVectorSim(sim)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -319,7 +314,7 @@ func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
 	// without this, corruption that outlives one transaction would turn
 	// every deep upset into a respawn.
 	if s.lock != nil {
-		if shadow, ok := s.lock.Shadow.(*netlist.Simulator); ok && s.sim != nil {
+		if shadow, ok := s.lock.Shadow.(*netlist.Simulator); ok {
 			// Same-netlist replicas cannot mismatch; an error would only
 			// mean no restoration, and the retry classifies either way.
 			_ = s.sim.CopyStateFrom(shadow)
@@ -424,9 +419,6 @@ func (e *Engine) deliver(s *engineShard, j *engineJob, outs [][]byte) {
 // is masked on every read (it cannot have caused the detection) and the
 // post-job scrub will rewrite it, so it must not veto the retry.
 func shardROMDamage(s *engineShard) (rom string, word int, ok bool) {
-	if s.sim == nil {
-		return "", 0, false
-	}
 	for _, store := range s.sim.ROMStores() {
 		for _, bad := range store.BadWords() {
 			if bad.Status == edac.Uncorrectable {
@@ -493,9 +485,6 @@ func (e *Engine) diagnose(s *engineShard) Diagnosis {
 // EDAC-masked faults: a single stuck ROM bit is corrected on every read,
 // so no output check will ever fire for it.
 func (e *Engine) scrub(s *engineShard) (Diagnosis, bool) {
-	if s.sim == nil {
-		return Diagnosis{}, false
-	}
 	for _, store := range s.sim.ROMStores() {
 		if store.Token()&1 == 0 {
 			continue
