@@ -198,11 +198,13 @@ type ROM struct {
 
 	// Decoded read view, refreshed whenever the stored array changes:
 	// data holds the post-correction bytes, status the per-word decode
-	// outcome, faulty the count of non-Clean words. While faulty is zero
+	// outcome, faulty the count of non-Clean words and altered the count
+	// of words whose byte differs from golden. While faulty is zero
 	// Gather serves straight from data via the lane-uniform fast path.
-	data   [Words]byte
-	status [Words]Status
-	faulty int
+	data    [Words]byte
+	status  [Words]Status
+	faulty  int
+	altered int
 
 	token atomic.Uint64 // see Token; written under mu
 
@@ -243,29 +245,54 @@ func (r *ROM) refresh(w int) {
 			r.faulty++
 		}
 	}
+	if g := r.golden[w]; (r.data[w] == g) != (d == g) {
+		if d == g {
+			r.altered--
+		} else {
+			r.altered++
+		}
+	}
 	r.data[w] = d
 	r.status[w] = st
 	r.moved()
 }
 
+// tokenAltered is the token bit set while any word decodes to a byte other
+// than its golden one. It sits at the top so that the move count below it
+// keeps stepping by two.
+const tokenAltered = 1 << 63
+
 // moved publishes a new token after the read view changed. Callers hold
 // mu.
 func (r *ROM) moved() {
-	tok := r.token.Load()&^1 + 2
+	tok := r.token.Load()&^(1|tokenAltered) + 2
 	if r.faulty > 0 {
 		tok |= 1
+	}
+	if r.altered > 0 {
+		tok |= tokenAltered
 	}
 	r.token.Store(tok)
 }
 
 // Token returns the store's read-view token. It changes whenever any
-// word's decoded data or status changes, and its low bit is set while any
-// word is faulty. Reading it takes no lock: two equal, clean tokens mean
-// a Gather at either instant returns the same data for the same addresses
-// and counts nothing, so a reader that presented the first Gather's data
-// may skip the second. Reads, gathers and scrubs that find nothing to
-// repair leave it unchanged.
+// word's decoded data or status changes, its low bit is set while any
+// word is faulty, and its top bit while any word decodes to a byte other
+// than its golden one (see Golden). Reading it takes no lock: two equal,
+// clean tokens mean a Gather at either instant returns the same data for
+// the same addresses and counts nothing, so a reader that presented the
+// first Gather's data may skip the second. Reads, gathers and scrubs that
+// find nothing to repair leave it unchanged.
 func (r *ROM) Token() uint64 { return r.token.Load() }
+
+// Golden reports whether a token shows the golden view: every word decodes
+// Clean to its golden byte. A Gather of such a store is then exactly
+// logic.GatherROM over the golden contents and counts nothing, so two
+// stores of the same contents that both show a golden token return the
+// same data for the same addresses. A clean token alone does not say so:
+// an error of four or more bits can turn a word into another valid
+// codeword, which decodes Clean to the wrong byte.
+func Golden(tok uint64) bool { return tok&(1|tokenAltered) == 0 }
 
 // Gather performs the lane-parallel ROM read through the code: every lane
 // reads the post-correction data, and per-lane correction/uncorrectable
@@ -390,6 +417,7 @@ func (r *ROM) ClearFaults() {
 		r.status[w] = Clean
 	}
 	r.faulty = 0
+	r.altered = 0
 	if moved {
 		r.moved()
 	}

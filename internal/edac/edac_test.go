@@ -228,6 +228,54 @@ func TestTokenMoves(t *testing.T) {
 	}
 }
 
+// TestGoldenToken walks one store through the damage a fault campaign
+// plants and checks that Golden holds on its token exactly while every
+// word decodes Clean to its golden byte. The clean alias is the case a
+// clean token alone gets wrong: four flips that land on another valid
+// codeword leave no word faulty, yet word 5 reads the wrong byte.
+func TestGoldenToken(t *testing.T) {
+	alias := Encode(1) // a data bit's codeword: four bits, another valid word
+	r := New("sbox", identityContents())
+	steps := []struct {
+		name string
+		op   func()
+	}{
+		{"fresh", func() {}},
+		{"FlipBit", func() { r.FlipBit(5, 3) }},
+		{"Scrub repair", func() { r.Scrub(5) }},
+		{"clean alias", func() {
+			for bit := 0; bit < CodeBits; bit++ {
+				if alias>>uint(bit)&1 != 0 {
+					r.FlipBit(5, bit)
+				}
+			}
+		}},
+		{"alias undone", func() {
+			for bit := 0; bit < CodeBits; bit++ {
+				if alias>>uint(bit)&1 != 0 {
+					r.FlipBit(5, bit)
+				}
+			}
+		}},
+		{"double flip", func() { r.FlipBit(9, 1); r.FlipBit(9, 2) }},
+		{"ClearFaults", func() { r.ClearFaults() }},
+		{"StickBit", func() { r.StickBit(9, 4, !r.CodewordBit(9, 4)) }},
+		{"ClearFaults after StickBit", func() { r.ClearFaults() }},
+	}
+	for _, st := range steps {
+		st.op()
+		want := true
+		for w := 0; w < Words; w++ {
+			if d, s := r.Read(w); d != gold(w) || s != Clean {
+				want = false
+			}
+		}
+		if tok := r.Token(); Golden(tok) != want {
+			t.Errorf("%s: token %#x: Golden %v, want %v", st.name, tok, Golden(tok), want)
+		}
+	}
+}
+
 // TestTokenConcurrentScrub reads the token and gathers on one goroutine
 // while another damages and scrubs the store: the interleaving the store's
 // lock permits. Run under -race. The token never goes back,

@@ -11,21 +11,22 @@ import (
 )
 
 // BenchmarkVectorLockstep measures one supervised 64-lane transaction: a
-// VectorLockstep of two netlist simulators of the synthesized Encrypt core
-// under a keyed driver, 64 divergent blocks per ProcessVector. This
-// is the netlist path a lockstep-supervised engine shard runs, without the
-// engine around it. The first transaction is checked against internal/aes.
+// VectorLockstep of a netlist simulator of the synthesized Encrypt core and
+// its shadow twin (netlist.NewShadow) under a keyed driver, 64 divergent
+// blocks per ProcessVector. This is the pair a lockstep-supervised engine
+// shard runs, without the engine around it. The first transaction is
+// checked against internal/aes.
 func BenchmarkVectorLockstep(b *testing.B) {
 	core, nl := buildEncryptCore(b)
-	var pair [2]bfm.Sim
-	for i := range pair {
-		s, err := netlist.NewSimulator(nl)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pair[i] = s
+	main, err := netlist.NewSimulator(nl)
+	if err != nil {
+		b.Fatal(err)
 	}
-	lock := NewVectorLockstep(pair[0], pair[1])
+	shadow, err := netlist.NewShadow(main)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lock := NewVectorLockstep(main, shadow)
 	r := rand.New(rand.NewSource(1))
 	key := make([]byte, 16)
 	r.Read(key)

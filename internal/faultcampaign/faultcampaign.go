@@ -341,7 +341,7 @@ func newCampaign(cfg Config) (*campaign, error) {
 	var sim bfm.Sim = main
 	var lock *VectorLockstep
 	if cfg.Lockstep {
-		shadow, err := netlist.NewSimulator(cfg.Netlist)
+		shadow, err := netlist.NewShadow(main)
 		if err != nil {
 			return nil, fmt.Errorf("faultcampaign: shadow replica: %w", err)
 		}

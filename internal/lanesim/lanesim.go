@@ -122,8 +122,20 @@ type Machine struct {
 	// toks holds, per ROM, the store token read just before the Gather
 	// whose data is presented on the source array (noToken: none).
 	toks []uint64
-	outs map[string]outPort
-	w    Words
+	// recs holds, per ROM, this machine's last Gather, kept only once a
+	// twin reads it (ShareGathers); primary is the machine whose records
+	// this one reads, nil if none.
+	recs    []gatherRec
+	primary *Machine
+	outs    map[string]outPort
+	w       Words
+}
+
+// gatherRec is one ROM Gather: the store token read just before it, the
+// addresses and the data returned.
+type gatherRec struct {
+	tok        uint64
+	addr, data [8]uint64
 }
 
 // outPort is one output port: its per-bit value literals and the buffer
@@ -246,7 +258,7 @@ func (m *Machine) Eval() {
 			continue
 		}
 		m.toks[seg.ROM] = tok
-		data := m.gather(seg.ROM)
+		data := m.gather(seg.ROM, tok)
 		for bit, at := range lay.ROMs[seg.ROM].Out {
 			if src[at] != data[bit] {
 				src[at] = data[bit]
@@ -259,13 +271,48 @@ func (m *Machine) Eval() {
 	}
 }
 
-// gather reads ROM i at the per-lane address its literals hold in Vals.
-func (m *Machine) gather(i int) [8]uint64 {
+// gather reads ROM i at the per-lane address its literals hold in Vals;
+// tok is the store's token, read just before. A twin returns its primary's
+// last Gather of the ROM instead when the addresses are its own, its own
+// token is golden (edac.Golden), and the primary's store still shows the
+// golden token read before that Gather. That Gather then read the golden
+// contents, and this store would return the same data and count nothing.
+// A faulty or aliased store on either side always gathers.
+func (m *Machine) gather(i int, tok uint64) [8]uint64 {
 	var addr [8]uint64
 	for bit, l := range m.lay.ROMs[i].Addr {
 		addr[bit] = l.word(m.w.Vals)
 	}
-	return m.roms[i].Gather(&addr)
+	if p := m.primary; p != nil && edac.Golden(tok) {
+		if r := &p.recs[i]; r.addr == addr && edac.Golden(r.tok) && p.roms[i].Token() == r.tok {
+			return r.data
+		}
+	}
+	data := m.roms[i].Gather(&addr)
+	if m.recs != nil {
+		m.recs[i] = gatherRec{tok: tok, addr: addr, data: data}
+	}
+	return data
+}
+
+// ShareGathers makes m a twin of primary, a machine of the same layout
+// with its own EDAC stores: from now on m reuses primary's ROM Gathers
+// where they are exactly what its own would return (see gather). Only the
+// ROM reads are shared; m still presents its own state and sweeps its own
+// tape, so its address cones and every other net stay independent of
+// primary. Both machines must run on one goroutine, as a lockstep pair
+// does.
+func (m *Machine) ShareGathers(primary *Machine) {
+	if primary.lay != m.lay || primary == m {
+		panic(m.lay.Pkg + ": ShareGathers needs another machine of the same layout")
+	}
+	if primary.recs == nil {
+		primary.recs = make([]gatherRec, len(m.lay.ROMs))
+		for i := range primary.recs {
+			primary.recs[i].tok = noToken
+		}
+	}
+	m.primary = primary
 }
 
 // Step runs one clock cycle: Eval, then latch the state words and the
@@ -294,7 +341,7 @@ func (m *Machine) Step() {
 	}
 	for i := range lay.ROMs {
 		if lay.ROMs[i].Sync {
-			if data := m.gather(i); data != w.ROMQ[i] {
+			if data := m.gather(i, m.roms[i].Token()); data != w.ROMQ[i] {
 				w.ROMQ[i] = data
 				w.Dirty = true
 			}

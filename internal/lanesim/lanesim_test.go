@@ -186,6 +186,74 @@ func TestMachineWriteTracksStateAndSkipsCleanGathers(t *testing.T) {
 	eval("quiescent after the alias")
 }
 
+// TestShareGathers: a twin takes its primary's last Gather of a ROM only
+// while it presents the same addresses, both stores show the golden view
+// and the primary's store still shows the token read before that Gather.
+// Each case flips one lane of the primary's recorded data after the
+// primary's Eval, so the twin's presented data shows whether it shared.
+func TestShareGathers(t *testing.T) {
+	lay := toyLayout()
+	p, pw := New(lay, &recTape{})
+	m, w := New(lay, &recTape{})
+	m.ShareGathers(p)
+	if p.recs == nil || m.recs != nil {
+		t.Fatal("records must be kept by the primary only")
+	}
+	alias := func(r *edac.ROM, word int) {
+		for bit, code := 0, edac.Encode(1); bit < edac.CodeBits; bit++ {
+			if code>>uint(bit)&1 != 0 {
+				r.FlipBit(word, bit)
+			}
+		}
+	}
+	read := func(what string, pa, ma uint64, between func(), shared bool) {
+		t.Helper()
+		if err := p.SetInput("a", pa); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetInput("a", ma); err != nil {
+			t.Fatal(err)
+		}
+		p.Eval()
+		rec := &p.recs[0]
+		if rec.addr[0] != pw.Vals[2] {
+			t.Fatalf("%s: the primary recorded address bit 0 %#x, presented %#x", what, rec.addr[0], pw.Vals[2])
+		}
+		rec.data[0] ^= 1
+		if between != nil {
+			between()
+		}
+		m.Eval()
+		var own uint64
+		if lay.ROMs[0].Contents[ma]&1 != 0 {
+			own = ^uint64(0)
+		}
+		switch {
+		case shared && w.Vals[10] != rec.data[0]:
+			t.Errorf("%s: twin presented %#x, want the primary's record %#x", what, w.Vals[10], rec.data[0])
+		case !shared && w.Vals[10] != own:
+			t.Errorf("%s: twin presented %#x, want its own gather %#x", what, w.Vals[10], own)
+		}
+	}
+	read("golden, same address", 0x11, 0x11, nil, true)
+	read("another address", 0x22, 0x23, nil, false)
+	alias(p.ROMStores()[0], 0x33)
+	read("primary store aliased", 0x33, 0x33, nil, false)
+	alias(p.ROMStores()[0], 0x33)
+	read("primary alias undone", 0x34, 0x34, nil, true)
+	m.ROMStores()[0].FlipBit(0x44, 2)
+	read("twin store corrected", 0x44, 0x44, nil, false)
+	if n := m.ROMStores()[0].Stats().CorrectedReads; n != 64 {
+		t.Errorf("twin counted %d corrected lane reads, want its own gather's 64", n)
+	}
+	m.ROMStores()[0].Scrub(0x44)
+	read("primary token moved after its gather", 0x55, 0x55, func() {
+		p.ROMStores()[0].FlipBit(0x99, 1)
+		p.ROMStores()[0].FlipBit(0x99, 1)
+	}, false)
+	read("golden again", 0x66, 0x66, nil, true)
+}
+
 // TestMachineSkipsEmptyRanges: consecutive ROMs, and a ROM at the end of
 // the tape, leave empty ranges in the gather plan; a dirty pass sweeps only
 // the non-empty ones and still gathers every ROM.

@@ -110,33 +110,32 @@ func compileTape(nl *Netlist) *tape {
 }
 
 // reduceLUT folds constant and duplicate inputs and drops variables outside
-// the function's true support, returning the remaining input nets (in first-
-// appearance order) and the truth-table mask over just those variables.
-func reduceLUT(l *LUT) ([]NetID, uint16) {
+// the function's true support, returning the remaining input nets (the
+// first n of vars, in first-appearance order) and the truth-table mask over
+// just those variables. Built LUTs have at most four inputs, so the work
+// stays in fixed arrays.
+func reduceLUT(l *LUT) (vars [4]NetID, n int, red uint16) {
 	// Distinct non-constant inputs with their reduced bit positions.
-	var vars []NetID
-	pos := make([]int, len(l.Inputs))
+	var pos [4]int
 	for i, in := range l.Inputs {
 		pos[i] = -1
 		if in == Const0 || in == Const1 {
 			continue
 		}
-		found := false
-		for j, v := range vars {
+		pos[i] = n
+		for j, v := range vars[:n] {
 			if v == in {
 				pos[i] = j
-				found = true
 				break
 			}
 		}
-		if !found {
-			pos[i] = len(vars)
-			vars = append(vars, in)
+		if pos[i] == n {
+			vars[n] = in
+			n++
 		}
 	}
 	// Re-tabulate over the reduced variables.
-	var red uint16
-	for a := 0; a < 1<<uint(len(vars)); a++ {
+	for a := 0; a < 1<<uint(n); a++ {
 		idx := 0
 		for i, in := range l.Inputs {
 			bit := 0
@@ -154,16 +153,17 @@ func reduceLUT(l *LUT) ([]NetID, uint16) {
 		}
 	}
 	// Drop don't-care variables (equal cofactors).
-	for i := len(vars) - 1; i >= 0; i-- {
-		c0 := cofactor(red, len(vars), i, 0)
-		c1 := cofactor(red, len(vars), i, 1)
+	for i := n - 1; i >= 0; i-- {
+		c0 := cofactor(red, n, i, 0)
+		c1 := cofactor(red, n, i, 1)
 		if c0 != c1 {
 			continue
 		}
 		red = c0
-		vars = append(vars[:i], vars[i+1:]...)
+		copy(vars[i:n], vars[i+1:n])
+		n--
 	}
-	return vars, red
+	return vars, n, red
 }
 
 // cofactor restricts an n-variable truth table to variable i = b, returning
@@ -191,9 +191,10 @@ type tableKey struct {
 // falling back to a fixed-arity Shannon fold over a pre-expanded table
 // (found in, or added to, tbls and the tape's pool).
 func fuseLUT(l *LUT, t *tape, tbls map[tableKey]int32) tapeInstr {
-	vars, red := reduceLUT(l)
+	all, n, red := reduceLUT(l)
+	vars := all[:n]
 	ins := tapeInstr{out: l.Out}
-	switch len(vars) {
+	switch n {
 	case 0:
 		ins.op = opConst
 		if red&1 != 0 {

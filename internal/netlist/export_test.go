@@ -153,6 +153,9 @@ var NewReferenceSimulator = newReferenceSimulator
 // RandomNetlist is the differential fuzz suite's netlist generator.
 var RandomNetlist = randomNetlist
 
+// CompileTape compiles a built netlist's tape afresh, without caching it.
+func CompileTape(nl *Netlist) { compileTape(nl) }
+
 // KernelBound reports whether the simulator sweeps through a generated
 // kernel.
 func (s *Simulator) KernelBound() bool { return s.kernel != nil }

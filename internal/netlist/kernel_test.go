@@ -62,6 +62,24 @@ func TestKernelsUpToDate(t *testing.T) {
 	}
 }
 
+// TestCompileTapeAllocs pins the allocations of compiling the tape of the
+// combined (Both) core as rijndaelip.Build maps it for the Acex1K, the
+// largest shipped netlist: the tape, its instruction array, and the growth
+// of the truth-table pool and of the map that dedupes it. Folding each
+// LUT's inputs works on fixed arrays, so the count does not grow with the
+// LUTs.
+func TestCompileTapeAllocs(t *testing.T) {
+	const maxAllocs = 20
+	impl, err := rijndaelip.Build(rijndaelip.Both, rijndaelip.Acex1K())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := impl.Netlist.Raw()
+	if allocs := testing.AllocsPerRun(3, func() { netlist.CompileTape(nl) }); allocs > maxAllocs {
+		t.Errorf("compiling the Both tape made %.0f allocations, want at most %d", allocs, maxAllocs)
+	}
+}
+
 // compareSims asserts that two simulators agree on every net word, output,
 // state word, cycle and injection count and EDAC read statistic.
 func compareSims(t *testing.T, nl *netlist.Netlist, a, b *netlist.Simulator, what string) {

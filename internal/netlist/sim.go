@@ -71,6 +71,23 @@ type laneFlip struct {
 // shared by all its simulators.
 func NewSimulator(nl *Netlist) (*Simulator, error) { return newSimulator(nl, true) }
 
+// NewShadow returns the fault-free shadow twin of primary for a lockstep
+// pair: a simulator of the same netlist, with its own state, tape sweep
+// and EDAC stores, that reuses primary's ROM gathers where both stores
+// show the golden contents and the addresses match
+// (lanesim.Machine.ShareGathers). Faults injected into primary never reach
+// the shadow: a damaged or aliased primary store stops the sharing, and a
+// wrong address on primary misses the record. The pair must be stepped on
+// one goroutine.
+func NewShadow(primary *Simulator) (*Simulator, error) {
+	s, err := NewSimulator(primary.nl)
+	if err != nil {
+		return nil, err
+	}
+	s.ShareGathers(primary.Machine)
+	return s, nil
+}
+
 // NewCompiledSimulator is NewSimulator.
 //
 // Deprecated: every simulator runs the compiled tape; use NewSimulator.

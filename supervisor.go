@@ -236,9 +236,10 @@ func normalizedSupervisor(im *Implementation, opts *SupervisorOptions) (*Supervi
 // simulation of the implementation's mapped netlist — the IP as the
 // device holds it, exactly like the fault campaigns. A supervised shard
 // adds the latency assertion and, under CheckLockstep, wraps the netlist
-// in a lockstep pair with a fault-free shadow, so the supervisor checks —
-// and chaos harnesses strike — real mapped flip-flops. The same path
-// serves construction and hot-respawn.
+// in a lockstep pair with a fault-free shadow twin (netlist.NewShadow,
+// which reuses the primary's golden ROM gathers), so the supervisor
+// checks — and chaos harnesses strike — real mapped flip-flops. The same
+// path serves construction and hot-respawn.
 func (e *Engine) buildDriver() (*bfm.Driver, *netlist.Simulator, *faultcampaign.VectorLockstep, error) {
 	main, err := netlist.NewSimulator(e.impl.Netlist.nl)
 	if err != nil {
@@ -249,7 +250,7 @@ func (e *Engine) buildDriver() (*bfm.Driver, *netlist.Simulator, *faultcampaign.
 		lock *faultcampaign.VectorLockstep
 	)
 	if e.sup != nil && e.sup.Check == CheckLockstep {
-		shadow, err := netlist.NewSimulator(e.impl.Netlist.nl)
+		shadow, err := netlist.NewShadow(main)
 		if err != nil {
 			return nil, nil, nil, err
 		}
