@@ -88,7 +88,7 @@ triage-smoke:
 # torn-snapshot stress must hold the Stats() invariants. Wired into
 # `verify`.
 obs-smoke:
-	$(GO) test -race -short -run '^(TestObsSmoke|TestStatsSnapshotInvariants)$$' -v .
+	$(GO) test -race -short -run '^(TestObsSmoke|TestStatsSnapshotInvariants|TestStatsDeadShardFailures)$$' -v .
 
 vet:
 	$(GO) vet ./...

@@ -11,7 +11,6 @@ import (
 
 	"rijndaelip/internal/aes"
 	"rijndaelip/internal/bfm"
-	"rijndaelip/internal/edac"
 	"rijndaelip/internal/faultcampaign"
 	"rijndaelip/internal/modes"
 	"rijndaelip/internal/netlist"
@@ -45,10 +44,10 @@ import (
 // encryption chain each input on the previous output, so they fall back
 // to sequential block-at-a-time streaming through the pool.
 type Engine struct {
-	impl    *Implementation
-	opts    EngineOptions
-	factory *bfm.KeyedFactory
-	shards  []*engineShard
+	impl   *Implementation
+	opts   EngineOptions
+	key    []byte
+	shards []*engineShard
 
 	// sup is the normalized supervision policy, nil for a plain engine.
 	// soft is the software reference cipher the supervised recovery ladder
@@ -73,10 +72,9 @@ type Engine struct {
 	// with no per-shard twin live here: everything that can be attributed
 	// to a shard is counted on the shard and summed by Stats in one pass,
 	// so a snapshot cannot tear between an aggregate and its parts.
-	retries         atomic.Uint64
-	respawnFailures atomic.Uint64
-	fallbackBlocks  atomic.Uint64
-	escalations     atomic.Uint64
+	retries        atomic.Uint64
+	fallbackBlocks atomic.Uint64
+	escalations    atomic.Uint64
 
 	// reg and ring are the observability surface: a metrics registry
 	// (counters/gauges/latency histograms over the pool) and the bounded
@@ -134,18 +132,17 @@ type engineShard struct {
 
 	// state is the supervision lifecycle (healthy / quarantined / dead);
 	// unsupervised engines keep every shard healthy forever. Only the
-	// shard's worker changes it. drv, sim and lock belong to the worker:
-	// written at construction and by respawn, which runs on the worker.
-	state atomic.Int32
-	gen   atomic.Uint64
-	drv   *bfm.Driver
-	sim   *netlist.Simulator            // primary mapped simulation
-	lock  *faultcampaign.VectorLockstep // shadow comparator (CheckLockstep only)
-
-	// stores publishes the primary simulation's EDAC ROM stores (type
-	// []*edac.ROM) to Stats, which runs on other goroutines and must not
-	// read the drv/sim fields.
-	stores atomic.Value
+	// shard's worker changes it. drv, sim, shadow and lock are the shard's
+	// hardware: written once by NewEngine, before the worker starts, and
+	// driven only by the worker, which reconfigures them in place on a
+	// respawn. Stats may therefore read sim's EDAC stores from any
+	// goroutine.
+	state  atomic.Int32
+	gen    atomic.Uint64
+	drv    *bfm.Driver
+	sim    *netlist.Simulator            // primary mapped simulation
+	shadow *netlist.Simulator            // fault-free twin (CheckLockstep only)
+	lock   *faultcampaign.VectorLockstep // comparator over sim and shadow (CheckLockstep only)
 
 	// transientLog holds the submission ordinals of this incarnation's
 	// transient classifications (the sliding-window error budget). Touched
@@ -165,42 +162,23 @@ type engineShard struct {
 	detections  atomic.Uint64
 	quarantines atomic.Uint64
 	respawns    atomic.Uint64
+	// respawnFailures is this shard's share of
+	// EngineStats.RespawnFailures.
+	respawnFailures atomic.Uint64
 
-	// Triage and scrub counters (per-shard shares of the engine totals),
-	// plus the EDAC read counters folded from retired store generations.
-	transients           atomic.Uint64
-	persistents          atomic.Uint64
-	inPlace              atomic.Uint64
-	scrubCorrected       atomic.Uint64
-	scrubUncorrectable   atomic.Uint64
-	romCorrectedBase     atomic.Uint64
-	romUncorrectableBase atomic.Uint64
+	// Triage and scrub counters (per-shard shares of the engine totals).
+	transients         atomic.Uint64
+	persistents        atomic.Uint64
+	inPlace            atomic.Uint64
+	scrubCorrected     atomic.Uint64
+	scrubUncorrectable atomic.Uint64
 }
 
-// publishStores exposes the primary sim's EDAC stores to Stats.
-func (s *engineShard) publishStores() {
-	s.stores.Store(s.sim.ROMStores())
-}
-
-// foldROMStats accumulates the retiring stores' EDAC read counters into
-// the shard's base counters before a respawn replaces them, so the
-// per-shard totals survive generation changes.
-func (s *engineShard) foldROMStats() {
-	stores, _ := s.stores.Load().([]*edac.ROM)
-	for _, r := range stores {
-		st := r.Stats()
-		s.romCorrectedBase.Add(st.CorrectedReads)
-		s.romUncorrectableBase.Add(st.UncorrectableReads)
-	}
-}
-
-// romReadStats returns the shard's lifetime EDAC read counters: the folded
-// base plus the live stores' counts.
+// romReadStats returns the shard's lifetime EDAC read counters. A respawn
+// keeps the stores and edac.ROM.ClearFaults leaves their counters alone,
+// so the live stores' counts are the lifetime totals.
 func (s *engineShard) romReadStats() (corrected, uncorrectable uint64) {
-	corrected = s.romCorrectedBase.Load()
-	uncorrectable = s.romUncorrectableBase.Load()
-	stores, _ := s.stores.Load().([]*edac.ROM)
-	for _, r := range stores {
+	for _, r := range s.sim.ROMStores() {
 		st := r.Stats()
 		corrected += st.CorrectedReads
 		uncorrectable += st.UncorrectableReads
@@ -242,7 +220,6 @@ type engineBatch struct {
 	done      chan struct{}
 	mu        sync.Mutex
 	err       error
-	jitter    func(shard, index int)
 }
 
 func (b *engineBatch) complete(err error) {
@@ -258,9 +235,11 @@ func (b *engineBatch) complete(err error) {
 	}
 }
 
-// NewEngine clones the implementation's core into opts.Shards independent
-// keyed simulations (each paying the key-setup walk exactly once) and
-// starts one scheduler worker per shard. Close releases the workers.
+// NewEngine builds opts.Shards independent keyed simulations of the
+// implementation's mapped netlist (each paying the key-setup walk once)
+// and starts one scheduler worker per shard. Close releases the workers.
+// The key must be the core's key length; the first shard's key load
+// rejects any other.
 func (im *Implementation) NewEngine(key []byte, opts EngineOptions) (*Engine, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
@@ -271,21 +250,17 @@ func (im *Implementation) NewEngine(key []byte, opts EngineOptions) (*Engine, er
 	if opts.MaxLanes <= 0 || opts.MaxLanes > bfm.Lanes {
 		opts.MaxLanes = bfm.Lanes
 	}
-	factory, err := bfm.NewKeyedFactory(im.Core, key)
-	if err != nil {
-		return nil, err
-	}
 	sup, err := normalizedSupervisor(im, opts.Supervise)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		impl:    im,
-		opts:    opts,
-		factory: factory,
-		sup:     sup,
-		wake:    make(chan struct{}, opts.Shards),
-		closed:  make(chan struct{}),
+		impl:   im,
+		opts:   opts,
+		key:    append([]byte(nil), key...),
+		sup:    sup,
+		wake:   make(chan struct{}, opts.Shards),
+		closed: make(chan struct{}),
 	}
 	if !opts.DisableObs {
 		e.reg = obs.NewRegistry()
@@ -299,16 +274,10 @@ func (im *Implementation) NewEngine(key []byte, opts EngineOptions) (*Engine, er
 		e.soft = soft
 	}
 	for i := 0; i < opts.Shards; i++ {
-		s := &engineShard{
-			id: i,
-			q:  make(chan *engineJob, opts.QueueDepth),
-		}
-		s.drv, s.sim, s.lock, err = e.buildDriver()
+		s, err := e.newShard(i)
 		if err != nil {
 			return nil, fmt.Errorf("rijndaelip: engine shard %d: %w", i, err)
 		}
-		s.gen.Store(1)
-		s.publishStores()
 		e.shards = append(e.shards, s)
 	}
 	e.registerMetrics()
@@ -349,7 +318,13 @@ func (e *Engine) registerMetrics() {
 	}
 	e.reg.CounterFunc("aesip_engine_retries_total", e.retries.Load)
 	e.reg.CounterFunc("aesip_engine_escalations_total", e.escalations.Load)
-	e.reg.CounterFunc("aesip_engine_respawn_failures_total", e.respawnFailures.Load)
+	e.reg.CounterFunc("aesip_engine_respawn_failures_total", func() uint64 {
+		var n uint64
+		for _, s := range e.shards {
+			n += s.respawnFailures.Load()
+		}
+		return n
+	})
 	e.reg.CounterFunc("aesip_engine_fallback_blocks_total", e.fallbackBlocks.Load)
 	e.reg.GaugeFunc("aesip_engine_healthy_shards", func() float64 {
 		n := 0
@@ -548,8 +523,8 @@ func (e *Engine) run(s *engineShard, j *engineJob) {
 // completion-wait cycles; the cycle cost is per submission, not per block,
 // since all j.n lanes share one transaction.
 func (e *Engine) transact(s *engineShard, j *engineJob, sub uint64, first bool) ([][]byte, error) {
-	if first && j.batch.jitter != nil {
-		j.batch.jitter(s.id, j.index)
+	if first && e.opts.Jitter != nil {
+		e.opts.Jitter(s.id, j.index)
 	}
 	if first && e.sup != nil && e.sup.Strike != nil {
 		e.sup.Strike(s.id, sub, s.sim)
@@ -580,7 +555,7 @@ func (e *Engine) process(ctx context.Context, dst, src []byte, encrypt bool) err
 	}
 	lanes := e.opts.MaxLanes
 	nJobs := (n + lanes - 1) / lanes
-	batch := &engineBatch{done: make(chan struct{}), jitter: e.opts.Jitter}
+	batch := &engineBatch{done: make(chan struct{})}
 	batch.remaining.Store(int64(nJobs))
 	var submitErr error
 	for i := 0; i < nJobs; i++ {
@@ -821,8 +796,9 @@ type ShardStats struct {
 	// "healthy", "quarantined" or "dead". Always "healthy" on an
 	// unsupervised engine.
 	Health string
-	// Generation counts driver builds: 1 at construction, +1 per
-	// successful hot-respawn.
+	// Generation counts the shard's hardware incarnations: 1 at
+	// construction, +1 per successful hot-respawn, which reconfigures the
+	// same simulators in place.
 	Generation uint64
 	// Detections, Quarantines and Respawns are this shard's share of the
 	// supervision counters.
@@ -839,7 +815,7 @@ type ShardStats struct {
 	InPlaceRecoveries uint64
 	// Scrub and EDAC shares: words repaired / found hard by this shard's
 	// scrubs, and EDAC read-path correction events across all of the
-	// shard's driver generations.
+	// shard's generations.
 	ScrubCorrected        uint64
 	ScrubUncorrectable    uint64
 	ROMCorrectedReads     uint64
@@ -877,7 +853,7 @@ type EngineStats struct {
 	// shard. Quarantines counts shards taken out of rotation (a shard can
 	// be quarantined more than once across its lifetime). Respawns counts
 	// successful hot-respawns; RespawnFailures counts failed attempts
-	// (hook veto, build error, or power-on self-test mismatch).
+	// (hook veto, key-load error, or power-on self-test mismatch).
 	// FallbackBlocks counts blocks served by the software reference —
 	// retry budgets exhausted or no healthy shard available.
 	Detections      uint64
@@ -938,8 +914,11 @@ type EngineStats struct {
 //	Transients         <= InPlaceRecoveries <= Detections
 //	Escalations        <= Persistents
 //	Respawns           <= Quarantines       <= Persistents
+//	MaxRespawnFailures × dead shards <= RespawnFailures
+//	                   <= MaxRespawnFailures × Quarantines
 //
-// (TestStatsSnapshotInvariants holds these under -race chaos load.)
+// (TestStatsSnapshotInvariants and TestStatsDeadShardFailures hold these
+// under -race chaos load.)
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
 		Shards: make([]ShardStats, len(e.shards)),
@@ -948,17 +927,19 @@ func (e *Engine) Stats() EngineStats {
 		// that bounds it (a retry after its detection, an escalation after
 		// its persistent classification), so loading the bound first and
 		// the bounding sum second keeps the inequality intact.
-		Retries:         e.retries.Load(),
-		Escalations:     e.escalations.Load(),
-		RespawnFailures: e.respawnFailures.Load(),
-		FallbackBlocks:  e.fallbackBlocks.Load(),
+		Retries:        e.retries.Load(),
+		Escalations:    e.escalations.Load(),
+		FallbackBlocks: e.fallbackBlocks.Load(),
 	}
 	for i, s := range e.shards {
 		// Load order (reverse of increment order): a counter that is
 		// incremented later in the recovery ladder is loaded earlier, so
 		// its snapshot can never exceed the counter that precedes it.
+		// A respawn failure is counted before the circuit breaker stores
+		// shardDead, and after the quarantine it follows.
 		state := s.state.Load()
 		respawns := s.respawns.Load()
+		st.RespawnFailures += s.respawnFailures.Load()
 		quarantines := s.quarantines.Load()
 		persistents := s.persistents.Load()
 		transients := s.transients.Load()

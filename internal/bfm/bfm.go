@@ -484,8 +484,7 @@ func checkKeyLen(device string, want, got int) error {
 // KeyedFactory stamps out independent, identically-keyed drivers over
 // fresh simulations of the same core. Each clone owns its own simulator
 // state, so clones can process blocks concurrently from separate
-// goroutines — this is the building block a sharded engine uses to
-// replicate the paper's IP behind a scheduler.
+// goroutines.
 type KeyedFactory struct {
 	core *rijndael.Core
 	key  []byte
@@ -506,8 +505,7 @@ func NewKeyedFactory(core *rijndael.Core, key []byte) (*KeyedFactory, error) {
 // lockstep pair wrapping one, the RTL simulator or any other Sim — and
 // returns the keyed driver with the key-setup cycles it spent. The package
 // stays decoupled from any particular simulator implementation: the caller
-// owns construction, the factory owns the bus protocol. This is how an
-// engine builds every shard, at start-up and at hot-respawn.
+// owns construction, the factory owns the bus protocol.
 func (f *KeyedFactory) CloneVectorSim(sim Sim) (*Driver, int, error) {
 	// The key is broadcast across all lanes, so any subset of lanes can
 	// process blocks under it.

@@ -8,6 +8,7 @@ import (
 	"rijndaelip/internal/bfm"
 	"rijndaelip/internal/edac"
 	"rijndaelip/internal/netlist"
+	"rijndaelip/internal/rijndael"
 )
 
 // twinPairs drives two lockstep pairs with identical calls: pair 0 has a
@@ -18,6 +19,11 @@ import (
 // MismatchMask and FirstMismatch on every lane, and the EDAC counters and
 // tokens of every store, and keeps the first difference. Reads are served
 // by pair 0. strike runs just before each Step, on both pairs alike.
+//
+// With base set, pair 0 was reconfigured in place (see reconfiguredPair)
+// and pair 1 is freshly built: pair 0's stores then keep the read counters
+// and token move count of their past, so the counters are compared as the
+// deltas from base and the tokens by their view flags alone.
 type twinPairs struct {
 	nl     *netlist.Netlist
 	pairs  [2]*VectorLockstep
@@ -25,7 +31,12 @@ type twinPairs struct {
 	steps  int
 	strike func(step int, primary, shadow *netlist.Simulator)
 	diff   error
+	base   [2][]edac.Stats // [primary, shadow][ROM]: pair 0's counters when reconfigured
 }
+
+// tokenView keeps the flag bits of an edac.ROM token: bit 0 (a word is
+// faulty) and bit 63 (a word decodes to a byte other than golden).
+func tokenView(tok uint64) uint64 { return tok & (1 | 1<<63) }
 
 func newTwinPairs(t *testing.T, nl *netlist.Netlist) *twinPairs {
 	tp := &twinPairs{nl: nl}
@@ -53,19 +64,23 @@ func (tp *twinPairs) check(op string) {
 	if tp.diff != nil {
 		return
 	}
+	other := "unshared"
+	if tp.base[0] != nil {
+		other = "fresh"
+	}
 	fail := func(format string, args ...any) {
 		tp.diff = fmt.Errorf("after %s at step %d: %s", op, tp.steps, fmt.Sprintf(format, args...))
 	}
 	a, b := tp.pairs[0], tp.pairs[1]
 	if a.MismatchMask() != b.MismatchMask() {
-		fail("mismatch mask %#x, unshared %#x", a.MismatchMask(), b.MismatchMask())
+		fail("mismatch mask %#x, %s %#x", a.MismatchMask(), other, b.MismatchMask())
 		return
 	}
 	for lane := 0; lane < bfm.Lanes; lane++ {
 		ca, oka := a.FirstMismatch(lane)
 		cb, okb := b.FirstMismatch(lane)
 		if oka != okb || oka && ca != cb {
-			fail("lane %d first mismatch (%d, %v), unshared (%d, %v)", lane, ca, oka, cb, okb)
+			fail("lane %d first mismatch (%d, %v), %s (%d, %v)", lane, ca, oka, other, cb, okb)
 			return
 		}
 	}
@@ -76,22 +91,28 @@ func (tp *twinPairs) check(op string) {
 			wb, _ := sb.OutputWords(port.Name)
 			for bit := range wa {
 				if wa[bit] != wb[bit] {
-					fail("%s output %s[%d] %#x, unshared %#x", name, port.Name, bit, wa[bit], wb[bit])
+					fail("%s output %s[%d] %#x, %s %#x", name, port.Name, bit, wa[bit], other, wb[bit])
 					return
 				}
 			}
 		}
 		for n := 0; n < tp.nl.NumNets(); n++ {
 			if wa, wb := sa.NetWord(netlist.NetID(n)), sb.NetWord(netlist.NetID(n)); wa != wb {
-				fail("%s net %d %#x, unshared %#x", name, n, wa, wb)
+				fail("%s net %d %#x, %s %#x", name, n, wa, other, wb)
 				return
 			}
 		}
 		for i := 0; i < sa.NumROMs(); i++ {
 			ra, rb := sa.ROMStore(i), sb.ROMStore(i)
-			if ra.Stats() != rb.Stats() || ra.Token() != rb.Token() {
-				fail("%s ROM %s stats %+v token %#x, unshared %+v token %#x",
-					name, ra.Name(), ra.Stats(), ra.Token(), rb.Stats(), rb.Token())
+			sta, stb, ta, tb := ra.Stats(), rb.Stats(), ra.Token(), rb.Token()
+			if tp.base[role] != nil {
+				sta.CorrectedReads -= tp.base[role][i].CorrectedReads
+				sta.UncorrectableReads -= tp.base[role][i].UncorrectableReads
+				ta, tb = tokenView(ta), tokenView(tb)
+			}
+			if sta != stb || ta != tb {
+				fail("%s ROM %s stats %+v token %#x, %s %+v token %#x",
+					name, ra.Name(), sta, ta, other, stb, tb)
 				return
 			}
 		}
@@ -262,5 +283,108 @@ func TestSharedShadowEquivalence(t *testing.T) {
 		if class == 0 && tp.pairs[0].MismatchMask() != 0 {
 			t.Errorf("round %d: fault-free pair diverged on lanes %#x", round, tp.pairs[0].MismatchMask())
 		}
+		if err := reconfiguredPair(core, nl, tp, key, r); err != nil {
+			t.Fatalf("round %d (fault class %d): pair reconfigured in place differs from a fresh one %v", round, class, err)
+		}
 	}
+}
+
+// reconfiguredPair reconfigures tp's shared pair in place after its
+// faulted run, as an engine respawn does (ClearFaults on both replicas,
+// then Reset of the pair), and holds it against a freshly built
+// NewSimulator+NewShadow pair: at once, then through a key load and a
+// 64-lane transaction of random blocks, cycle by cycle as twinPairs
+// checks, with every state word and every stored codeword compared after
+// each phase. ClearFaults must come first: Reset re-applies a stuck
+// flip-flop that is still installed.
+func reconfiguredPair(core *rijndael.Core, nl *netlist.Netlist, tp *twinPairs, key []byte, r *rand.Rand) error {
+	prim, shadow := tp.sims[0][0], tp.sims[0][1]
+	prim.ClearFaults()
+	shadow.ClearFaults()
+	tp.pairs[0].Reset()
+	fp, err := netlist.NewSimulator(nl)
+	if err != nil {
+		return err
+	}
+	fs, err := netlist.NewShadow(fp)
+	if err != nil {
+		return err
+	}
+	rt := &twinPairs{
+		nl:    nl,
+		pairs: [2]*VectorLockstep{tp.pairs[0], NewVectorLockstep(fp, fs)},
+		sims:  [2][2]*netlist.Simulator{{prim, shadow}, {fp, fs}},
+	}
+	for role, s := range rt.sims[0] {
+		for i := 0; i < s.NumROMs(); i++ {
+			rt.base[role] = append(rt.base[role], s.ROMStore(i).Stats())
+		}
+	}
+	phase := func(op string) error {
+		if rt.check(op); rt.diff != nil {
+			return rt.diff
+		}
+		for role, name := range [2]string{"primary", "shadow"} {
+			sa, sb := rt.sims[0][role], rt.sims[1][role]
+			qa, qb := stateWords(nl, sa), stateWords(nl, sb)
+			for i := range qa {
+				if qa[i] != qb[i] {
+					return fmt.Errorf("after %s: %s flip-flop %s %#x, fresh %#x", op, name, sa.FFName(i), qa[i], qb[i])
+				}
+			}
+			for i := 0; i < sa.NumROMs(); i++ {
+				ra, rb := sa.ROMStore(i), sb.ROMStore(i)
+				for w := 0; w < edac.Words; w++ {
+					for b := 0; b < edac.CodeBits; b++ {
+						if ra.CodewordBit(w, b) != rb.CodewordBit(w, b) {
+							return fmt.Errorf("after %s: %s ROM %s word %#02x codeword bit %d differs from fresh", op, name, ra.Name(), w, b)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	}
+	if err := phase("reconfiguration"); err != nil {
+		return err
+	}
+	f, err := bfm.NewKeyedFactory(core, key)
+	if err != nil {
+		return err
+	}
+	drv, _, err := f.CloneVectorSim(rt)
+	if err != nil {
+		return err
+	}
+	if err := phase("key load"); err != nil {
+		return err
+	}
+	blocks := make([][]byte, bfm.Lanes)
+	for i := range blocks {
+		blocks[i] = make([]byte, 16)
+		r.Read(blocks[i])
+	}
+	if _, _, err := drv.ProcessVector(blocks, true); err != nil {
+		return err
+	}
+	return phase("transaction")
+}
+
+// stateWords reads s's flip-flop lane words through a probe simulator of
+// the same netlist: CopyStateFrom adopts s's state, and the probe's next
+// Eval presents each word on its flip-flop's output net.
+func stateWords(nl *netlist.Netlist, s *netlist.Simulator) []uint64 {
+	probe, err := netlist.NewSimulator(nl)
+	if err != nil {
+		panic(err)
+	}
+	if err := probe.CopyStateFrom(s); err != nil {
+		panic(err)
+	}
+	probe.Eval()
+	q := make([]uint64, len(nl.FFs))
+	for i, ff := range nl.FFs {
+		q[i] = probe.NetWord(ff.Q)
+	}
+	return q
 }

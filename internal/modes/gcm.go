@@ -165,25 +165,4 @@ func incCounter32(c []byte) {
 }
 
 // CTRStream32 is counter mode with GCM's 32-bit counter increment.
-func CTRStream32(b Block, iv, src []byte) ([]byte, error) {
-	bs := b.BlockSize()
-	if len(iv) != bs {
-		return nil, fmt.Errorf("modes: CTR iv must be %d bytes", bs)
-	}
-	if bb, ok := b.(BatchBlock); ok {
-		return ctrBatch(bb, iv, src, incCounter32)
-	}
-	dst := make([]byte, len(src))
-	counter := append([]byte(nil), iv...)
-	ks := make([]byte, bs)
-	for i := 0; i < len(src); i += bs {
-		b.Encrypt(ks, counter)
-		n := len(src) - i
-		if n > bs {
-			n = bs
-		}
-		xorBytes(dst[i:], src[i:], ks, n)
-		incCounter32(counter)
-	}
-	return dst, nil
-}
+func CTRStream32(b Block, iv, src []byte) ([]byte, error) { return ctr(b, iv, src, incCounter32) }

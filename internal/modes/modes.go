@@ -217,34 +217,16 @@ func DecryptCBC(b Block, iv, src []byte) ([]byte, error) {
 // CTRStream XORs src with the counter-mode keystream derived from iv
 // (big-endian increment over the whole block). Encryption and decryption
 // are the same operation; src may be any length.
-func CTRStream(b Block, iv, src []byte) ([]byte, error) {
+func CTRStream(b Block, iv, src []byte) ([]byte, error) { return ctr(b, iv, src, incCounter) }
+
+// ctr is counter mode with the counter increment inc: every counter block
+// is known up front, so the whole keystream is one independent batch (a
+// BatchBlock fans it out across hardware shards) before the XOR pass.
+func ctr(b Block, iv, src []byte, inc func([]byte)) ([]byte, error) {
 	bs := b.BlockSize()
 	if len(iv) != bs {
 		return nil, fmt.Errorf("modes: CTR iv must be %d bytes", bs)
 	}
-	if bb, ok := b.(BatchBlock); ok {
-		return ctrBatch(bb, iv, src, incCounter)
-	}
-	dst := make([]byte, len(src))
-	counter := append([]byte(nil), iv...)
-	ks := make([]byte, bs)
-	for i := 0; i < len(src); i += bs {
-		b.Encrypt(ks, counter)
-		n := len(src) - i
-		if n > bs {
-			n = bs
-		}
-		xorBytes(dst[i:], src[i:], ks, n)
-		incCounter(counter)
-	}
-	return dst, nil
-}
-
-// ctrBatch is the counter-mode keystream via the batch interface: every
-// counter block is known up front, so the whole keystream is one
-// independent batch the cipher can fan out across hardware shards.
-func ctrBatch(bb BatchBlock, iv, src []byte, inc func([]byte)) ([]byte, error) {
-	bs := bb.BlockSize()
 	nblocks := (len(src) + bs - 1) / bs
 	counters := make([]byte, nblocks*bs)
 	counter := append([]byte(nil), iv...)
@@ -253,7 +235,7 @@ func ctrBatch(bb BatchBlock, iv, src []byte, inc func([]byte)) ([]byte, error) {
 		inc(counter)
 	}
 	ks := make([]byte, nblocks*bs)
-	if err := bb.EncryptBlocks(ks, counters); err != nil {
+	if err := encryptBlocks(b, ks, counters); err != nil {
 		return nil, err
 	}
 	dst := make([]byte, len(src))

@@ -451,3 +451,92 @@ func TestStatsSnapshotInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsDeadShardFailures snapshots Stats concurrently with a ladder
+// that kills every shard: each submission takes a transient strike, the
+// one-strike error budget escalates the second one, and every respawn is
+// vetoed, so each shard walks quarantine → failed respawns → dead. A shard
+// is stored dead only after its last failure is counted, so no snapshot
+// may show a dead shard without MaxRespawnFailures failures behind it, nor
+// more failures than its quarantines allow.
+func TestStatsDeadShardFailures(t *testing.T) {
+	impl := supImpl(t)
+	key := []byte("dead-shard-fails")
+	const shards, maxFailures = 2, 2
+	rounds := 12
+	if testing.Short() {
+		rounds = 4
+	}
+	src := make([]byte, 8*16)
+	for i := range src {
+		src[i] = byte(i * 41)
+	}
+	snapshots, deadSeen := 0, 0
+	for round := 0; round < rounds; round++ {
+		eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
+			Shards:   shards,
+			MaxLanes: 2,
+			Supervise: &rijndaelip.SupervisorOptions{
+				Check:              rijndaelip.CheckLockstep,
+				RetryBudget:        1,
+				MaxRespawnFailures: maxFailures,
+				TransientBudget:    1,
+				Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
+					sim.ScheduleFlipLanes(9, 1, sim.FindFF("s0[0]"))
+				},
+				RespawnHook: func(shard, attempt int) error { return errTestRespawnVeto },
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := eng.EncryptECB(context.Background(), src)
+			done <- err
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for finished := false; ; {
+			st := eng.Stats()
+			snapshots++
+			dead := 0
+			for _, ss := range st.Shards {
+				if ss.Health == "dead" {
+					dead++
+				}
+			}
+			if st.RespawnFailures < uint64(maxFailures*dead) {
+				t.Fatalf("round %d: torn snapshot: %d dead shards with %d respawn failures, want >= %d: %+v",
+					round, dead, st.RespawnFailures, maxFailures*dead, st)
+			}
+			if st.RespawnFailures > maxFailures*st.Quarantines || st.Respawns > st.Quarantines {
+				t.Fatalf("round %d: torn snapshot: %d respawn failures, %d respawns after %d quarantines",
+					round, st.RespawnFailures, st.Respawns, st.Quarantines)
+			}
+			if dead > 0 {
+				deadSeen++
+			}
+			if !finished {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+					finished = true
+				default:
+				}
+			}
+			if finished && dead == shards {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: timed out waiting for every shard to die: %+v", round, st)
+			}
+		}
+		eng.Close()
+	}
+	if deadSeen == 0 {
+		t.Fatal("no snapshot saw a dead shard; the property was not exercised")
+	}
+	t.Logf("validated %d snapshots, %d with a dead shard", snapshots, deadSeen)
+}

@@ -47,8 +47,8 @@ const (
 // simulators, EDAC ROM stores and driver. After every job it scrubs the
 // ROM words its stores report faulty (correctable errors are rewritten;
 // a word that stays bad quarantines the shard with a ROM diagnosis), and
-// a quarantined shard's worker waits out the respawn backoff and rebuilds
-// the shard itself.
+// a quarantined shard's worker waits out the respawn backoff and
+// reconfigures the shard's simulators in place itself.
 //
 // A single self-checking device is the one-shard, one-lane case:
 //
@@ -93,7 +93,7 @@ type SupervisorOptions struct {
 	Strike func(shard int, submission uint64, sim *netlist.Simulator)
 	// RespawnHook, when set, gates every respawn attempt: it is invoked
 	// with the shard id and the consecutive-failure ordinal before the
-	// replacement clone is built, and a non-nil return fails the attempt.
+	// shard is reconfigured, and a non-nil return fails the attempt.
 	// Tests use it to model a permanently damaged replica slot and drive
 	// the circuit breaker.
 	RespawnHook func(shard, attempt int) error
@@ -232,40 +232,48 @@ func normalizedSupervisor(im *Implementation, opts *SupervisorOptions) (*Supervi
 	return &s, nil
 }
 
-// buildDriver stamps out one shard's keyed driver over a post-synthesis
-// simulation of the implementation's mapped netlist — the IP as the
-// device holds it, exactly like the fault campaigns. A supervised shard
-// adds the latency assertion and, under CheckLockstep, wraps the netlist
-// in a lockstep pair with a fault-free shadow twin (netlist.NewShadow,
-// which reuses the primary's golden ROM gathers), so the supervisor
-// checks — and chaos harnesses strike — real mapped flip-flops. The same
-// path serves construction and hot-respawn.
-func (e *Engine) buildDriver() (*bfm.Driver, *netlist.Simulator, *faultcampaign.VectorLockstep, error) {
-	main, err := netlist.NewSimulator(e.impl.Netlist.nl)
-	if err != nil {
-		return nil, nil, nil, err
+// newShard builds shard id's hardware, once: a keyed driver over a
+// post-synthesis simulation of the implementation's mapped netlist — the
+// IP as the device holds it, exactly like the fault campaigns. A
+// supervised shard adds the latency assertion and, under CheckLockstep,
+// wraps the netlist in a lockstep pair with a fault-free shadow twin
+// (netlist.NewShadow, which reuses the primary's golden ROM gathers), so
+// the supervisor checks — and chaos harnesses strike — real mapped
+// flip-flops. A respawn reconfigures this hardware in place; nothing
+// builds a shard's simulators again.
+func (e *Engine) newShard(id int) (*engineShard, error) {
+	s := &engineShard{id: id, q: make(chan *engineJob, e.opts.QueueDepth)}
+	var err error
+	if s.sim, err = netlist.NewSimulator(e.impl.Netlist.nl); err != nil {
+		return nil, err
 	}
-	var (
-		sim  bfm.Sim = main
-		lock *faultcampaign.VectorLockstep
-	)
+	var sim bfm.Sim = s.sim
 	if e.sup != nil && e.sup.Check == CheckLockstep {
-		shadow, err := netlist.NewShadow(main)
-		if err != nil {
-			return nil, nil, nil, err
+		if s.shadow, err = netlist.NewShadow(s.sim); err != nil {
+			return nil, err
 		}
-		lock = faultcampaign.NewVectorLockstep(main, shadow)
-		sim = lock
+		s.lock = faultcampaign.NewVectorLockstep(s.sim, s.shadow)
+		sim = s.lock
 	}
-	drv, _, err := e.factory.CloneVectorSim(sim)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	drv.AssertLatency = e.sup != nil
+	s.drv = bfm.NewPostSynthesis(e.impl.Core, sim)
+	s.drv.AssertLatency = e.sup != nil
 	if e.opts.Watchdog > 0 {
-		drv.Timeout = e.opts.Watchdog
+		s.drv.Timeout = e.opts.Watchdog
 	}
-	return drv, main, lock, nil
+	if err := e.keyShard(s); err != nil {
+		return nil, err
+	}
+	s.gen.Store(1)
+	return s, nil
+}
+
+// keyShard puts the shard's device into its power-up state (the lockstep
+// pair's Reset also re-arms the comparator) and runs the key-load
+// sequence on every lane: at construction and on every respawn.
+func (e *Engine) keyShard(s *engineShard) error {
+	s.drv.Reset()
+	_, err := s.drv.LoadKey(e.key)
+	return err
 }
 
 // runSupervised executes one job on a healthy supervised shard: arm the
@@ -315,11 +323,9 @@ func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
 	// without this, corruption that outlives one transaction would turn
 	// every deep upset into a respawn.
 	if s.lock != nil {
-		if shadow, ok := s.lock.Shadow.(*netlist.Simulator); ok {
-			// Same-netlist replicas cannot mismatch; an error would only
-			// mean no restoration, and the retry classifies either way.
-			_ = s.sim.CopyStateFrom(shadow)
-		}
+		// Same-netlist replicas cannot mismatch; an error would only mean
+		// no restoration, and the retry classifies either way.
+		_ = s.sim.CopyStateFrom(s.shadow)
 		s.lock.ClearMismatch()
 	}
 	outs, err = e.attempt(s, j, sub, false)
@@ -512,7 +518,7 @@ func (e *Engine) scrub(s *engineShard) (Diagnosis, bool) {
 // quarantine takes a shard out of rotation after a persistent
 // classification. Only the shard's own worker classifies, so the state
 // change needs no arbitration; the worker's loop then runs respawn, which
-// hands queued jobs to healthy siblings while the shard is rebuilt.
+// hands queued jobs to healthy siblings while the shard is reconfigured.
 func (e *Engine) quarantine(s *engineShard) {
 	s.state.Store(shardQuarantined)
 	s.quarantines.Add(1)
@@ -579,12 +585,12 @@ func (e *Engine) fallback(j *engineJob) {
 	j.batch.complete(nil)
 }
 
-// respawn rebuilds a quarantined shard on its own worker: exponential
+// respawn reconfigures a quarantined shard on its own worker: exponential
 // backoff between attempts (jobs that reach the shard's queue meanwhile
-// are handed to healthy siblings), a power-on self-test before the
-// replacement rejoins the pool, and the permanent-defect circuit breaker
-// after MaxRespawnFailures consecutive failures. It reports false if the
-// engine closed during a backoff.
+// are handed to healthy siblings), a power-on self-test before the shard
+// rejoins the pool, and the permanent-defect circuit breaker after
+// MaxRespawnFailures consecutive failures. It reports false if the engine
+// closed during a backoff.
 func (e *Engine) respawn(s *engineShard) bool {
 	backoff := e.sup.RespawnBackoff
 	for attempt := 1; ; attempt++ {
@@ -611,7 +617,7 @@ func (e *Engine) respawn(s *engineShard) bool {
 			e.poke()
 			return true
 		}
-		e.respawnFailures.Add(1)
+		s.respawnFailures.Add(1)
 		e.emit(obs.Event{Kind: obs.KindRespawnFailure, Shard: s.id,
 			Generation: s.gen.Load(), Attempt: attempt, Detail: err.Error()})
 		if attempt >= e.sup.MaxRespawnFailures {
@@ -624,36 +630,38 @@ func (e *Engine) respawn(s *engineShard) bool {
 	}
 }
 
-// respawnShard builds and self-tests one replacement driver and installs
-// it. The shard's driver fields are written only here and at
-// construction, both on the goroutine that runs the shard's
-// transactions; the stores hand-off publishes the new EDAC stores to
-// Stats. Respawning resets the transient error budget — it belongs to the
-// retired hardware incarnation — and folds the retiring EDAC stores' read
-// counters so Stats stays monotonic across generations.
+// respawnShard reconfigures the shard's hardware in place, as a device
+// rewrites the configuration of the region that holds the core: it clears
+// every installed fault from the primary and the shadow, resets and
+// re-keys the pair, and runs the power-on self-test. ClearFaults must come
+// first, because Reset re-applies a stuck flip-flop that is still
+// installed. The EDAC stores stay the same and ClearFaults leaves their
+// read counters alone, so Stats' lifetime totals carry across
+// generations. Respawning resets the transient error budget — it belongs
+// to the previous hardware incarnation.
 func (e *Engine) respawnShard(s *engineShard, attempt int) error {
 	if e.sup.RespawnHook != nil {
 		if err := e.sup.RespawnHook(s.id, attempt); err != nil {
 			return err
 		}
 	}
-	drv, sim, lock, err := e.buildDriver()
-	if err != nil {
+	s.sim.ClearFaults()
+	if s.shadow != nil {
+		s.shadow.ClearFaults()
+	}
+	if err := e.keyShard(s); err != nil {
 		return err
 	}
-	if err := e.selfTest(drv); err != nil {
+	if err := e.selfTest(s.drv); err != nil {
 		return err
 	}
-	s.foldROMStats()
-	s.drv, s.sim, s.lock = drv, sim, lock
-	s.publishStores()
 	s.transientLog = nil
 	return nil
 }
 
-// selfTest runs one known-answer transaction through a freshly built
+// selfTest runs one known-answer transaction through a freshly keyed
 // driver and verifies it against the software reference — the power-on
-// self-test a replacement shard must pass before rejoining the pool.
+// self-test a respawned shard must pass before rejoining the pool.
 func (e *Engine) selfTest(drv *bfm.Driver) error {
 	pt := []byte("rijndaelip-post!")
 	encrypt := e.impl.Core.Config.Variant != rijndael.Decrypt

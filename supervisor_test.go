@@ -190,6 +190,97 @@ func TestSupervisedEngineQuarantineRespawnRecovery(t *testing.T) {
 	}
 }
 
+// TestEDACReadCountersSurviveRespawn pins the lifetime EDAC read
+// counters across a hot-respawn: shard 0 reads through a correctable
+// upset in every word of one ROM store, so its corrected-read counter
+// moves, and a later strike welds s0[0], so the shard is quarantined and
+// respawned. On every snapshot, taken while the ladder runs, no shard's
+// ROMCorrectedReads may fall, and the engine totals must be the sums over
+// the same snapshot's shards.
+func TestEDACReadCountersSurviveRespawn(t *testing.T) {
+	impl := supImpl(t)
+	key := []byte("edac-respawn-key")
+	eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
+		Shards:   2,
+		MaxLanes: 2,
+		Supervise: &rijndaelip.SupervisorOptions{
+			Check: rijndaelip.CheckLockstep,
+			Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
+				if shard != 0 {
+					return
+				}
+				switch submission {
+				case 1:
+					for w := 0; w < edac.Words; w++ {
+						sim.FlipROMBit(0, w, 3)
+					}
+				case 2:
+					sim.StickFF(sim.FindFF("s0[0]"), false)
+				}
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	last := make([]uint64, 2)
+	check := func(st rijndaelip.EngineStats) {
+		t.Helper()
+		var corrected, uncorrectable uint64
+		for i, ss := range st.Shards {
+			if ss.ROMCorrectedReads < last[i] {
+				t.Fatalf("shard %d corrected ROM reads fell %d -> %d (generation %d)",
+					i, last[i], ss.ROMCorrectedReads, ss.Generation)
+			}
+			last[i] = ss.ROMCorrectedReads
+			corrected += ss.ROMCorrectedReads
+			uncorrectable += ss.ROMUncorrectableReads
+		}
+		if st.ROMCorrectedReads != corrected || st.ROMUncorrectableReads != uncorrectable {
+			t.Fatalf("EDAC read totals %d/%d, shard sums %d/%d",
+				st.ROMCorrectedReads, st.ROMUncorrectableReads, corrected, uncorrectable)
+		}
+	}
+	src := make([]byte, 24*16)
+	for i := range src {
+		src[i] = byte(i * 13)
+	}
+	var got []byte
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		got, err = eng.EncryptECB(context.Background(), src)
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		check(eng.Stats())
+	}
+	checkECB(t, got, src, key)
+	st := waitEngine(t, eng, "hot-respawn", func(st rijndaelip.EngineStats) bool {
+		check(st)
+		return st.Respawns >= 1 && st.HealthyShards == 2
+	})
+	if ss := st.Shards[0]; ss.Generation < 2 || ss.ROMCorrectedReads == 0 || ss.ScrubCorrected == 0 {
+		t.Fatalf("shard 0 after respawn: generation %d, %d corrected reads, %d scrub repairs; want gen >= 2 and both counters moved",
+			ss.Generation, ss.ROMCorrectedReads, ss.ScrubCorrected)
+	}
+	got, err = eng.EncryptECB(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkECB(t, got, src, key)
+	check(eng.Stats())
+}
+
 // TestSupervisedEngineCircuitBreakerAndDegrade strikes every submission
 // on every shard and vetoes every respawn: each strike recovers in place
 // (transient), but the one-strike error budget escalates the second
