@@ -118,8 +118,9 @@ faults:
 
 # The benchmark module's own vet and tests. `go test ./...` at the root
 # never builds _perfbench (a separate module in an underscore directory),
-# yet its replica pins bfm.Sim, VectorLockstep and the deprecated
-# constructors. Wired into `verify`.
+# yet its replica still pins bfm.KeyedFactory.CloneVectorSim,
+# faultcampaign.NewVectorLockstep, the bfm.VectorSim/VectorDriver aliases
+# and the deprecated NewCompiledSimulator aliases. Wired into `verify`.
 perfbench-test:
 	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
 

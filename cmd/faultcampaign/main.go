@@ -151,10 +151,7 @@ func main() {
 			rows = append(rows, faultRow(c.name, tg.name, c.lcs, c.ffs, res))
 		}
 		if *romStuck > 0 {
-			faults, err := stuckFaults(impl.Netlist.Raw(), *seed, *romStuck)
-			if err != nil {
-				fatal(err)
-			}
+			faults := stuckFaults(impl.Netlist.Raw(), *seed, *romStuck)
 			if faults == nil {
 				// Logic-mapped S-boxes (Cyclone): no ROM storage to weld.
 				fmt.Printf("%-8s %-9s no ROM storage (S-boxes in logic cells), row skipped\n", tg.name, "rom-stuck:")
@@ -212,20 +209,16 @@ func faultRow(config, device string, lcs, ffs int, res *faultcampaign.Result) re
 // stuckFaults derives a seeded list of distinct welded ROM bits for the
 // rom-stuck campaign row. Returns nil when the netlist maps its S-boxes
 // to logic and has no ROM storage to weld.
-func stuckFaults(nl *netlist.Netlist, seed int64, n int) ([]faultcampaign.ROMFault, error) {
-	sim, err := netlist.NewSimulator(nl)
-	if err != nil {
-		return nil, err
-	}
-	if sim.NumROMs() == 0 {
-		return nil, nil
+func stuckFaults(nl *netlist.Netlist, seed int64, n int) []faultcampaign.ROMFault {
+	if len(nl.ROMs) == 0 {
+		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
 	seen := map[faultcampaign.ROMFault]bool{}
 	var faults []faultcampaign.ROMFault
 	for len(faults) < n {
 		f := faultcampaign.ROMFault{
-			ROM:  rng.Intn(sim.NumROMs()),
+			ROM:  rng.Intn(len(nl.ROMs)),
 			Word: rng.Intn(edac.Words),
 			Bit:  rng.Intn(edac.CodeBits),
 		}
@@ -235,7 +228,7 @@ func stuckFaults(nl *netlist.Netlist, seed int64, n int) ([]faultcampaign.ROMFau
 		seen[f] = true
 		faults = append(faults, f)
 	}
-	return faults, nil
+	return faults
 }
 
 func campaign(cfg faultcampaign.Config, exhaustive bool) (*faultcampaign.Result, error) {

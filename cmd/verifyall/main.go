@@ -26,6 +26,7 @@ import (
 	"rijndaelip/internal/bfm"
 	"rijndaelip/internal/bmc"
 	"rijndaelip/internal/designlint"
+	"rijndaelip/internal/faultcampaign"
 	"rijndaelip/internal/netlist"
 	"rijndaelip/internal/rijndael"
 	"rijndaelip/internal/rtl"
@@ -118,19 +119,18 @@ func main() {
 		})
 
 		step("post-synthesis simulation vs FIPS-197", func() (string, error) {
-			sim, err := netlist.NewSimulator(nl)
+			dev, err := faultcampaign.NewDevice(core, nl, false)
 			if err != nil {
 				return "", err
 			}
-			drv := bfm.NewPostSynthesis(core, sim)
-			if _, err := drv.LoadKey(key); err != nil {
+			if err := dev.Key(key); err != nil {
 				return "", err
 			}
 			var got []byte
 			if v == rijndael.Decrypt {
-				got, _, err = drv.Decrypt(ct)
+				got, _, err = dev.Driver.Decrypt(ct)
 			} else {
-				got, _, err = drv.Encrypt(pt)
+				got, _, err = dev.Driver.Encrypt(pt)
 			}
 			if err != nil {
 				return "", err
@@ -215,15 +215,15 @@ func main() {
 			if v == rijndael.Decrypt {
 				ref, inBlock, dir = pt, ct, false
 			}
+			dev, err := faultcampaign.NewDevice(core, hard, false)
+			if err != nil {
+				return "", err
+			}
+			sim := dev.Primary
 			rng := rand.New(rand.NewSource(16))
 			const trials = 12
 			for trial := 0; trial < trials; trial++ {
-				sim, err := netlist.NewSimulator(hard)
-				if err != nil {
-					return "", err
-				}
-				drv := bfm.NewPostSynthesis(core, sim)
-				if _, err := drv.LoadKey(key); err != nil {
+				if err := dev.Key(key); err != nil {
 					return "", err
 				}
 				// Inject a random upset mid-transaction by driving manually.

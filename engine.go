@@ -13,7 +13,6 @@ import (
 	"rijndaelip/internal/bfm"
 	"rijndaelip/internal/faultcampaign"
 	"rijndaelip/internal/modes"
-	"rijndaelip/internal/netlist"
 	"rijndaelip/internal/obs"
 )
 
@@ -132,17 +131,14 @@ type engineShard struct {
 
 	// state is the supervision lifecycle (healthy / quarantined / dead);
 	// unsupervised engines keep every shard healthy forever. Only the
-	// shard's worker changes it. drv, sim, shadow and lock are the shard's
-	// hardware: written once by NewEngine, before the worker starts, and
-	// driven only by the worker, which reconfigures them in place on a
-	// respawn. Stats may therefore read sim's EDAC stores from any
-	// goroutine.
-	state  atomic.Int32
-	gen    atomic.Uint64
-	drv    *bfm.Driver
-	sim    *netlist.Simulator            // primary mapped simulation
-	shadow *netlist.Simulator            // fault-free twin (CheckLockstep only)
-	lock   *faultcampaign.VectorLockstep // comparator over sim and shadow (CheckLockstep only)
+	// shard's worker changes it. dev is the shard's hardware (a lockstep
+	// pair under CheckLockstep): built once by newShard in NewEngine,
+	// before the worker starts, and driven only by the worker, which
+	// reconfigures it in place on a respawn (Device.Reconfigure). Stats
+	// may therefore read the primary's EDAC stores from any goroutine.
+	state atomic.Int32
+	gen   atomic.Uint64
+	dev   *faultcampaign.Device
 
 	// transientLog holds the submission ordinals of this incarnation's
 	// transient classifications (the sliding-window error budget). Touched
@@ -178,7 +174,7 @@ type engineShard struct {
 // keeps the stores and edac.ROM.ClearFaults leaves their counters alone,
 // so the live stores' counts are the lifetime totals.
 func (s *engineShard) romReadStats() (corrected, uncorrectable uint64) {
-	for _, r := range s.sim.ROMStores() {
+	for _, r := range s.dev.Primary.ROMStores() {
 		st := r.Stats()
 		corrected += st.CorrectedReads
 		uncorrectable += st.UncorrectableReads
@@ -527,13 +523,13 @@ func (e *Engine) transact(s *engineShard, j *engineJob, sub uint64, first bool) 
 		e.opts.Jitter(s.id, j.index)
 	}
 	if first && e.sup != nil && e.sup.Strike != nil {
-		e.sup.Strike(s.id, sub, s.sim)
+		e.sup.Strike(s.id, sub, s.dev.Primary)
 	}
 	blocks := make([][]byte, j.n)
 	for i := range blocks {
 		blocks[i] = j.src[i*16 : i*16+16]
 	}
-	outs, cycles, err := s.drv.ProcessVector(blocks, j.encrypt)
+	outs, cycles, err := s.dev.Driver.ProcessVector(blocks, j.encrypt)
 	s.cycles.Add(uint64(cycles) + 1)
 	return outs, err
 }

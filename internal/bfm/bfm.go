@@ -484,7 +484,9 @@ func checkKeyLen(device string, want, got int) error {
 // KeyedFactory stamps out independent, identically-keyed drivers over
 // fresh simulations of the same core. Each clone owns its own simulator
 // state, so clones can process blocks concurrently from separate
-// goroutines.
+// goroutines. Its only caller outside tests is the benchmark replica
+// (_perfbench); the engine, the fault campaigns and the tools build and
+// key their devices with faultcampaign.NewDevice.
 type KeyedFactory struct {
 	core *rijndael.Core
 	key  []byte

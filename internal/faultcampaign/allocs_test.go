@@ -5,16 +5,15 @@ import (
 	"testing"
 
 	"rijndaelip/internal/bfm"
-	"rijndaelip/internal/netlist"
 )
 
 // TestLaneTransactionAllocs gates the allocations of one 64-lane
-// ProcessVector of the Encrypt core, on the RTL simulator and on a
-// VectorLockstep pair of netlist simulators. The lane boundary allocates
-// only the transaction's result: the per-lane slice headers and the one
-// array every lane's dout is de-transposed into. data_ok polling, the bulk
-// dout read and the comparator's port reads use the simulators' own
-// OutputWords buffers, and the din drive writes lane words in place.
+// ProcessVector of the Encrypt core, on the RTL simulator and on the
+// lockstep device an engine shard runs (NewDevice). The lane boundary
+// allocates only the transaction's result: the per-lane slice headers and
+// the one array every lane's dout is de-transposed into. data_ok polling,
+// the bulk dout read and the comparator's port reads use the simulators'
+// own OutputWords buffers, and the din drive writes lane words in place.
 // Allocation counts are deterministic, so the bound is exact work, not
 // timing.
 func TestLaneTransactionAllocs(t *testing.T) {
@@ -28,34 +27,29 @@ func TestLaneTransactionAllocs(t *testing.T) {
 		blocks[i] = make([]byte, 16)
 		r.Read(blocks[i])
 	}
-	var pair [2]bfm.Sim
-	for i := range pair {
-		s, err := netlist.NewSimulator(nl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pair[i] = s
+	rtlDrv := bfm.New(core)
+	if _, err := rtlDrv.LoadKey(key); err != nil {
+		t.Fatal(err)
+	}
+	dev, err := NewDevice(core, nl, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Key(key); err != nil {
+		t.Fatal(err)
 	}
 	cases := []struct {
 		name string
-		sim  bfm.Sim
+		drv  *bfm.Driver
 	}{
-		{"rtl", core.Design.NewSimulator()},
-		{"netlist lockstep", NewVectorLockstep(pair[0], pair[1])},
+		{"rtl", rtlDrv},
+		{"netlist lockstep", dev.Driver},
 	}
 	for _, c := range cases {
-		f, err := bfm.NewKeyedFactory(core, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drv, _, err := f.CloneVectorSim(c.sim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drv.AssertLatency = true
+		c.drv.AssertLatency = true
 		var failed error
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, _, err := drv.ProcessVector(blocks, true); err != nil {
+			if _, _, err := c.drv.ProcessVector(blocks, true); err != nil {
 				failed = err
 			}
 		})

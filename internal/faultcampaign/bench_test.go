@@ -7,37 +7,27 @@ import (
 
 	"rijndaelip/internal/aes"
 	"rijndaelip/internal/bfm"
-	"rijndaelip/internal/netlist"
 )
 
-// BenchmarkVectorLockstep measures one supervised 64-lane transaction: a
-// VectorLockstep of a netlist simulator of the synthesized Encrypt core and
-// its shadow twin (netlist.NewShadow) under a keyed driver, 64 divergent
-// blocks per ProcessVector. This is the pair a lockstep-supervised engine
-// shard runs, without the engine around it. The first transaction is
-// checked against internal/aes.
+// BenchmarkVectorLockstep measures one supervised 64-lane transaction on
+// a keyed lockstep device of the synthesized Encrypt core (NewDevice: a
+// netlist simulator and its shadow twin under a VectorLockstep), 64
+// divergent blocks per ProcessVector. This is the device a
+// lockstep-supervised engine shard runs, without the engine around it.
+// The first transaction is checked against internal/aes.
 func BenchmarkVectorLockstep(b *testing.B) {
 	core, nl := buildEncryptCore(b)
-	main, err := netlist.NewSimulator(nl)
+	dev, err := NewDevice(core, nl, true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	shadow, err := netlist.NewShadow(main)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lock := NewVectorLockstep(main, shadow)
 	r := rand.New(rand.NewSource(1))
 	key := make([]byte, 16)
 	r.Read(key)
-	f, err := bfm.NewKeyedFactory(core, key)
-	if err != nil {
+	if err := dev.Key(key); err != nil {
 		b.Fatal(err)
 	}
-	drv, _, err := f.CloneVectorSim(lock)
-	if err != nil {
-		b.Fatal(err)
-	}
+	drv := dev.Driver
 	drv.AssertLatency = true
 	blocks := make([][]byte, bfm.Lanes)
 	for i := range blocks {
@@ -65,7 +55,7 @@ func BenchmarkVectorLockstep(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if lock.MismatchMask() != 0 {
+	if dev.Lockstep.MismatchMask() != 0 {
 		b.Fatal("lockstep replicas diverged on a fault-free run")
 	}
 }

@@ -17,7 +17,7 @@
 //
 // The same engine measures what hardening buys: run it on the plain
 // netlist, the TMR-hardened netlist (internal/tmr) and a lockstep pair
-// (NewVectorLockstep) and compare masked/detected coverage against area.
+// (NewDevice) and compare masked/detected coverage against area.
 package faultcampaign
 
 import (
@@ -273,50 +273,36 @@ func RunStuckAt(cfg Config, faults []ROMFault) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Trials:     make([]Trial, 0, len(faults)),
-		FFs:        c.nFFs,
-		Cycles:     c.cycles,
-		Classified: true,
-	}
+	res := c.newResult(len(faults))
 	for i := range faults {
 		f := faults[i]
-		if f.ROM < 0 || f.ROM >= c.main.NumROMs() {
-			return nil, fmt.Errorf("faultcampaign: ROM %d out of range [0,%d)", f.ROM, c.main.NumROMs())
+		if f.ROM < 0 || f.ROM >= c.dev.Primary.NumROMs() {
+			return nil, fmt.Errorf("faultcampaign: ROM %d out of range [0,%d)", f.ROM, c.dev.Primary.NumROMs())
 		}
 		if f.Word < 0 || f.Word >= edac.Words || f.Bit < 0 || f.Bit >= edac.CodeBits {
 			return nil, fmt.Errorf("faultcampaign: ROM word %d bit %d out of range (%dx%d)", f.Word, f.Bit, edac.Words, edac.CodeBits)
 		}
-		c.main.ClearFaults()
-		store := c.main.ROMStore(f.ROM)
-		c.main.StickROMBit(f.ROM, f.Word, f.Bit, !store.CodewordBit(f.Word, f.Bit))
+		c.dev.Primary.ClearFaults()
+		store := c.dev.Primary.ROMStore(f.ROM)
+		c.dev.Primary.StickROMBit(f.ROM, f.Word, f.Bit, !store.CodewordBit(f.Word, f.Bit))
 		trials, err := c.runGroup([]Fault{{}})
 		if err != nil {
 			return nil, err
 		}
-		t := trials[0]
-		t.ROM = &faults[i]
-		res.Trials = append(res.Trials, t)
-		res.Counts[t.Outcome]++
-		if t.Persistent {
-			res.Persistent++
-		} else {
-			res.Recovered++
-		}
+		trials[0].ROM = &faults[i]
+		res.add(trials[0])
 	}
 	return res, nil
 }
 
-// campaign is the prepared runtime state shared by all trials: one primary
-// simulator (plus shadow for lockstep), one driver, one golden output.
+// campaign is the prepared runtime state shared by all trials: one device
+// (a lockstep pair under Config.Lockstep) and one golden output.
 // Trials run 64 at a time: the simulator's lanes each carry one fault
 // scenario, so a whole group of injections shares a single transaction's
 // sweeps (see internal/logic/lanes.go for the lane model).
 type campaign struct {
 	cfg    Config
-	main   *netlist.Simulator
-	lock   *VectorLockstep
-	drv    *bfm.Driver
+	dev    *Device
 	key    []byte
 	blocks [][]byte // Lanes copies of the transaction's din block
 	golden []byte
@@ -334,24 +320,13 @@ func newCampaign(cfg Config) (*campaign, error) {
 	if !cfg.Decrypt && cfg.Core.Config.Variant == rijndael.Decrypt {
 		return nil, errors.New("faultcampaign: decrypt-only core cannot run an encrypt campaign")
 	}
-	main, err := netlist.NewSimulator(cfg.Netlist)
+	dev, err := NewDevice(cfg.Core, cfg.Netlist, cfg.Lockstep)
 	if err != nil {
 		return nil, fmt.Errorf("faultcampaign: %w", err)
 	}
-	var sim bfm.Sim = main
-	var lock *VectorLockstep
-	if cfg.Lockstep {
-		shadow, err := netlist.NewShadow(main)
-		if err != nil {
-			return nil, fmt.Errorf("faultcampaign: shadow replica: %w", err)
-		}
-		lock = NewVectorLockstep(main, shadow)
-		sim = lock
-	}
-	drv := bfm.NewPostSynthesis(cfg.Core, sim)
-	drv.AssertLatency = cfg.AssertLatency
+	dev.Driver.AssertLatency = cfg.AssertLatency
 	if cfg.Watchdog > 0 {
-		drv.Timeout = cfg.Watchdog
+		dev.Driver.Timeout = cfg.Watchdog
 	}
 	key, pt := cfg.Key, cfg.Plaintext
 	if key == nil {
@@ -375,9 +350,9 @@ func newCampaign(cfg Config) (*campaign, error) {
 		blocks[i] = pt
 	}
 	return &campaign{
-		cfg: cfg, main: main, lock: lock, drv: drv,
+		cfg: cfg, dev: dev,
 		key: key, blocks: blocks, golden: golden,
-		nFFs:   main.NumFFs(),
+		nFFs:   dev.Primary.NumFFs(),
 		cycles: cfg.Core.BlockLatency,
 	}, nil
 }
@@ -390,12 +365,7 @@ func newCampaign(cfg Config) (*campaign, error) {
 // trial's trajectory is bit-exactly the trajectory a dedicated scalar
 // transaction would have produced.
 func (c *campaign) run(faults []Fault) (*Result, error) {
-	res := &Result{
-		Trials:     make([]Trial, 0, len(faults)),
-		FFs:        c.nFFs,
-		Cycles:     c.cycles,
-		Classified: c.cfg.ClassifyPersistence,
-	}
+	res := c.newResult(len(faults))
 	for _, f := range faults {
 		for _, ff := range f.FFs {
 			if ff < 0 || ff >= c.nFFs {
@@ -410,18 +380,33 @@ func (c *campaign) run(faults []Fault) (*Result, error) {
 			return nil, err
 		}
 		for _, t := range trials {
-			res.Trials = append(res.Trials, t)
-			res.Counts[t.Outcome]++
-			if res.Classified {
-				if t.Persistent {
-					res.Persistent++
-				} else {
-					res.Recovered++
-				}
-			}
+			res.add(t)
 		}
 	}
 	return res, nil
+}
+
+// newResult returns an empty result for n trials of this campaign.
+func (c *campaign) newResult(n int) *Result {
+	return &Result{
+		Trials:     make([]Trial, 0, n),
+		FFs:        c.nFFs,
+		Cycles:     c.cycles,
+		Classified: c.cfg.ClassifyPersistence,
+	}
+}
+
+// add tallies one classified trial.
+func (r *Result) add(t Trial) {
+	r.Trials = append(r.Trials, t)
+	r.Counts[t.Outcome]++
+	switch {
+	case !r.Classified:
+	case t.Persistent:
+		r.Persistent++
+	default:
+		r.Recovered++
+	}
 }
 
 // runGroup pushes one driver transaction with up to 64 armed faults —
@@ -431,8 +416,7 @@ func (c *campaign) run(faults []Fault) (*Result, error) {
 // that corrupts the control FSM delays or wedges only its own lane's
 // data_ok.
 func (c *campaign) runGroup(group []Fault) ([]Trial, error) {
-	c.drv.Reset()
-	if _, err := c.drv.LoadKey(c.key); err != nil {
+	if err := c.dev.Key(c.key); err != nil {
 		return nil, fmt.Errorf("faultcampaign: load key: %w", err)
 	}
 	for lane, f := range group {
@@ -441,18 +425,18 @@ func (c *campaign) runGroup(group []Fault) ([]Trial, error) {
 		}
 		// The driver's load edge is one Step away; processing cycle n of
 		// the transaction is Step 1+n from here.
-		c.main.ScheduleFlipLanes(1+f.Cycle, 1<<uint(lane), f.FFs...)
+		c.dev.Primary.ScheduleFlipLanes(1+f.Cycle, 1<<uint(lane), f.FFs...)
 	}
-	if c.lock != nil {
-		c.lock.ClearMismatch() // count edges from the load edge on
+	if c.dev.Lockstep != nil {
+		c.dev.Lockstep.ClearMismatch() // count edges from the load edge on
 	}
 	var tx bfm.Transaction
-	if err := c.drv.Transact(&tx, c.blocks[:len(group)], !c.cfg.Decrypt); err != nil {
+	if err := c.dev.Driver.Transact(&tx, c.blocks[:len(group)], !c.cfg.Decrypt); err != nil {
 		return nil, err
 	}
 	trials := make([]Trial, len(group))
 	for lane, f := range group {
-		t := Trial{Fault: f, Err: c.drv.LaneErr(&tx, lane)}
+		t := Trial{Fault: f, Err: c.dev.Driver.LaneErr(&tx, lane)}
 		// A wedged handshake is Hung; a tripped checker (latency
 		// assertion or lockstep divergence) is Detected; then the payload
 		// decides between masked and silent corruption.
@@ -481,10 +465,10 @@ func (c *campaign) runGroup(group []Fault) ([]Trial, error) {
 // edge (one edge) plus its latency. Divergence after the capture cannot
 // have reached the consumed result, so it does not count.
 func (c *campaign) diverged(tx *bfm.Transaction, lane int) bool {
-	if c.lock == nil {
+	if c.dev.Lockstep == nil {
 		return false
 	}
-	cyc, ok := c.lock.FirstMismatch(lane)
+	cyc, ok := c.dev.Lockstep.FirstMismatch(lane)
 	return ok && cyc <= 1+tx.Latency[lane]
 }
 
@@ -498,15 +482,15 @@ func (c *campaign) diverged(tx *bfm.Transaction, lane int) bool {
 // (state reloaded from din, diverged bits overwritten) come back golden.
 func (c *campaign) classifyPersistence(trials []Trial) error {
 	var tx bfm.Transaction
-	if err := c.drv.Transact(&tx, c.blocks[:len(trials)], !c.cfg.Decrypt); err != nil {
+	if err := c.dev.Driver.Transact(&tx, c.blocks[:len(trials)], !c.cfg.Decrypt); err != nil {
 		return err
 	}
 	// ROM stores are shared by every lane, so residual memory damage makes
 	// the whole group persistent (in practice ROM campaigns run scalar
 	// groups, so the ambiguity never bites).
 	residual := false
-	for ri := 0; ri < c.main.NumROMs(); ri++ {
-		store := c.main.ROMStore(ri)
+	for ri := 0; ri < c.dev.Primary.NumROMs(); ri++ {
+		store := c.dev.Primary.ROMStore(ri)
 		if store.FaultyWords() == 0 {
 			continue
 		}

@@ -8,7 +8,7 @@ import (
 	"rijndaelip/internal/aes"
 	"rijndaelip/internal/bfm"
 	"rijndaelip/internal/edac"
-	"rijndaelip/internal/netlist"
+	"rijndaelip/internal/rtl"
 )
 
 // TestCountedGathersPerCycle pins the EDAC counted-gather contract on the
@@ -16,10 +16,11 @@ import (
 // faulty store, so with a correctable error in every ROM word each Gather
 // counts one corrected read per lane and the counters give the gathers
 // per simulated cycle exactly. The driver's Eval-then-Step runs two Evals
-// a cycle over eight ROMs: 16 on the RTL simulator. A lockstep pair adds
-// the comparator's Eval of both replicas after each Step: 48. Skipping a
-// clean, unchanged gather never applies to a faulty store, so neither
-// figure may drop. SECDED corrects every read, so the outputs stay right.
+// a cycle over eight ROMs: 16 on the RTL simulator. The lockstep device an
+// engine shard runs (NewDevice) adds the comparator's Eval of both
+// replicas after each Step: 48. Skipping a clean, unchanged gather never
+// applies to a faulty store, so neither figure may drop. SECDED corrects
+// every read, so the outputs stay right.
 func TestCountedGathersPerCycle(t *testing.T) {
 	core, nl := buildEncryptCore(t)
 	r := rand.New(rand.NewSource(3))
@@ -30,34 +31,28 @@ func TestCountedGathersPerCycle(t *testing.T) {
 		blocks[i] = make([]byte, 16)
 		r.Read(blocks[i])
 	}
-	rtlSim := core.Design.NewSimulator()
-	var pair [2]*netlist.Simulator
-	for i := range pair {
-		s, err := netlist.NewSimulator(nl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pair[i] = s
+	rtlDrv := bfm.New(core)
+	if _, err := rtlDrv.LoadKey(key); err != nil {
+		t.Fatal(err)
+	}
+	dev, err := NewDevice(core, nl, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Key(key); err != nil {
+		t.Fatal(err)
 	}
 	cases := []struct {
 		name   string
-		sim    bfm.Sim
+		drv    *bfm.Driver
 		stores []*edac.ROM
 		want   uint64
 	}{
-		{"rtl", rtlSim, rtlSim.ROMStores(), 16},
-		{"netlist lockstep", NewVectorLockstep(pair[0], pair[1]), append(pair[0].ROMStores(), pair[1].ROMStores()...), 48},
+		{"rtl", rtlDrv, rtlDrv.Sim.(*rtl.Simulator).ROMStores(), 16},
+		{"netlist lockstep", dev.Driver, append(dev.Primary.ROMStores(), dev.Shadow.ROMStores()...), 48},
 	}
 	for _, c := range cases {
-		f, err := bfm.NewKeyedFactory(core, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drv, _, err := f.CloneVectorSim(c.sim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drv.AssertLatency = true
+		c.drv.AssertLatency = true
 		// The key load ran above, so every counted read belongs to the
 		// transaction.
 		for _, st := range c.stores {
@@ -65,7 +60,7 @@ func TestCountedGathersPerCycle(t *testing.T) {
 				st.FlipBit(w, 3)
 			}
 		}
-		outs, cycles, err := drv.ProcessVector(blocks, true)
+		outs, cycles, err := c.drv.ProcessVector(blocks, true)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

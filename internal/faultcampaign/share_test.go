@@ -11,21 +11,25 @@ import (
 	"rijndaelip/internal/rijndael"
 )
 
-// twinPairs drives two lockstep pairs with identical calls: pair 0 has a
-// shadow built by netlist.NewShadow, which reuses the primary's golden
-// ROM gathers, and pair 1 has two independent simulators. After every
-// Reset, Eval and Step it compares every net word of the two primaries
-// and of the two shadows (the outputs among them), the comparators'
-// MismatchMask and FirstMismatch on every lane, and the EDAC counters and
-// tokens of every store, and keeps the first difference. Reads are served
-// by pair 0. strike runs just before each Step, on both pairs alike.
+// twinPairs drives two lockstep pairs with identical calls: pair 0 is a
+// lockstep Device, whose shadow (netlist.NewShadow) reuses the primary's
+// golden ROM gathers, and pair 1 has two independent simulators. A
+// device's driver drives both pairs once its Sim points at the twinPairs.
+// After every Reset, Eval and Step it compares every net word of the two
+// primaries and of the two shadows (the outputs among them), the
+// comparators' MismatchMask and FirstMismatch on every lane, and the EDAC
+// counters and tokens of every store, and keeps the first difference.
+// Reads are served by pair 0. strike runs just before each Step, on both
+// pairs alike.
 //
 // With base set, pair 0 was reconfigured in place (see reconfiguredPair)
-// and pair 1 is freshly built: pair 0's stores then keep the read counters
-// and token move count of their past, so the counters are compared as the
-// deltas from base and the tokens by their view flags alone.
+// and pair 1 is a freshly built device's: pair 0's stores then keep the
+// read counters and token move count of their past, so the counters are
+// compared as the deltas from base and the tokens by their view flags
+// alone.
 type twinPairs struct {
 	nl     *netlist.Netlist
+	dev    *Device // owns pair 0
 	pairs  [2]*VectorLockstep
 	sims   [2][2]*netlist.Simulator // [pair][primary, shadow]
 	steps  int
@@ -38,25 +42,24 @@ type twinPairs struct {
 // faulty) and bit 63 (a word decodes to a byte other than golden).
 func tokenView(tok uint64) uint64 { return tok & (1 | 1<<63) }
 
-func newTwinPairs(t *testing.T, nl *netlist.Netlist) *twinPairs {
-	tp := &twinPairs{nl: nl}
-	for p := range tp.sims {
-		prim, err := netlist.NewSimulator(nl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var shadow *netlist.Simulator
-		if p == 0 {
-			shadow, err = netlist.NewShadow(prim)
-		} else {
-			shadow, err = netlist.NewSimulator(nl)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		tp.sims[p] = [2]*netlist.Simulator{prim, shadow}
-		tp.pairs[p] = NewVectorLockstep(prim, shadow)
+func newTwinPairs(t *testing.T, core *rijndael.Core, nl *netlist.Netlist) *twinPairs {
+	dev, err := NewDevice(core, nl, true)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var sims [2]*netlist.Simulator
+	for i := range sims {
+		if sims[i], err = netlist.NewSimulator(nl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tp := &twinPairs{
+		nl:    nl,
+		dev:   dev,
+		pairs: [2]*VectorLockstep{dev.Lockstep, NewVectorLockstep(sims[0], sims[1])},
+		sims:  [2][2]*netlist.Simulator{{dev.Primary, dev.Shadow}, sims},
+	}
+	dev.Driver.Sim = tp
 	return tp
 }
 
@@ -196,7 +199,8 @@ func (tp *twinPairs) RegValue(name string) ([]byte, bool) { return tp.pairs[0].R
 // class upsets the shadow's store instead, whose corrected reads the shadow
 // must count itself. The second transaction runs on whatever damage is left.
 // The alias must be detected: a shadow that took the aliased primary's
-// gathers, trusting a clean token, would hide it.
+// gathers, trusting a clean token, would hide it. Each round ends with
+// the engine's respawn sequence (see reconfiguredPair).
 func TestSharedShadowEquivalence(t *testing.T) {
 	core, nl := buildEncryptCore(t)
 	alias := edac.Encode(1) // weight four: XORed into a codeword, another valid one
@@ -204,15 +208,10 @@ func TestSharedShadowEquivalence(t *testing.T) {
 	rounds := 4 * classes
 	for round := 0; round < rounds; round++ {
 		r := rand.New(rand.NewSource(int64(round)))
-		tp := newTwinPairs(t, nl)
+		tp := newTwinPairs(t, core, nl)
 		key := make([]byte, 16)
 		r.Read(key)
-		f, err := bfm.NewKeyedFactory(core, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drv, _, err := f.CloneVectorSim(tp)
-		if err != nil {
+		if err := tp.dev.Key(key); err != nil {
 			t.Fatalf("round %d: key load: %v", round, err)
 		}
 		tp.steps = 0
@@ -272,7 +271,7 @@ func TestSharedShadowEquivalence(t *testing.T) {
 			// A fault may cost a lane its latency or hang the transaction;
 			// the verdict is pair 0's either way, and the per-cycle
 			// comparison is what this test checks.
-			_, _, _ = drv.ProcessVector(blocks, true)
+			_, _, _ = tp.dev.Driver.ProcessVector(blocks, true)
 			if tp.diff != nil {
 				t.Fatalf("round %d (fault class %d), transaction %d: shared shadow differs from an unshared one %v", round, class, tx, tp.diff)
 			}
@@ -283,37 +282,29 @@ func TestSharedShadowEquivalence(t *testing.T) {
 		if class == 0 && tp.pairs[0].MismatchMask() != 0 {
 			t.Errorf("round %d: fault-free pair diverged on lanes %#x", round, tp.pairs[0].MismatchMask())
 		}
-		if err := reconfiguredPair(core, nl, tp, key, r); err != nil {
+		if err := reconfiguredPair(core, tp, key, r); err != nil {
 			t.Fatalf("round %d (fault class %d): pair reconfigured in place differs from a fresh one %v", round, class, err)
 		}
 	}
 }
 
-// reconfiguredPair reconfigures tp's shared pair in place after its
-// faulted run, as an engine respawn does (ClearFaults on both replicas,
-// then Reset of the pair), and holds it against a freshly built
-// NewSimulator+NewShadow pair: at once, then through a key load and a
-// 64-lane transaction of random blocks, cycle by cycle as twinPairs
-// checks, with every state word and every stored codeword compared after
-// each phase. ClearFaults must come first: Reset re-applies a stuck
-// flip-flop that is still installed.
-func reconfiguredPair(core *rijndael.Core, nl *netlist.Netlist, tp *twinPairs, key []byte, r *rand.Rand) error {
-	prim, shadow := tp.sims[0][0], tp.sims[0][1]
-	prim.ClearFaults()
-	shadow.ClearFaults()
-	tp.pairs[0].Reset()
-	fp, err := netlist.NewSimulator(nl)
-	if err != nil {
-		return err
-	}
-	fs, err := netlist.NewShadow(fp)
+// reconfiguredPair reconfigures tp's device in place after its faulted
+// run with Device.Reconfigure, the engine's respawn sequence (ClearFaults
+// on both replicas, then Reset and the key load), and holds it against a
+// freshly built device: the device's driver drives a twinPairs of the two
+// pairs, so the reset and the key load are compared cycle by cycle, then
+// a 64-lane transaction of random blocks, with every state word and every
+// stored codeword compared after the key load and after the transaction.
+func reconfiguredPair(core *rijndael.Core, tp *twinPairs, key []byte, r *rand.Rand) error {
+	nl := tp.nl
+	fresh, err := NewDevice(core, nl, true)
 	if err != nil {
 		return err
 	}
 	rt := &twinPairs{
 		nl:    nl,
-		pairs: [2]*VectorLockstep{tp.pairs[0], NewVectorLockstep(fp, fs)},
-		sims:  [2][2]*netlist.Simulator{{prim, shadow}, {fp, fs}},
+		pairs: [2]*VectorLockstep{tp.dev.Lockstep, fresh.Lockstep},
+		sims:  [2][2]*netlist.Simulator{tp.sims[0], {fresh.Primary, fresh.Shadow}},
 	}
 	for role, s := range rt.sims[0] {
 		for i := 0; i < s.NumROMs(); i++ {
@@ -345,15 +336,9 @@ func reconfiguredPair(core *rijndael.Core, nl *netlist.Netlist, tp *twinPairs, k
 		}
 		return nil
 	}
-	if err := phase("reconfiguration"); err != nil {
-		return err
-	}
-	f, err := bfm.NewKeyedFactory(core, key)
-	if err != nil {
-		return err
-	}
-	drv, _, err := f.CloneVectorSim(rt)
-	if err != nil {
+	drv := tp.dev.Driver
+	drv.Sim = rt
+	if err := tp.dev.Reconfigure(key); err != nil {
 		return err
 	}
 	if err := phase("key load"); err != nil {

@@ -4,7 +4,60 @@ import (
 	"math/bits"
 
 	"rijndaelip/internal/bfm"
+	"rijndaelip/internal/netlist"
+	"rijndaelip/internal/rijndael"
 )
+
+// Device is one post-synthesis instance of the IP behind its Table 1 bus:
+// a driver over a simulation of the mapped netlist or, with lockstep, over
+// a VectorLockstep of that primary and its fault-free NewShadow twin.
+type Device struct {
+	Driver   *bfm.Driver
+	Primary  *netlist.Simulator
+	Shadow   *netlist.Simulator // nil unless lockstep
+	Lockstep *VectorLockstep    // comparator over Primary and Shadow; nil unless lockstep
+}
+
+// NewDevice builds an unkeyed device of core's mapped netlist nl, paired
+// with a shadow twin when lockstep is set.
+func NewDevice(core *rijndael.Core, nl *netlist.Netlist, lockstep bool) (*Device, error) {
+	prim, err := netlist.NewSimulator(nl)
+	if err != nil {
+		return nil, err
+	}
+	d := &Device{Primary: prim}
+	var sim bfm.Sim = prim
+	if lockstep {
+		if d.Shadow, err = netlist.NewShadow(prim); err != nil {
+			return nil, err
+		}
+		d.Lockstep = NewVectorLockstep(prim, d.Shadow)
+		sim = d.Lockstep
+	}
+	d.Driver = bfm.NewPostSynthesis(core, sim)
+	return d, nil
+}
+
+// Key puts the device into its power-up state (a lockstep pair's Reset
+// also re-arms the comparator) and runs the key-load sequence on every
+// lane. Installed faults stay: Reset re-applies a stuck flip-flop.
+func (d *Device) Key(key []byte) error {
+	d.Driver.Reset()
+	_, err := d.Driver.LoadKey(key)
+	return err
+}
+
+// Reconfigure rewrites the device in place, as a partially reconfigurable
+// FPGA rewrites the region that holds the core: it clears every installed
+// fault from both replicas (first, since Reset re-applies a stuck
+// flip-flop), then keys the device. The EDAC stores keep their counters.
+func (d *Device) Reconfigure(key []byte) error {
+	d.Primary.ClearFaults()
+	if d.Shadow != nil {
+		d.Shadow.ClearFaults()
+	}
+	return d.Key(key)
+}
 
 // VectorLockstep couples a primary simulation with an independent shadow
 // replica of the same design, stepped cycle-for-cycle with identical

@@ -8,6 +8,7 @@ import (
 
 	"rijndaelip"
 	"rijndaelip/internal/bfm"
+	"rijndaelip/internal/faultcampaign"
 	"rijndaelip/internal/netlist"
 )
 
@@ -203,11 +204,10 @@ func TestVectorDriverPerLaneKeys(t *testing.T) {
 // reference — the mapped design must carry lanes exactly like the RTL.
 func TestVectorDriverPostSynthesis(t *testing.T) {
 	impl := engineImpl(t)
-	sim, err := netlist.NewSimulator(impl.Netlist.Raw())
+	v, err := impl.NewPostSynthesisDriver()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := bfm.NewPostSynthesis(impl.Core, sim)
 	if _, err := v.LoadKey(engineKey); err != nil {
 		t.Fatal(err)
 	}
@@ -356,14 +356,14 @@ func TestVectorDriverValidation(t *testing.T) {
 // bit-exact.
 func TestLaneFaultIsolationNetlist(t *testing.T) {
 	impl := engineImpl(t)
-	sim, err := netlist.NewSimulator(impl.Netlist.Raw())
+	dev, err := faultcampaign.NewDevice(impl.Core, impl.Netlist.Raw(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := bfm.NewPostSynthesis(impl.Core, sim)
-	if _, err := v.LoadKey(engineKey); err != nil {
+	if err := dev.Key(engineKey); err != nil {
 		t.Fatal(err)
 	}
+	v, sim := dev.Driver, dev.Primary
 	blocks := make([][]byte, 8)
 	for i := range blocks {
 		blocks[i] = bytes.Repeat([]byte{byte(i + 1)}, 16)

@@ -1,8 +1,7 @@
 package rijndaelip
 
 import (
-	"rijndaelip/internal/bfm"
-	"rijndaelip/internal/netlist"
+	"rijndaelip/internal/faultcampaign"
 	"rijndaelip/internal/power"
 )
 
@@ -19,17 +18,18 @@ func PowerModelFor(dev Device) power.Model {
 // the power report at the implementation's timing-closed clock — the
 // paper's §6 future-work power analysis.
 func (im *Implementation) MeasurePower(key []byte, nBlocks int) (power.Report, error) {
-	sim, err := netlist.NewSimulator(im.Netlist.nl)
+	dev, err := faultcampaign.NewDevice(im.Core, im.Netlist.nl, false)
 	if err != nil {
 		return power.Report{}, err
 	}
+	sim := dev.Primary
 	mon, err := power.NewMonitor(im.Netlist.nl, sim)
 	if err != nil {
 		return power.Report{}, err
 	}
 	// Key load (unmonitored warm-up) over the bus, which checks the key
 	// length against the core's.
-	if _, err := bfm.NewPostSynthesis(im.Core, sim).LoadKey(key); err != nil {
+	if err := dev.Key(key); err != nil {
 		return power.Report{}, err
 	}
 	if im.Core.Config.Variant == Both {

@@ -24,6 +24,7 @@ import (
 
 	"rijndaelip/internal/aes"
 	"rijndaelip/internal/bfm"
+	"rijndaelip/internal/faultcampaign"
 	"rijndaelip/internal/fpga"
 	"rijndaelip/internal/netlist"
 	"rijndaelip/internal/place"
@@ -190,11 +191,11 @@ func NewCipher(key []byte) (*aes.Cipher, error) { return aes.NewCipher(key) }
 // the same Table 1 transactions run against the LUT/FF/ROM netlist that
 // the fitter and timing analyzer saw.
 func (im *Implementation) NewPostSynthesisDriver() (*bfm.Driver, error) {
-	sim, err := netlist.NewSimulator(im.Netlist.nl)
+	dev, err := faultcampaign.NewDevice(im.Core, im.Netlist.nl, false)
 	if err != nil {
 		return nil, err
 	}
-	return bfm.NewPostSynthesis(im.Core, sim), nil
+	return dev.Driver, nil
 }
 
 // PlacedResult is a placement-aware refinement of an implementation's

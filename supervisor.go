@@ -232,48 +232,26 @@ func normalizedSupervisor(im *Implementation, opts *SupervisorOptions) (*Supervi
 	return &s, nil
 }
 
-// newShard builds shard id's hardware, once: a keyed driver over a
-// post-synthesis simulation of the implementation's mapped netlist — the
-// IP as the device holds it, exactly like the fault campaigns. A
-// supervised shard adds the latency assertion and, under CheckLockstep,
-// wraps the netlist in a lockstep pair with a fault-free shadow twin
-// (netlist.NewShadow, which reuses the primary's golden ROM gathers), so
-// the supervisor checks — and chaos harnesses strike — real mapped
-// flip-flops. A respawn reconfigures this hardware in place; nothing
-// builds a shard's simulators again.
+// newShard builds shard id's hardware, once: a keyed device of the
+// implementation's mapped netlist, like the fault campaigns'. A supervised
+// shard adds the latency assertion and, under CheckLockstep, the shadow
+// twin, so the supervisor checks — and chaos harnesses strike — real
+// mapped flip-flops. A respawn reconfigures this device in place.
 func (e *Engine) newShard(id int) (*engineShard, error) {
-	s := &engineShard{id: id, q: make(chan *engineJob, e.opts.QueueDepth)}
-	var err error
-	if s.sim, err = netlist.NewSimulator(e.impl.Netlist.nl); err != nil {
+	dev, err := faultcampaign.NewDevice(e.impl.Core, e.impl.Netlist.nl, e.sup != nil && e.sup.Check == CheckLockstep)
+	if err != nil {
 		return nil, err
 	}
-	var sim bfm.Sim = s.sim
-	if e.sup != nil && e.sup.Check == CheckLockstep {
-		if s.shadow, err = netlist.NewShadow(s.sim); err != nil {
-			return nil, err
-		}
-		s.lock = faultcampaign.NewVectorLockstep(s.sim, s.shadow)
-		sim = s.lock
-	}
-	s.drv = bfm.NewPostSynthesis(e.impl.Core, sim)
-	s.drv.AssertLatency = e.sup != nil
+	dev.Driver.AssertLatency = e.sup != nil
 	if e.opts.Watchdog > 0 {
-		s.drv.Timeout = e.opts.Watchdog
+		dev.Driver.Timeout = e.opts.Watchdog
 	}
-	if err := e.keyShard(s); err != nil {
+	if err := dev.Key(e.key); err != nil {
 		return nil, err
 	}
+	s := &engineShard{id: id, dev: dev, q: make(chan *engineJob, e.opts.QueueDepth)}
 	s.gen.Store(1)
 	return s, nil
-}
-
-// keyShard puts the shard's device into its power-up state (the lockstep
-// pair's Reset also re-arms the comparator) and runs the key-load
-// sequence on every lane: at construction and on every respawn.
-func (e *Engine) keyShard(s *engineShard) error {
-	s.drv.Reset()
-	_, err := s.drv.LoadKey(e.key)
-	return err
 }
 
 // runSupervised executes one job on a healthy supervised shard: arm the
@@ -322,11 +300,11 @@ func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
 	// the persistent key-schedule registers) is restored from it first —
 	// without this, corruption that outlives one transaction would turn
 	// every deep upset into a respawn.
-	if s.lock != nil {
+	if lock := s.dev.Lockstep; lock != nil {
 		// Same-netlist replicas cannot mismatch; an error would only mean
 		// no restoration, and the retry classifies either way.
-		_ = s.sim.CopyStateFrom(s.shadow)
-		s.lock.ClearMismatch()
+		_ = s.dev.Primary.CopyStateFrom(s.dev.Shadow)
+		lock.ClearMismatch()
 	}
 	outs, err = e.attempt(s, j, sub, false)
 	if err != nil {
@@ -382,16 +360,16 @@ func detectCause(err error) string {
 // applies the armed checks.
 func (e *Engine) attempt(s *engineShard, j *engineJob, sub uint64, first bool) ([][]byte, error) {
 	outs, err := e.transact(s, j, sub, first)
-	if err == nil && s.lock != nil {
+	if lock := s.dev.Lockstep; err == nil && lock != nil {
 		// Any diverged lane — used or not — means the primary's state is
 		// corrupt (upsets persist in flip-flops), so the whole shard is
 		// suspect, not just the lanes this job rode.
-		if mask := s.lock.MismatchMask(); mask != 0 {
+		if mask := lock.MismatchMask(); mask != 0 {
 			err = fmt.Errorf("%w: shard %d lanes %#x", ErrShardDivergence, s.id, mask)
 		}
 	}
 	if err == nil && e.sup.Check == CheckInverse {
-		back, invCycles, invErr := s.drv.ProcessVector(outs, !j.encrypt)
+		back, invCycles, invErr := s.dev.Driver.ProcessVector(outs, !j.encrypt)
 		s.cycles.Add(uint64(invCycles) + 1)
 		if invErr != nil {
 			err = invErr
@@ -426,7 +404,7 @@ func (e *Engine) deliver(s *engineShard, j *engineJob, outs [][]byte) {
 // is masked on every read (it cannot have caused the detection) and the
 // post-job scrub will rewrite it, so it must not veto the retry.
 func shardROMDamage(s *engineShard) (rom string, word int, ok bool) {
-	for _, store := range s.sim.ROMStores() {
+	for _, store := range s.dev.Primary.ROMStores() {
 		for _, bad := range store.BadWords() {
 			if bad.Status == edac.Uncorrectable {
 				return store.Name(), bad.Word, true
@@ -473,7 +451,7 @@ func (e *Engine) diagnose(s *engineShard) Diagnosis {
 	if d, ok := e.scrub(s); ok {
 		return d
 	}
-	if err := e.selfTest(s.drv); err != nil {
+	if err := e.selfTest(s.dev.Driver); err != nil {
 		return Diagnosis{Cause: CauseFF, Detail: "POST failed: " + err.Error()}
 	}
 	return Diagnosis{Cause: CauseFF, Detail: "POST passed after failed retry; intermittent state corruption"}
@@ -492,7 +470,7 @@ func (e *Engine) diagnose(s *engineShard) Diagnosis {
 // EDAC-masked faults: a single stuck ROM bit is corrected on every read,
 // so no output check will ever fire for it.
 func (e *Engine) scrub(s *engineShard) (Diagnosis, bool) {
-	for _, store := range s.sim.ROMStores() {
+	for _, store := range s.dev.Primary.ROMStores() {
 		if store.Token()&1 == 0 {
 			continue
 		}
@@ -630,13 +608,10 @@ func (e *Engine) respawn(s *engineShard) bool {
 	}
 }
 
-// respawnShard reconfigures the shard's hardware in place, as a device
-// rewrites the configuration of the region that holds the core: it clears
-// every installed fault from the primary and the shadow, resets and
-// re-keys the pair, and runs the power-on self-test. ClearFaults must come
-// first, because Reset re-applies a stuck flip-flop that is still
-// installed. The EDAC stores stay the same and ClearFaults leaves their
-// read counters alone, so Stats' lifetime totals carry across
+// respawnShard reconfigures the shard's device in place
+// (Device.Reconfigure: clear every installed fault, reset, re-key) and
+// runs the power-on self-test. The EDAC stores stay the same and keep
+// their read counters, so Stats' lifetime totals carry across
 // generations. Respawning resets the transient error budget — it belongs
 // to the previous hardware incarnation.
 func (e *Engine) respawnShard(s *engineShard, attempt int) error {
@@ -645,14 +620,10 @@ func (e *Engine) respawnShard(s *engineShard, attempt int) error {
 			return err
 		}
 	}
-	s.sim.ClearFaults()
-	if s.shadow != nil {
-		s.shadow.ClearFaults()
-	}
-	if err := e.keyShard(s); err != nil {
+	if err := s.dev.Reconfigure(e.key); err != nil {
 		return err
 	}
-	if err := e.selfTest(s.drv); err != nil {
+	if err := e.selfTest(s.dev.Driver); err != nil {
 		return err
 	}
 	s.transientLog = nil
