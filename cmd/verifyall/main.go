@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"rijndaelip/internal/bfm"
@@ -281,18 +282,35 @@ func main() {
 
 // findModuleRoot walks up from the working directory to the go.mod, so the
 // source analyzers work when verifyall is launched from a subdirectory.
+// When no go.mod is above the working directory (a built verifyall run
+// from elsewhere) it walks up from the directory this file was compiled
+// in instead.
 func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
+	wd, err := os.Getwd()
 	if err != nil {
 		return "", err
 	}
+	if root, ok := moduleRootAbove(wd); ok {
+		return root, nil
+	}
+	if _, src, _, ok := runtime.Caller(0); ok && filepath.IsAbs(src) {
+		if root, ok := moduleRootAbove(filepath.Dir(src)); ok {
+			return root, nil
+		}
+	}
+	return "", fmt.Errorf("no go.mod above %s", wd)
+}
+
+// moduleRootAbove returns the nearest directory at or above dir that
+// holds a go.mod.
+func moduleRootAbove(dir string) (string, bool) {
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
+			return dir, true
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
+			return "", false
 		}
 		dir = parent
 	}

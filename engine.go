@@ -140,6 +140,16 @@ type engineShard struct {
 	gen   atomic.Uint64
 	dev   *faultcampaign.Device
 
+	// rows and tx are the buffers of the shard's transactions: rows[i]
+	// points lane i at its input block for the length of one transaction,
+	// and tx records it (deliver copies the results out of tx.Outs). inv
+	// records CheckInverse's round trip, which reads tx.Outs as its input,
+	// so it needs a record of its own. Touched only by the worker, they
+	// make a transaction allocation-free.
+	rows [bfm.Lanes][]byte
+	tx   bfm.Transaction
+	inv  bfm.Transaction
+
 	// transientLog holds the submission ordinals of this incarnation's
 	// transient classifications (the sliding-window error budget). Touched
 	// only by the worker; reset by respawn.
@@ -208,14 +218,15 @@ func (s *engineShard) observe(j *engineJob) {
 	}
 }
 
-// engineBatch tracks one Process call's fan-out: jobs decrement remaining
-// as they complete (successfully or not) and the last one home closes
-// done. The first error wins.
+// engineBatch tracks one Process call's fan-out: the submitter adds each
+// job to wg before submitting it, and every job calls complete exactly
+// once, successfully or not. The first error wins. A one-job call's job
+// lives in one, so the call allocates the batch and nothing else.
 type engineBatch struct {
-	remaining atomic.Int64
-	done      chan struct{}
-	mu        sync.Mutex
-	err       error
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error
+	one [1]engineJob
 }
 
 func (b *engineBatch) complete(err error) {
@@ -226,9 +237,7 @@ func (b *engineBatch) complete(err error) {
 		}
 		b.mu.Unlock()
 	}
-	if b.remaining.Add(-1) == 0 {
-		close(b.done)
-	}
+	b.wg.Done()
 }
 
 // NewEngine builds opts.Shards independent keyed simulations of the
@@ -500,38 +509,43 @@ func (e *Engine) run(s *engineShard, j *engineJob) {
 		}
 		return
 	}
-	outs, err := e.transact(s, j, s.submissions.Add(1), true)
-	if err != nil {
+	if err := e.transact(s, j, s.submissions.Add(1), true); err != nil {
 		// Identify the failing shard, preserving driver sentinels
 		// (bfm.ErrTimeout, bfm.ErrLatency) for errors.Is through
 		// Process/EngineBlock.
 		j.batch.complete(fmt.Errorf("rijndaelip: engine shard %d: %w", s.id, err))
 		return
 	}
-	e.deliver(s, j, outs)
+	e.deliver(s, j)
 }
 
 // transact runs job j, shard s's submission sub, as one lane-packed
-// transaction, block i on lane i. A first attempt calls the jitter hook
-// and then the supervisor's chaos Strike hook; an in-place retry calls
-// neither (it must be strike-free to be diagnostic). +1 accounts the
+// transaction on the shard's own buffers, block i on lane i, and returns
+// the driver's verdict; the results are in s.tx.Outs. A first attempt
+// calls the jitter hook and then the supervisor's chaos Strike hook; an
+// in-place retry calls neither (it must be strike-free to be
+// diagnostic). +1 accounts the
 // wr_data load edge, which the driver steps before it starts counting
 // completion-wait cycles; the cycle cost is per submission, not per block,
 // since all j.n lanes share one transaction.
-func (e *Engine) transact(s *engineShard, j *engineJob, sub uint64, first bool) ([][]byte, error) {
+func (e *Engine) transact(s *engineShard, j *engineJob, sub uint64, first bool) error {
 	if first && e.opts.Jitter != nil {
 		e.opts.Jitter(s.id, j.index)
 	}
 	if first && e.sup != nil && e.sup.Strike != nil {
 		e.sup.Strike(s.id, sub, s.dev.Primary)
 	}
-	blocks := make([][]byte, j.n)
-	for i := range blocks {
-		blocks[i] = j.src[i*16 : i*16+16]
+	rows := s.rows[:j.n]
+	for i := range rows {
+		rows[i] = j.src[i*16 : i*16+16]
 	}
-	outs, cycles, err := s.dev.Driver.ProcessVector(blocks, j.encrypt)
-	s.cycles.Add(uint64(cycles) + 1)
-	return outs, err
+	err := s.dev.Driver.Transact(&s.tx, rows, j.encrypt)
+	clear(rows) // keep no hold on the caller's input
+	s.cycles.Add(uint64(s.tx.Cycles) + 1)
+	if err != nil {
+		return err
+	}
+	return s.dev.Driver.Verdict(&s.tx)
 }
 
 // process packs the concatenated 16-byte blocks of src into lane groups
@@ -550,14 +564,17 @@ func (e *Engine) process(ctx context.Context, dst, src []byte, encrypt bool) err
 		return nil
 	}
 	lanes := e.opts.MaxLanes
-	nJobs := (n + lanes - 1) / lanes
-	batch := &engineBatch{done: make(chan struct{})}
-	batch.remaining.Store(int64(nJobs))
+	batch := new(engineBatch)
+	jobs := batch.one[:]
+	if n > lanes {
+		jobs = make([]engineJob, (n+lanes-1)/lanes)
+	}
 	var submitErr error
-	for i := 0; i < nJobs; i++ {
+	for i := range jobs {
 		lo := i * lanes
 		hi := min(lo+lanes, n)
-		j := &engineJob{
+		j := &jobs[i]
+		*j = engineJob{
 			index:   i,
 			n:       hi - lo,
 			src:     src[lo*16 : hi*16],
@@ -568,6 +585,7 @@ func (e *Engine) process(ctx context.Context, dst, src []byte, encrypt bool) err
 		if e.reg != nil {
 			j.start = time.Now().UnixNano()
 		}
+		batch.wg.Add(1)
 		if err := e.submit(ctx, j); err != nil {
 			if e.sup != nil && errors.Is(err, errNoHealthyShard) {
 				// Engine-wide degradation: every replica is quarantined or
@@ -576,17 +594,13 @@ func (e *Engine) process(ctx context.Context, dst, src []byte, encrypt bool) err
 				e.fallback(j)
 				continue
 			}
+			// This job and everything after it never ran.
 			submitErr = err
-			// This job and everything after it never ran; settle their
-			// share of the batch so done can close once the submitted
-			// prefix finishes.
-			if batch.remaining.Add(int64(-(nJobs - i))) == 0 {
-				close(batch.done)
-			}
+			batch.wg.Done()
 			break
 		}
 	}
-	<-batch.done
+	batch.wg.Wait()
 	if submitErr != nil {
 		return submitErr
 	}

@@ -44,6 +44,9 @@ type benchRow struct {
 	CyclesPerBlock float64 `json:"cycles_per_block"`
 	Mbps           float64 `json:"mbps"`
 	BlocksPerSec   float64 `json:"blocks_per_sec"`
+	// AllocsPerBlock is the heap allocations (runtime Mallocs, every
+	// goroutine's) over the point's timed iterations, per block submitted.
+	AllocsPerBlock float64 `json:"allocs_per_block,omitempty"`
 
 	Strikes         uint64 `json:"strikes,omitempty"`
 	Detections      uint64 `json:"detections,omitempty"`
@@ -173,20 +176,22 @@ func fetchProfile(url, path string) error {
 // benchLoop is the shared sub-benchmark body: one untimed warmup
 // iteration faults in each shard's simulator state and drains the
 // construction garbage (runtime.GC) before the timer starts, then b.N
-// timed iterations run against warm shards with the garbage collector
-// paused. Without the warmup, the cold-start cost scales with the shard
-// count and lands inside the timed window — on a single-CPU host that
+// timed iterations run against warm shards. It also returns the heap
+// allocations the timed iterations made. Without the warmup, the
+// cold-start cost scales with the shard count and lands inside the timed
+// window — on a single-CPU host that
 // alone produced a spurious *negative* blocks/sec trend over shards in
 // BENCH_engine.json. (Pausing the collector for the window was tried
 // and made things worse: the heap balloons and the penalty grows with
 // the shard count.) The returned snapshot is the pre-timer baseline
 // benchReport subtracts so rates cover exactly the timed window.
-func benchLoop(b *testing.B, eng *rijndaelip.Engine, iter func() error) rijndaelip.EngineStats {
+func benchLoop(b *testing.B, eng *rijndaelip.Engine, iter func() error) (rijndaelip.EngineStats, uint64) {
 	if err := iter(); err != nil {
 		b.Fatal(err)
 	}
 	runtime.GC()
 	st0 := eng.Stats()
+	m0 := mallocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := iter(); err != nil {
@@ -194,7 +199,14 @@ func benchLoop(b *testing.B, eng *rijndaelip.Engine, iter func() error) rijndael
 		}
 	}
 	b.StopTimer()
-	return st0
+	return st0, mallocs() - m0
+}
+
+// mallocs returns the process's cumulative heap allocation count.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
 
 // benchReport publishes the standard engine metrics for one grid point
@@ -204,7 +216,8 @@ func benchLoop(b *testing.B, eng *rijndaelip.Engine, iter func() error) rijndael
 // measured rate (the interleaved harness's per-point best); <= 0 derives
 // the rate from the timed-window block delta over b.Elapsed, which is
 // only correct when the whole window belongs to this one point.
-func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStats, blocksPerSec float64, bench, mode string, shards, lanes int) *benchRow {
+// allocsPerBlock is the point's timed-window allocations per block.
+func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStats, blocksPerSec, allocsPerBlock float64, bench, mode string, shards, lanes int) *benchRow {
 	st := eng.Stats()
 	external := blocksPerSec > 0
 	if !external {
@@ -220,6 +233,7 @@ func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStat
 		b.ReportMetric(st.AggregateCyclesPerBlock, "cycles/block")
 		b.ReportMetric(eng.Throughput(), "Mbps")
 		b.ReportMetric(blocksPerSec, "blocks/s")
+		b.ReportMetric(allocsPerBlock, "allocs/block")
 	}
 	var metrics map[string]float64
 	if reg := eng.Metrics(); reg != nil {
@@ -234,6 +248,7 @@ func benchReport(b *testing.B, eng *rijndaelip.Engine, st0 rijndaelip.EngineStat
 		CyclesPerBlock:  st.AggregateCyclesPerBlock,
 		Mbps:            eng.Throughput(),
 		BlocksPerSec:    blocksPerSec,
+		AllocsPerBlock:  allocsPerBlock,
 		Detections:      st.Detections,
 		Retries:         st.Retries,
 		Quarantines:     st.Quarantines,
@@ -291,6 +306,10 @@ type benchPoint struct {
 	blocksPerIter float64
 	st0           rijndaelip.EngineStats
 	top           [2]float64 // two fastest single-iteration rates seen
+	// samples and mallocs count the point's timed iterations and the heap
+	// allocations made during them.
+	samples int
+	mallocs uint64
 }
 
 // rate is the point's reported wall-clock statistic: the second-best
@@ -326,11 +345,14 @@ func runInterleaved(b *testing.B, points []*benchPoint) {
 		p.st0 = p.eng.Stats()
 	}
 	sample := func(p *benchPoint) {
+		m0 := mallocs()
 		t0 := time.Now()
 		if err := p.iter(); err != nil {
 			b.Fatal(err)
 		}
 		rate := p.blocksPerIter / time.Since(t0).Seconds()
+		p.mallocs += mallocs() - m0
+		p.samples++
 		if rate > p.top[0] {
 			p.top[1], p.top[0] = p.top[0], rate
 		} else if rate > p.top[1] {
@@ -360,7 +382,8 @@ func runInterleaved(b *testing.B, points []*benchPoint) {
 		sample(p)
 	}
 	for _, p := range points {
-		benchReport(b, p.eng, p.st0, p.rate(), p.bench, p.mode, p.shards, p.lanes)
+		allocs := float64(p.mallocs) / (p.blocksPerIter * float64(p.samples))
+		benchReport(b, p.eng, p.st0, p.rate(), allocs, p.bench, p.mode, p.shards, p.lanes)
 	}
 }
 
@@ -488,11 +511,12 @@ func BenchmarkChaosRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer eng.Close()
-			st0 := benchLoop(b, eng, func() error {
+			st0, allocs := benchLoop(b, eng, func() error {
 				_, err := eng.EncryptECB(context.Background(), msg)
 				return err
 			})
-			row := benchReport(b, eng, st0, 0, "chaos_recovery", tc.name, 4, 8)
+			perBlock := float64(allocs) / float64(b.N*len(msg)/16)
+			row := benchReport(b, eng, st0, 0, perBlock, "chaos_recovery", tc.name, 4, 8)
 			if inj != nil {
 				row.Strikes = inj.Strikes()
 				b.ReportMetric(float64(row.Strikes)/float64(b.N), "strikes/op")

@@ -396,3 +396,75 @@ func TestEngineKeyValidation(t *testing.T) {
 		t.Error("16-byte key accepted by an AES-256 engine")
 	}
 }
+
+// TestEngineCallAllocs holds an engine call to the allocations of its
+// result. A shard runs its transactions on buffers it owns, and a call
+// allocates its jobs together with its batch, so Process allocates the
+// input concatenation, the output array, its slice headers and the batch
+// (a one-job call keeps its job inside the batch), whatever its block
+// count. EncryptECB's count must not grow with the message: 4 KiB and
+// 16 KiB are 4 and 16 lane-packed submissions, on a plain engine and on a
+// lockstep-supervised one. The counts include every shard worker's
+// allocations and are exact, not timing. They are averaged over 20 calls
+// and rounded down, so a per-call allocation shows while a one-off one (a
+// shard record's first growth, a runtime wait record after a collection)
+// does not.
+func TestEngineCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const maxProcessAllocs = 4
+	impl := engineImpl(t)
+	allocs := func(f func() error) float64 {
+		t.Helper()
+		var failed error
+		n := testing.AllocsPerRun(20, func() {
+			if err := f(); err != nil {
+				failed = err
+			}
+		})
+		if failed != nil {
+			t.Fatal(failed)
+		}
+		return n
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		sup  *rijndaelip.SupervisorOptions
+	}{
+		{"plain", nil},
+		{"lockstep", &rijndaelip.SupervisorOptions{Check: rijndaelip.CheckLockstep}},
+	} {
+		eng, err := impl.NewEngine(engineKey, rijndaelip.EngineOptions{Shards: 2, Supervise: c.sup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		for _, n := range []int{1, 3, 4} {
+			blocks := make([][]byte, n)
+			for i := range blocks {
+				blocks[i] = bytes.Repeat([]byte{byte(i + 1)}, 16)
+			}
+			got := allocs(func() error {
+				_, err := eng.Process(ctx, blocks, n%2 == 1)
+				return err
+			})
+			if got > maxProcessAllocs {
+				t.Errorf("%s: Process of %d blocks makes %.0f allocations, want at most %d", c.name, n, got, maxProcessAllocs)
+			}
+		}
+		small, large := make([]byte, 4<<10), make([]byte, 16<<10)
+		ecb := func(src []byte) float64 {
+			return allocs(func() error {
+				_, err := eng.EncryptECB(ctx, src)
+				return err
+			})
+		}
+		a4, a16 := ecb(small), ecb(large)
+		t.Logf("%s: EncryptECB makes %.0f allocations for 4 KiB and %.0f for 16 KiB", c.name, a4, a16)
+		if a4 != a16 {
+			t.Errorf("%s: EncryptECB makes %.0f allocations for 4 KiB but %.0f for 16 KiB: a submission allocates", c.name, a4, a16)
+		}
+	}
+}

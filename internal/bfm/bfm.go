@@ -3,6 +3,19 @@
 // data_ok/dout, and measures the protocol timing (latency in cycles,
 // sustained throughput) the way the paper's evaluation does. It works
 // against the cycle-accurate RTL simulator of a generated core.
+//
+// Allocation budget. Like the paper's IP, which moves every block through
+// fixed din/dout registers, a data transaction creates nothing but its
+// result. Transact records a transaction in a caller-owned Transaction
+// and reuses that record's arrays, so a record reused at no more lanes
+// than before makes 0 allocations per transaction; its Outs are valid
+// until the next Transact on the same record. ProcessVector returns fresh
+// results the caller keeps, and allocates exactly those: the per-lane
+// slice headers and one array under them (2 allocations). Verdict and
+// LaneErr allocate only the error they return. The engine's shards run
+// on reused records, so an Engine.Process call allocates its input
+// concatenation, its output array and slice headers, and its batch (4
+// allocations), and EncryptECB's count does not grow with the message.
 package bfm
 
 import (
@@ -232,7 +245,12 @@ func (d *Driver) setDirection(encrypt bool) error {
 	return d.Sim.SetInput("encdec", v)
 }
 
-// Transaction is the lane-by-lane record of one data transaction.
+// Transaction is the lane-by-lane record of one data transaction. A
+// record may be reused: Transact resets every field first, so a reused
+// record reads exactly like a fresh one, and it keeps the Outs slice and
+// the array under it, so a record reused at no more lanes than before
+// allocates nothing. Outs is therefore valid only until the next Transact
+// on the same record; copy what must outlive it.
 type Transaction struct {
 	// Outs holds each used lane's dout, captured on the cycle its data_ok
 	// rose (nil for a lane whose data_ok never rose). The lanes' slices
@@ -240,7 +258,8 @@ type Transaction struct {
 	// block never runs into the next.
 	Outs [][]byte
 	// Latency holds each used lane's cycles from the wr_data load edge to
-	// the first cycle its data_ok was observed high.
+	// the first cycle its data_ok was observed high (0 for a lane whose
+	// data_ok never rose).
 	Latency [Lanes]int
 	// Hung is the mask of used lanes whose data_ok never rose before the
 	// watchdog expired.
@@ -248,17 +267,35 @@ type Transaction struct {
 	// Cycles is how long the transaction ran after the load edge: up to
 	// the last used lane's data_ok, or the watchdog.
 	Cycles int
+
+	// buf is the array the used lanes' douts are de-transposed into, one
+	// stride apart; it only grows.
+	buf []byte
+}
+
+// reset clears tx for a transaction of n lanes, keeping its arrays.
+func (tx *Transaction) reset(n int) {
+	if cap(tx.Outs) < n {
+		tx.Outs = make([][]byte, n)
+	} else {
+		tx.Outs = tx.Outs[:n]
+		clear(tx.Outs)
+	}
+	tx.Latency = [Lanes]int{}
+	tx.Hung, tx.Cycles = 0, 0
 }
 
 // Transact pushes up to Lanes blocks through the device in one protocol
-// transaction, blocks[L] on lane L, and records every lane's result in tx.
-// It runs until every used lane has raised data_ok or the watchdog
-// expires, so one off-latency lane never cuts another lane's transaction
-// short. It returns an error only for invalid arguments or a simulator
-// error; a lane's protocol failure is reported by LaneErr. The cycle cost
-// is that of a one-block transaction, whatever len(blocks) is: this is
-// the whole point of the lane machinery.
+// transaction, blocks[L] on lane L, and records every lane's result in tx,
+// reusing tx's arrays (see Transaction). It runs until every used lane has
+// raised data_ok or the watchdog expires, so one off-latency lane never
+// cuts another lane's transaction short. It returns an error only for
+// invalid arguments or a simulator error; a lane's protocol failure is
+// reported by LaneErr and Verdict. The cycle cost is that of a one-block
+// transaction, whatever len(blocks) is: this is the whole point of the
+// lane machinery.
 func (d *Driver) Transact(tx *Transaction, blocks [][]byte, encrypt bool) error {
+	tx.reset(min(len(blocks), Lanes))
 	if len(blocks) == 0 || len(blocks) > Lanes {
 		return fmt.Errorf("bfm: need 1..%d blocks, got %d", Lanes, len(blocks))
 	}
@@ -277,8 +314,6 @@ func (d *Driver) Transact(tx *Transaction, blocks [][]byte, encrypt bool) error 
 	}
 	d.Sim.Step() // load edge
 	d.clearControl()
-	tx.Outs = make([][]byte, len(blocks))
-	var outs []byte // every used lane's dout, one stride apart
 	pending := usedMask(len(blocks))
 	cycles := 0
 	for {
@@ -294,9 +329,10 @@ func (d *Driver) Transact(tx *Transaction, blocks [][]byte, encrypt bool) error 
 				return err
 			}
 			n := (len(dout) + 7) / 8
-			if outs == nil {
-				outs = make([]byte, n*len(blocks))
+			if cap(tx.buf) < n*len(blocks) {
+				tx.buf = make([]byte, n*len(blocks))
 			}
+			outs := tx.buf[:n*len(blocks)]
 			logic.UnpackLanes(outs, dout, ready)
 			for ; ready != 0; ready &= ready - 1 {
 				lane := bits.TrailingZeros64(ready)
@@ -330,25 +366,38 @@ func (d *Driver) LaneErr(tx *Transaction, lane int) error {
 	return nil
 }
 
-// ProcessVector runs one transaction (see Transact) and returns the
-// per-lane output blocks and the cycles from the wr_data edge to the last
-// lane's data_ok. A hung lane fails the whole transaction with ErrTimeout
-// and no outputs; otherwise the first lane that fails the latency
-// assertion returns ErrLatency alongside the (suspect) outputs.
+// Verdict returns the protocol verdict on the whole of tx: the lowest hung
+// lane's ErrTimeout if any lane hung, else the first used lane's
+// ErrLatency, else nil. A hung transaction has no usable outputs; an
+// ErrLatency comes alongside (suspect) ones.
+func (d *Driver) Verdict(tx *Transaction) error {
+	if tx.Hung != 0 {
+		return d.LaneErr(tx, bits.TrailingZeros64(tx.Hung))
+	}
+	for lane := range tx.Outs {
+		if err := d.LaneErr(tx, lane); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ProcessVector runs one transaction (see Transact) on a fresh record and
+// returns the per-lane output blocks, which the caller owns, and the
+// cycles from the wr_data edge to the last lane's data_ok. Its error is
+// the Verdict: a hung lane fails the whole transaction with ErrTimeout and
+// no outputs; otherwise the first lane that fails the latency assertion
+// returns ErrLatency alongside the (suspect) outputs.
 func (d *Driver) ProcessVector(blocks [][]byte, encrypt bool) ([][]byte, int, error) {
 	var tx Transaction
 	if err := d.Transact(&tx, blocks, encrypt); err != nil {
 		return nil, 0, err
 	}
+	err := d.Verdict(&tx)
 	if tx.Hung != 0 {
-		return nil, tx.Cycles, d.LaneErr(&tx, bits.TrailingZeros64(tx.Hung))
+		return nil, tx.Cycles, err
 	}
-	for lane := range blocks {
-		if err := d.LaneErr(&tx, lane); err != nil {
-			return tx.Outs, tx.Cycles, err
-		}
-	}
-	return tx.Outs, tx.Cycles, nil
+	return tx.Outs, tx.Cycles, err
 }
 
 // Process pushes one block through the device and waits for the result.

@@ -441,3 +441,65 @@ func TestStaggeredCapture(t *testing.T) {
 		t.Error("lane 2's dout never moved after its early data_ok: the case does not tell an early capture from a late one")
 	}
 }
+
+// TestTransactionReuse runs a second transaction on a used record, once
+// with a lane the watchdog gives up on and once on fewer lanes, and
+// checks that the reused record reads exactly like a fresh one: no lane
+// keeps a dout, a latency or a slot from the first transaction.
+func TestTransactionReuse(t *testing.T) {
+	core, sim := mappedEncryptCore(t)
+	drv := NewPostSynthesis(core, sim)
+	// The strike below knocks lane 1's round counter back so that its
+	// data_ok rises after 90 cycles, past this watchdog.
+	drv.Timeout = 60
+	key := make([]byte, 16)
+	blocks := make([][]byte, 4)
+	for i := range blocks {
+		blocks[i] = bytes.Repeat([]byte{byte(29 * (i + 1))}, 16)
+	}
+	for _, c := range []struct {
+		name   string
+		lanes  int
+		strike bool
+	}{
+		{"watchdog", 4, true},
+		{"fewer lanes", 2, false},
+	} {
+		// run drives the same two transactions from power-up, the first
+		// into first and the second into second.
+		run := func(first, second *Transaction) {
+			t.Helper()
+			drv.Reset()
+			if _, err := drv.LoadKey(key); err != nil {
+				t.Fatal(err)
+			}
+			if err := drv.Transact(first, blocks, true); err != nil {
+				t.Fatal(err)
+			}
+			if c.strike {
+				sim.ScheduleFlipLanes(11, 1<<1, sim.FindFF("round[3]"))
+			}
+			if err := drv.Transact(second, blocks[:c.lanes], true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var reused, scratch, fresh Transaction
+		run(&reused, &reused)
+		run(&scratch, &fresh)
+		if c.strike && fresh.Hung != 1<<1 {
+			t.Fatalf("%s: hung mask %#x, want lane 1 only: the strike no longer trips the watchdog", c.name, fresh.Hung)
+		}
+		if reused.Latency != fresh.Latency || reused.Hung != fresh.Hung || reused.Cycles != fresh.Cycles {
+			t.Errorf("%s: reused record has latencies %v, hung %#x, %d cycles; fresh %v, %#x, %d",
+				c.name, reused.Latency[:4], reused.Hung, reused.Cycles, fresh.Latency[:4], fresh.Hung, fresh.Cycles)
+		}
+		if len(reused.Outs) != len(fresh.Outs) {
+			t.Fatalf("%s: reused record has %d lanes, fresh %d", c.name, len(reused.Outs), len(fresh.Outs))
+		}
+		for lane := range fresh.Outs {
+			if (reused.Outs[lane] == nil) != (fresh.Outs[lane] == nil) || !bytes.Equal(reused.Outs[lane], fresh.Outs[lane]) {
+				t.Errorf("%s: lane %d reads %x on the reused record, %x on a fresh one", c.name, lane, reused.Outs[lane], fresh.Outs[lane])
+			}
+		}
+	}
+}

@@ -276,9 +276,9 @@ func (e *Engine) newShard(id int) (*engineShard, error) {
 // a sibling, or the software fallback.
 func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
 	sub := s.submissions.Add(1)
-	outs, err := e.attempt(s, j, sub, true)
+	err := e.attempt(s, j, sub, true)
 	if err == nil {
-		e.deliver(s, j, outs)
+		e.deliver(s, j)
 		return
 	}
 	s.detections.Add(1)
@@ -306,8 +306,7 @@ func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
 		_ = s.dev.Primary.CopyStateFrom(s.dev.Shadow)
 		lock.ClearMismatch()
 	}
-	outs, err = e.attempt(s, j, sub, false)
-	if err != nil {
+	if err := e.attempt(s, j, sub, false); err != nil {
 		e.classifyPersistent(s, e.diagnose(s))
 		e.requeue(s, j)
 		return
@@ -330,13 +329,13 @@ func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
 		// and before deliver so a caller whose call just returned sees
 		// the escalation counted.
 		e.escalations.Add(1)
-		e.deliver(s, j, outs)
+		e.deliver(s, j)
 		return
 	}
 	s.transients.Add(1)
 	e.emit(obs.Event{Kind: obs.KindTransient, Shard: s.id,
 		Generation: s.gen.Load(), Submission: sub})
-	e.deliver(s, j, outs)
+	e.deliver(s, j)
 }
 
 // detectCause maps a detection error to its machine-matchable trace
@@ -357,9 +356,11 @@ func detectCause(err error) string {
 }
 
 // attempt runs one transaction of job j on shard s (see transact) and
-// applies the armed checks.
-func (e *Engine) attempt(s *engineShard, j *engineJob, sub uint64, first bool) ([][]byte, error) {
-	outs, err := e.transact(s, j, sub, first)
+// applies the armed checks. The inverse check's round trip runs on the
+// shard's second record, s.inv, so s.tx.Outs still holds the forward
+// results that deliver copies home.
+func (e *Engine) attempt(s *engineShard, j *engineJob, sub uint64, first bool) error {
+	err := e.transact(s, j, sub, first)
 	if lock := s.dev.Lockstep; err == nil && lock != nil {
 		// Any diverged lane — used or not — means the primary's state is
 		// corrupt (upsets persist in flip-flops), so the whole shard is
@@ -369,12 +370,13 @@ func (e *Engine) attempt(s *engineShard, j *engineJob, sub uint64, first bool) (
 		}
 	}
 	if err == nil && e.sup.Check == CheckInverse {
-		back, invCycles, invErr := s.dev.Driver.ProcessVector(outs, !j.encrypt)
-		s.cycles.Add(uint64(invCycles) + 1)
-		if invErr != nil {
-			err = invErr
-		} else {
-			for i, b := range back {
+		err = s.dev.Driver.Transact(&s.inv, s.tx.Outs, !j.encrypt)
+		s.cycles.Add(uint64(s.inv.Cycles) + 1)
+		if err == nil {
+			err = s.dev.Driver.Verdict(&s.inv)
+		}
+		if err == nil {
+			for i, b := range s.inv.Outs {
 				if !bytes.Equal(b, j.src[i*16:i*16+16]) {
 					err = fmt.Errorf("%w: shard %d lane %d", ErrInverseMismatch, s.id, i)
 					break
@@ -382,16 +384,16 @@ func (e *Engine) attempt(s *engineShard, j *engineJob, sub uint64, first bool) (
 			}
 		}
 	}
-	return outs, err
+	return err
 }
 
-// deliver writes a successful submission's results home and completes its
-// share of the batch.
-func (e *Engine) deliver(s *engineShard, j *engineJob, outs [][]byte) {
+// deliver writes a successful submission's results (s.tx.Outs) home and
+// completes its share of the batch.
+func (e *Engine) deliver(s *engineShard, j *engineJob) {
 	s.observe(j)
 	s.blocks.Add(uint64(j.n))
 	s.wasted.Add(uint64(e.opts.MaxLanes - j.n))
-	for i, out := range outs {
+	for i, out := range s.tx.Outs {
 		copy(j.dst[i*16:i*16+16], out)
 	}
 	j.batch.complete(nil)

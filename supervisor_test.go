@@ -361,11 +361,10 @@ func TestSupervisedEngineCircuitBreakerAndDegrade(t *testing.T) {
 // detection policy on the combined core: a corrupted result fails the
 // decrypt(encrypt(x)) round trip, triage's strike-free retry succeeds in
 // place (the one-shot upset does not outlive the transaction), and the
-// caller sees only correct ciphertext with no quarantine.
+// caller sees only correct ciphertext with no quarantine. It runs under
+// -short, so the race sweep covers the round trip's second record: were
+// it to share the forward one, the caller would receive plaintext.
 func TestSupervisedEngineInverseSpotCheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("combined-core supervised run in -short mode")
-	}
 	impl := engineImpl(t)
 	var strikeOnce sync.Once
 	eng, err := impl.NewEngine(engineKey, rijndaelip.EngineOptions{
