@@ -71,15 +71,17 @@ chaos-smoke:
 # The mixed-fault triage gate under the race detector: seeded transient
 # flips PLUS welded stuck-at ROM bits into the same live pool. Transients
 # must recover in place; the EDAC-masked stuck-ats must be found by the
-# post-job ROM scrub, localized to the exact ROM word, and healed by
+# delivery ROM scrub, localized to the exact ROM word, and healed by
 # quarantine + respawn; zero mismatches. The second line pins the scrub's
-# detection bound (a weld is found right after the job it was planted
-# on, with the shard's worker as the engine's only goroutine) and holds
-# the trace's scrub corrections to the ScrubCorrected counter. Wired into
-# `verify`.
+# detection bound (a weld is found, and its shard respawned on its own
+# worker, before the job it was planted on is delivered), holds the
+# trace's scrub corrections to the ScrubCorrected counter, and checks
+# that the recovery ladder is settled when every call returns (no shard
+# quarantined, every quarantine resolved, the trace a closed ladder).
+# Wired into `verify`.
 triage-smoke:
 	$(GO) test -race -short -run '^TestTriageGate$$' -v ./internal/chaos/
-	$(GO) test -race -short -run '^(TestScrubDetectsWeldAfterItsJob|TestScrubCorrectTraceMatchesCounter)$$' -v .
+	$(GO) test -race -short -run '^(TestScrubDetectsWeldAfterItsJob|TestScrubCorrectTraceMatchesCounter|TestLadderSettledAtReturn)$$' -v .
 
 # The observability smoke under the race detector: a supervised engine
 # absorbs a welded fault while its registry and trace ring are scraped

@@ -38,10 +38,11 @@ import (
 // 64 lanes keep 512 blocks in flight.
 //
 // Which modes parallelize: ECB and the CTR keystream are embarrassingly
-// parallel, and CBC decryption is too (every plaintext block is
-// D(C_i) XOR C_{i-1} with both operands known up front). CBC and CFB
-// encryption chain each input on the previous output, so they fall back
-// to sequential block-at-a-time streaming through the pool.
+// parallel, and CBC and CFB decryption are too (every plaintext block is
+// D(C_i) XOR C_{i-1}, or C_i XOR E(C_{i-1}), with both operands known up
+// front). CBC and CFB encryption chain each input on the previous output,
+// so they fall back to sequential block-at-a-time streaming through the
+// pool.
 type Engine struct {
 	impl   *Implementation
 	opts   EngineOptions
@@ -131,7 +132,8 @@ type engineShard struct {
 
 	// state is the supervision lifecycle (healthy / quarantined / dead);
 	// unsupervised engines keep every shard healthy forever. Only the
-	// shard's worker changes it. dev is the shard's hardware (a lockstep
+	// shard's worker changes it; the shard is quarantined only while that
+	// worker respawns it. dev is the shard's hardware (a lockstep
 	// pair under CheckLockstep): built once by newShard in NewEngine,
 	// before the worker starts, and driven only by the worker, which
 	// reconfigures it in place on a respawn (Device.Reconfigure). Stats
@@ -380,8 +382,9 @@ func (e *Engine) Close() {
 // declare the engine closed while a job is in flight toward a queue. When
 // every shard is quarantined or dead it returns errNoHealthyShard so the
 // submitter can degrade to the software reference instead of stalling. (A
-// shard that is quarantined after we picked it is harmless: its worker
-// redistributes queue arrivals while unhealthy.)
+// shard that is quarantined after we picked it is harmless: its worker runs
+// queue arrivals after the respawn, or redistributes them if the shard
+// died.)
 func (e *Engine) submit(ctx context.Context, j *engineJob) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -416,13 +419,13 @@ func (e *Engine) poke() {
 }
 
 // worker is the one goroutine that owns shard s: it runs the shard's
-// transactions, scrubs its ROM stores after each supervised job, and
-// respawns it after a quarantine.
+// transactions, scrubs its ROM stores before each supervised delivery, and
+// respawns it inside the job whose fault quarantined it, so between jobs
+// the shard is healthy or dead.
 func (e *Engine) worker(s *engineShard) {
 	defer e.wg.Done()
 	for {
-		switch s.state.Load() {
-		case shardHealthy:
+		if s.state.Load() == shardHealthy {
 			// Fast path: the shard's own queue.
 			select {
 			case j := <-s.q:
@@ -434,12 +437,6 @@ func (e *Engine) worker(s *engineShard) {
 			if e.trySteal(s) {
 				continue
 			}
-		case shardQuarantined:
-			if e.respawn(s) {
-				continue
-			}
-			e.drain(s)
-			return
 		}
 		select {
 		case j := <-s.q:
@@ -502,11 +499,6 @@ func (e *Engine) run(s *engineShard, j *engineJob) {
 	}
 	if e.sup != nil {
 		e.runSupervised(s, j)
-		if s.state.Load() == shardHealthy {
-			if d, ok := e.scrub(s); ok {
-				e.classifyPersistent(s, d)
-			}
-		}
 		return
 	}
 	if err := e.transact(s, j, s.submissions.Add(1), true); err != nil {
@@ -633,8 +625,8 @@ func (e *Engine) Process(ctx context.Context, blocks [][]byte, encrypt bool) ([]
 // EngineBlock adapts the shard pool to the modes.Block interface, so every
 // protocol in internal/modes runs over the replicated hardware. It also
 // implements modes.BatchBlock: the mode helpers hand independent-block
-// work (ECB, the CTR keystream, CBC decryption) to the pool in one call,
-// which is where the parallel speedup comes from; single-block calls
+// work (ECB, the CTR keystream, CBC and CFB decryption) to the pool in one
+// call, which is where the parallel speedup comes from; single-block calls
 // still go through the scheduler, one shard busy at a time.
 //
 // Like HardwareBlock, protocol errors surface via Err (the Block
@@ -773,8 +765,9 @@ func (e *Engine) EncryptCFB(ctx context.Context, iv, src []byte) ([]byte, error)
 	return blockErr(out, err, blk)
 }
 
-// DecryptCFB inverts EncryptCFB (keystream blocks derive from known
-// ciphertext; the modes layer still walks them in order).
+// DecryptCFB inverts EncryptCFB. Every keystream input is known up front
+// (the IV, then each full ciphertext block but the last), so the keystream
+// fans out across the pool in one call, as in DecryptCBC.
 func (e *Engine) DecryptCFB(ctx context.Context, iv, src []byte) ([]byte, error) {
 	blk := e.BlockContext(ctx)
 	out, err := modes.DecryptCFB(blk, iv, src)

@@ -454,17 +454,28 @@ func TestEngineCallAllocs(t *testing.T) {
 				t.Errorf("%s: Process of %d blocks makes %.0f allocations, want at most %d", c.name, n, got, maxProcessAllocs)
 			}
 		}
+		// A call that fans its blocks out in one batch allocates the same
+		// at any length: no submission allocates.
 		small, large := make([]byte, 4<<10), make([]byte, 16<<10)
-		ecb := func(src []byte) float64 {
-			return allocs(func() error {
-				_, err := eng.EncryptECB(ctx, src)
-				return err
-			})
-		}
-		a4, a16 := ecb(small), ecb(large)
-		t.Logf("%s: EncryptECB makes %.0f allocations for 4 KiB and %.0f for 16 KiB", c.name, a4, a16)
-		if a4 != a16 {
-			t.Errorf("%s: EncryptECB makes %.0f allocations for 4 KiB but %.0f for 16 KiB: a submission allocates", c.name, a4, a16)
+		iv := make([]byte, 16)
+		for _, call := range []struct {
+			name string
+			f    func(src []byte) ([]byte, error)
+		}{
+			{"EncryptECB", func(src []byte) ([]byte, error) { return eng.EncryptECB(ctx, src) }},
+			{"DecryptCFB", func(src []byte) ([]byte, error) { return eng.DecryptCFB(ctx, iv, src) }},
+		} {
+			size := func(src []byte) float64 {
+				return allocs(func() error {
+					_, err := call.f(src)
+					return err
+				})
+			}
+			a4, a16 := size(small), size(large)
+			t.Logf("%s: %s makes %.0f allocations for 4 KiB and %.0f for 16 KiB", c.name, call.name, a4, a16)
+			if a4 != a16 {
+				t.Errorf("%s: %s makes %.0f allocations for 4 KiB but %.0f for 16 KiB: a submission allocates", c.name, call.name, a4, a16)
+			}
 		}
 	}
 }

@@ -12,8 +12,13 @@
 // Beyond transient flips, the injector can weld stuck-at ROM bits into
 // live shards (Config.StuckAt). A single stuck bit is corrected by the
 // EDAC code on every read, so no output check can ever fire for it — the
-// run then gates on the engine's post-job scrub finding and localizing
+// run then gates on the engine's delivery scrub finding and localizing
 // it.
+//
+// The engine settles its recovery ladder inside each call: every
+// quarantine a call's jobs caused has ended in a respawn or a dead shard
+// before the call returns. Run therefore reads the counters, the
+// diagnoses and the trace straight after the traffic, with no waiting.
 //
 // Everything is seeded: the traffic, the strike schedule and the struck
 // flip-flops all derive from Config.Seed, so a failing run reproduces.
@@ -25,7 +30,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"rijndaelip"
 	"rijndaelip/internal/bfm"
@@ -256,22 +260,6 @@ func (r *Report) VerifyLadder() error {
 	return nil
 }
 
-// ladderOpen counts quarantine events not yet resolved by a respawn or
-// dead verdict — the trace-derived "pool is healing" signal settle waits
-// on.
-func ladderOpen(events []obs.Event) int {
-	open := 0
-	for _, ev := range events {
-		switch ev.Kind {
-		case obs.KindQuarantine:
-			open++
-		case obs.KindRespawn, obs.KindShardDead:
-			open--
-		}
-	}
-	return open
-}
-
 // Overhead is the recovery tax: CyclesPerBlock relative to the fault-free
 // baseline (1.0 = no overhead; 0 when no baseline ran).
 func (r *Report) Overhead() float64 {
@@ -297,61 +285,6 @@ func (r *Report) String() string {
 	return s
 }
 
-// settleTimeout and settleLocalizedTimeout bound how long Run waits for
-// the pool to heal between waves / for every planted stuck-at to be
-// localized and its shard respawned. They are variables so tests can shrink them to exercise the
-// timeout paths without multi-second stalls.
-var (
-	settleTimeout          = 5 * time.Second
-	settleLocalizedTimeout = 10 * time.Second
-)
-
-// await polls cond on a millisecond ticker until it holds, the bound
-// expires, or the caller's context is cancelled. No wall-clock
-// comparisons: cancellation (Ctrl-C, test deadline) is honored
-// immediately instead of spinning out the full bound, and the timeout
-// error names the condition that was being waited on via describe().
-func await(ctx context.Context, bound time.Duration, cond func() bool, describe func() string) error {
-	if cond() {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(ctx, bound)
-	defer cancel()
-	t := time.NewTicker(time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			if err := context.Cause(ctx); err != nil && err != context.DeadlineExceeded {
-				return fmt.Errorf("chaos: cancelled while waiting for %s: %w", describe(), err)
-			}
-			return fmt.Errorf("chaos: timed out after %v waiting for %s", bound, describe())
-		case <-t.C:
-			if cond() {
-				return nil
-			}
-		}
-	}
-}
-
-// settle waits (bounded, cancellable) for every quarantine opened so far
-// to be resolved by a hot-respawn — the condition is read off the event
-// trace, not polled counters, so it is exactly the ladder the trace
-// records. Engines without a trace ring fall back to the healthy-shard
-// count.
-func settle(ctx context.Context, eng *rijndaelip.Engine, shards int) error {
-	ring := eng.Trace()
-	cond := func() bool { return eng.Stats().HealthyShards == shards }
-	if ring != nil {
-		cond = func() bool { return ladderOpen(ring.Snapshot()) == 0 }
-	}
-	return await(ctx, settleTimeout, cond, func() string {
-		st := eng.Stats()
-		return fmt.Sprintf("pool to heal (%d/%d shards healthy, %d quarantines vs %d respawns)",
-			st.HealthyShards, shards, st.Quarantines, st.Respawns)
-	})
-}
-
 // localized counts planted stuck-ats matched by a word-accurate ROM
 // diagnosis (same shard, same store, same word).
 func localized(planted []Planted, diags []rijndaelip.Diagnosis) int {
@@ -365,19 +298,6 @@ func localized(planted []Planted, diags []rijndaelip.Diagnosis) int {
 		}
 	}
 	return n
-}
-
-// settleLocalized waits (bounded, cancellable) for every planted stuck-at
-// to be localized and for the pool to heal. The post-job scrub finds a
-// weld right after the job it was planted on; what is left to wait for is
-// the respawn backoff.
-func settleLocalized(ctx context.Context, eng *rijndaelip.Engine, shards int, planted []Planted) error {
-	return await(ctx, settleLocalizedTimeout, func() bool {
-		return localized(planted, eng.Diagnoses()) == len(planted) && eng.Stats().HealthyShards == shards
-	}, func() string {
-		return fmt.Sprintf("scrub localization (%d/%d planted stuck-ats diagnosed, %d/%d shards healthy)",
-			localized(planted, eng.Diagnoses()), len(planted), eng.Stats().HealthyShards, shards)
-	})
 }
 
 // Run drives seeded traffic through a supervised engine under live
@@ -439,19 +359,8 @@ func Run(ctx context.Context, impl *rijndaelip.Implementation, key []byte, rc Ru
 			}
 		}
 		rep.Blocks += rc.Blocks
-		// Let respawns land before the next wave (and before the
-		// final stats snapshot): strikes never kill shards permanently here,
-		// so a full pool is the steady state the counters should reflect.
-		if err := settle(ctx, eng, rc.Shards); err != nil {
-			return nil, fmt.Errorf("wave %d: %w", w, err)
-		}
 	}
 	rep.Planted = inj.Planted()
-	if len(rep.Planted) > 0 {
-		if err := settleLocalized(ctx, eng, rc.Shards, rep.Planted); err != nil {
-			return nil, err
-		}
-	}
 	rep.Strikes = inj.Strikes()
 	rep.Stats = eng.Stats()
 	if ring := eng.Trace(); ring != nil {

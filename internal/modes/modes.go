@@ -27,10 +27,10 @@ type Block interface {
 // independent blocks in one call — e.g. a sharded hardware engine fanning
 // blocks across replicated cores. dst and src are concatenations of whole
 // blocks of equal length. The mode helpers detect BatchBlock and hand all
-// independent-block work (ECB, the CTR keystream, CBC decryption) to it in
-// a single call, so those modes parallelize transparently; chained modes
-// (CBC encryption, CFB encryption) stay block-by-block because each input
-// depends on the previous output.
+// independent-block work (ECB, the CTR keystream, CBC and CFB decryption)
+// to it in a single call, so those modes parallelize transparently; chained
+// modes (CBC encryption, CFB encryption) stay block-by-block because each
+// input depends on the previous output.
 type BatchBlock interface {
 	Block
 	// EncryptBlocks encrypts len(src)/BlockSize() independent blocks.
@@ -277,27 +277,29 @@ func EncryptCFB(b Block, iv, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecryptCFB inverts EncryptCFB.
+// DecryptCFB inverts EncryptCFB. Unlike encryption, it has no chained
+// dependency: every keystream input is known up front — the IV, then each
+// full ciphertext block but the last — so the keystream is handed to the
+// cipher as one independent batch (parallel on a BatchBlock) before the
+// XOR pass, as in DecryptCBC.
 func DecryptCFB(b Block, iv, src []byte) ([]byte, error) {
 	bs := b.BlockSize()
 	if len(iv) != bs {
 		return nil, fmt.Errorf("modes: CFB iv must be %d bytes", bs)
 	}
 	dst := make([]byte, len(src))
-	shift := append([]byte(nil), iv...)
-	ks := make([]byte, bs)
-	for i := 0; i < len(src); i += bs {
-		b.Encrypt(ks, shift)
-		n := len(src) - i
-		if n > bs {
-			n = bs
-		}
-		copy(shift[:n], src[i:i+n])
-		xorBytes(dst[i:], src[i:], ks, n)
-		if n < bs {
-			break
-		}
+	if len(src) == 0 {
+		return dst, nil
 	}
+	nblocks := (len(src) + bs - 1) / bs
+	in := make([]byte, nblocks*bs)
+	copy(in, iv)
+	copy(in[bs:], src[:(nblocks-1)*bs])
+	ks := make([]byte, nblocks*bs)
+	if err := encryptBlocks(b, ks, in); err != nil {
+		return nil, err
+	}
+	xorBytes(dst, src, ks, len(src))
 	return dst, nil
 }
 

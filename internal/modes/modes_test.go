@@ -375,6 +375,40 @@ func TestCFBAgainstStdlib(t *testing.T) {
 	}
 }
 
+// TestCFBDecryptBatch decrypts CFB through a BatchBlock wrapper at
+// lengths around the block boundary: the keystream must come from exactly
+// one batch call (none for empty input) and match crypto/cipher.
+func TestCFBDecryptBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := testCipher(t, randBytes(rng, 16))
+	iv := randBytes(rng, 16)
+	for _, n := range []int{0, 1, 15, 16, 17, 100} {
+		pt := randBytes(rng, n)
+		ct := make([]byte, n)
+		//lint:ignore SA1019 cross-checking our implementation against the reference
+		stdcipher.NewCFBEncrypter(c, iv).XORKeyStream(ct, pt)
+		want := make([]byte, n)
+		//lint:ignore SA1019 cross-checking our implementation against the reference
+		stdcipher.NewCFBDecrypter(c, iv).XORKeyStream(want, ct)
+		spy := &batchSpy{Cipher: c}
+		got, err := DecryptCFB(spy, iv, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || !bytes.Equal(got, pt) {
+			t.Errorf("len %d: batch CFB decrypt diverged from crypto/cipher", n)
+		}
+		wantBatches := 1
+		if n == 0 {
+			wantBatches = 0
+		}
+		if spy.encBatches != wantBatches || spy.decBatches != 0 || spy.blocks != (n+15)/16 {
+			t.Errorf("len %d: %d encrypt and %d decrypt batches over %d blocks, want %d/0/%d",
+				n, spy.encBatches, spy.decBatches, spy.blocks, wantBatches, (n+15)/16)
+		}
+	}
+}
+
 // TestCMACRFC4493 checks the four official AES-128 CMAC vectors.
 func TestCMACRFC4493(t *testing.T) {
 	key, _ := hex.DecodeString("2b7e151628aed2a6abf7158809cf4f3c")

@@ -15,7 +15,10 @@
 //     internal/netlist, internal/rtl, internal/edac, internal/bfm, plus
 //     any function named Eval*/Step/Gather*) must not read the wall clock
 //     or sleep — simulated time is cycle counts, and a time.Now in an Eval
-//     destroys reproducibility and benchmark integrity;
+//     destroys reproducibility and benchmark integrity — and neither may
+//     the recovery ladder (the root supervisor.go) or the chaos harness
+//     that drives it (internal/chaos), since the ladder settles inside
+//     each engine call;
 //   - lock-copy: values of types containing sync.Mutex, sync.RWMutex or
 //     the other non-copyable sync/atomic state must not be copied by
 //     value (parameters, receivers, results or plain assignment);
@@ -58,7 +61,7 @@ func Rules() []Rule {
 	return []Rule{
 		{"atomic-plain-access", "fields accessed via sync/atomic functions must never be read or written plainly"},
 		{"error-wrap", "fmt.Errorf must format error-typed arguments with %w, not %v/%s"},
-		{"sim-wallclock", "no time.Now/Sleep/Since/After/Tick* on the simulated-cycle hot path"},
+		{"sim-wallclock", "no time.Now/Sleep/Since/After/Tick* on the simulated-cycle hot path or in the recovery ladder"},
 		{"lock-copy", "values containing sync.Mutex/RWMutex/WaitGroup/Once/Cond must not be copied"},
 		{"lanesim-state-write", "lanesim.Words.Q/ROMQ are written only in internal/lanesim or through Machine.WriteState"},
 	}

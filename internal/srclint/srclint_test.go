@@ -164,6 +164,47 @@ func Report() time.Time { return time.Now() }
 	}
 }
 
+// TestSimWallClockLadderScopes pins the rule's ladder scopes: any banned
+// call in internal/chaos, and in the root package's supervisor.go but not
+// in its other files, whatever the function is named.
+func TestSimWallClockLadderScopes(t *testing.T) {
+	cases := []struct {
+		path    string
+		sources map[string]string
+		file    string
+		line    int
+		object  string
+	}{
+		{"rijndaelip/internal/chaos", map[string]string{"chaos.go": `package chaos
+
+import "time"
+
+func settle() { t := time.NewTicker(time.Millisecond); t.Stop() }
+`}, "chaos.go", 5, "time.NewTicker"},
+		{"rijndaelip", map[string]string{"supervisor.go": `package rijndaelip
+
+import "time"
+
+func respawn() { time.NewTimer(time.Millisecond).Stop() }
+`, "engine.go": `package rijndaelip
+
+import "time"
+
+func observe() int64 { return time.Now().UnixNano() }
+`}, "supervisor.go", 5, "time.NewTimer"},
+	}
+	for _, tc := range cases {
+		p, err := LoadSource(tc.path, tc.sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := expect(t, Analyze([]*Package{p}), "sim-wallclock", tc.file, tc.line)
+		if f.Object != tc.object || !strings.Contains(f.Detail, "recovery ladder") {
+			t.Errorf("%s: finding does not name the call and the ladder scope: %+v", tc.path, f)
+		}
+	}
+}
+
 func TestLockCopy(t *testing.T) {
 	fs := analyze(t, map[string]string{"a.go": `package probe
 

@@ -3,6 +3,7 @@ package srclint
 import (
 	"go/ast"
 	"go/types"
+	"path/filepath"
 	"strings"
 )
 
@@ -17,6 +18,17 @@ var hotPackages = []string{
 	"/internal/bfm",
 }
 
+// Ladder scopes: the supervised engine's recovery ladder and the chaos
+// harness that drives it. The ladder runs to its end inside the engine
+// call that triggered it, so neither has anything to wait for, and a
+// wall-clock read or timer there would make recovery timing-dependent
+// again. An entry ending in ".go" names one file (import path + "/" +
+// file name); the others name packages. Both match by suffix.
+var ladderScopes = []string{
+	"/internal/chaos",
+	"rijndaelip/supervisor.go",
+}
+
 // Banned time-package functions: anything that reads the wall clock or
 // blocks on it.
 var bannedTimeFuncs = map[string]bool{
@@ -25,31 +37,31 @@ var bannedTimeFuncs = map[string]bool{
 	"NewTicker": true, "NewTimer": true,
 }
 
-// checkWallClock flags banned time-package calls anywhere in a hot package,
-// and — in every package — inside functions whose names mark them as cycle
-// evaluation paths (Eval*/eval*/Step/Gather*/gather*).
+// checkWallClock flags banned time-package calls anywhere in a hot package
+// or a ladder scope, and — in every package — inside functions whose names
+// mark them as cycle evaluation paths (Eval*/eval*/Step/Gather*/gather*).
 func checkWallClock(p *Package) []Finding {
-	hotPkg := false
-	for _, suf := range hotPackages {
-		if strings.HasSuffix(p.Path, suf) {
-			hotPkg = true
-			break
-		}
-	}
 	var out []Finding
 	for _, f := range p.Files {
+		file := p.Path + "/" + filepath.Base(p.Fset.Position(f.Pos()).Filename)
+		var scope string
+		switch {
+		case matchesAny(p.Path, hotPackages):
+			scope = "on the simulated-cycle hot path (" + p.Path + "); simulated time is cycle counts"
+		case matchesAny(p.Path, ladderScopes) || matchesAny(file, ladderScopes):
+			scope = "in the recovery ladder (" + file + "); the ladder settles inside the engine call, with nothing to wait for"
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			fd, ok := n.(*ast.FuncDecl)
 			if !ok {
 				return true
 			}
-			hot := hotPkg || isHotFunc(fd.Name.Name)
-			if !hot || fd.Body == nil {
-				return false
+			where := scope
+			if where == "" && isHotFunc(fd.Name.Name) {
+				where = "on the simulated-cycle hot path (function " + fd.Name.Name + "); simulated time is cycle counts"
 			}
-			where := p.Path
-			if !hotPkg {
-				where = "function " + fd.Name.Name
+			if where == "" || fd.Body == nil {
+				return false
 			}
 			ast.Inspect(fd.Body, func(m ast.Node) bool {
 				sel, ok := m.(*ast.SelectorExpr)
@@ -68,7 +80,7 @@ func checkWallClock(p *Package) []Finding {
 					Rule:   "sim-wallclock",
 					Pos:    p.Fset.Position(sel.Pos()),
 					Object: "time." + sel.Sel.Name,
-					Detail: "wall-clock call on the simulated-cycle hot path (" + where + "); simulated time is cycle counts",
+					Detail: "wall-clock call " + where,
 				})
 				return true
 			})
@@ -76,6 +88,16 @@ func checkWallClock(p *Package) []Finding {
 		})
 	}
 	return out
+}
+
+// matchesAny reports whether path ends in one of the suffixes.
+func matchesAny(path string, suffixes []string) bool {
+	for _, suf := range suffixes {
+		if strings.HasSuffix(path, suf) {
+			return true
+		}
+	}
+	return false
 }
 
 // isHotFunc reports whether a function name marks a cycle evaluation path.

@@ -79,9 +79,9 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkECB(t, got, src, key)
-	waitEngine(t, eng, "respawn after strike", func(st rijndaelip.EngineStats) bool {
-		return st.Respawns >= 1 && st.HealthyShards == 2
-	})
+	if st := eng.Stats(); st.Respawns < 1 || st.HealthyShards != 2 {
+		t.Fatalf("no respawn after the strike when the call returned: %+v", st)
+	}
 
 	scrape := func(path string) string {
 		t.Helper()
@@ -322,9 +322,10 @@ func TestStatsQuarantinedShardSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkECB(t, got, src, key)
-	st := waitEngine(t, eng, "circuit breaker on shard 0", func(st rijndaelip.EngineStats) bool {
-		return st.Shards[0].Health == "dead"
-	})
+	st := eng.Stats()
+	if h := st.Shards[0].Health; h != "dead" {
+		t.Fatalf("shard 0 is %s when the call returned, want dead (circuit breaker)", h)
+	}
 	if st.HealthyShards != 1 || st.Degraded {
 		t.Errorf("one-dead-shard pool: healthy=%d degraded=%v, want 1/false", st.HealthyShards, st.Degraded)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"rijndaelip/internal/bfm"
 	"rijndaelip/internal/edac"
@@ -44,11 +43,15 @@ const (
 // to the software reference only when every replica is out of service.
 //
 // Each shard's worker goroutine is the only one that touches the shard's
-// simulators, EDAC ROM stores and driver. After every job it scrubs the
-// ROM words its stores report faulty (correctable errors are rewritten;
-// a word that stays bad quarantines the shard with a ROM diagnosis), and
-// a quarantined shard's worker waits out the respawn backoff and
-// reconfigures the shard's simulators in place itself.
+// simulators, EDAC ROM stores and driver. Before it copies a job's results
+// home it scrubs the ROM words its stores report faulty (correctable
+// errors are rewritten; a word that stays bad quarantines the shard with a
+// ROM diagnosis), and a quarantine respawns the shard on the spot: the
+// worker reconfigures the shard's simulators in place, attempt after
+// attempt, until the shard is healthy again or the circuit breaker has
+// declared it dead. The ladder is therefore settled when a call returns:
+// every quarantine its jobs caused has already ended in a respawn or a
+// dead shard.
 //
 // A single self-checking device is the one-shard, one-lane case:
 //
@@ -75,13 +78,10 @@ type SupervisorOptions struct {
 	// to a healthy shard before its blocks are served by the software
 	// reference instead. Default 2.
 	RetryBudget int
-	// RespawnBackoff is the delay before a quarantined shard's first
-	// respawn attempt; it doubles after every consecutive failure.
-	// Default 1ms.
-	RespawnBackoff time.Duration
-	// MaxRespawnFailures is the permanent-defect circuit breaker: after
-	// this many consecutive failed respawn attempts the shard is declared
-	// dead and never retried. Default 3.
+	// MaxRespawnFailures is the permanent-defect circuit breaker: a
+	// quarantined shard gets this many respawn attempts, back to back, and
+	// is declared dead and never retried once they have all failed.
+	// Default 3.
 	MaxRespawnFailures int
 	// Strike, when set, is invoked on the shard's worker goroutine
 	// immediately before every hardware submission with the shard id, the
@@ -89,7 +89,8 @@ type SupervisorOptions struct {
 	// harnesses use it to arm ScheduleFlipLanes upsets that land
 	// mid-transaction. The hook runs on the worker goroutine that owns the
 	// simulator, so it may touch the simulator without extra locking, and
-	// ROM damage it plants is found by the scrub that follows the job.
+	// ROM damage it plants is found by the scrub that precedes the job's
+	// delivery.
 	Strike func(shard int, submission uint64, sim *netlist.Simulator)
 	// RespawnHook, when set, gates every respawn attempt: it is invoked
 	// with the shard id and the consecutive-failure ordinal before the
@@ -112,9 +113,9 @@ type SupervisorOptions struct {
 }
 
 // Shard supervision states. Unsupervised engines keep every shard healthy
-// forever; under supervision a detection moves the shard to quarantined,
-// a successful respawn moves it back, and the circuit breaker parks it at
-// dead.
+// forever; under supervision a persistent fault moves the shard to
+// quarantined for as long as its worker spends respawning it, a successful
+// respawn moves it back, and the circuit breaker parks it at dead.
 const (
 	shardHealthy int32 = iota
 	shardQuarantined
@@ -164,7 +165,7 @@ const (
 )
 
 // Diagnosis is one persistent-fault localization record, appended every
-// time triage (or the post-job scrub) classifies a shard fault as
+// time triage (or the delivery scrub) classifies a shard fault as
 // persistent and quarantines it.
 type Diagnosis struct {
 	// Shard is the sick shard; Generation its driver generation at
@@ -217,9 +218,6 @@ func normalizedSupervisor(im *Implementation, opts *SupervisorOptions) (*Supervi
 	if s.RetryBudget <= 0 {
 		s.RetryBudget = 2
 	}
-	if s.RespawnBackoff <= 0 {
-		s.RespawnBackoff = time.Millisecond
-	}
 	if s.MaxRespawnFailures <= 0 {
 		s.MaxRespawnFailures = 3
 	}
@@ -271,9 +269,9 @@ func (e *Engine) newShard(id int) (*engineShard, error) {
 // quarantine, no respawn. A persistent classification runs the targeted
 // diagnosis pass (ROM sweep, then power-on self-test) to localize the
 // fault, records a Diagnosis, and walks the recovery ladder
-// (quarantine → hot-respawn → degrade). Detected faults are never
-// surfaced to the caller either way — correct data comes from the retry,
-// a sibling, or the software fallback.
+// (quarantine → hot-respawn → degrade) to its end before the job moves
+// on. Detected faults are never surfaced to the caller either way —
+// correct data comes from the retry, a sibling, or the software fallback.
 func (e *Engine) runSupervised(s *engineShard, j *engineJob) {
 	sub := s.submissions.Add(1)
 	err := e.attempt(s, j, sub, true)
@@ -388,8 +386,16 @@ func (e *Engine) attempt(s *engineShard, j *engineJob, sub uint64, first bool) e
 }
 
 // deliver writes a successful submission's results (s.tx.Outs) home and
-// completes its share of the batch.
+// completes its share of the batch. A healthy supervised shard scrubs its
+// ROM stores first, so damage the job left behind is localized, and the
+// shard respawned or dead, before the caller can return. The results it
+// then copies passed every armed check, and the respawn leaves s.tx alone.
 func (e *Engine) deliver(s *engineShard, j *engineJob) {
+	if e.sup != nil && s.state.Load() == shardHealthy {
+		if d, ok := e.scrub(s); ok {
+			e.classifyPersistent(s, d)
+		}
+	}
 	s.observe(j)
 	s.blocks.Add(uint64(j.n))
 	s.wasted.Add(uint64(e.opts.MaxLanes - j.n))
@@ -404,7 +410,7 @@ func (e *Engine) deliver(s *engineShard, j *engineJob) {
 // uses before deciding whether an in-place retry can possibly help. Words
 // the code can still correct are deliberately excluded: a correctable SEU
 // is masked on every read (it cannot have caused the detection) and the
-// post-job scrub will rewrite it, so it must not veto the retry.
+// delivery scrub will rewrite it, so it must not veto the retry.
 func shardROMDamage(s *engineShard) (rom string, word int, ok bool) {
 	for _, store := range s.dev.Primary.ROMStores() {
 		for _, bad := range store.BadWords() {
@@ -432,9 +438,9 @@ func (e *Engine) recordTransient(s *engineShard, sub uint64) bool {
 }
 
 // classifyPersistent records a persistent-fault classification: counters,
-// the localization record, and the quarantine that starts the recovery
-// ladder. The caller supplies the diagnosis (known ROM damage, an
-// escalation verdict, a scrub find, or the result of diagnose).
+// the localization record, and the quarantine, which runs the recovery
+// ladder to its end. The caller supplies the diagnosis (known ROM damage,
+// an escalation verdict, a scrub find, or the result of diagnose).
 func (e *Engine) classifyPersistent(s *engineShard, d Diagnosis) {
 	s.persistents.Add(1)
 	d.Shard = s.id
@@ -460,15 +466,15 @@ func (e *Engine) diagnose(s *engineShard) Diagnosis {
 }
 
 // scrub repairs the primary simulation's damaged ROM words. It runs on
-// the shard's worker after every supervised job (and inside diagnose):
-// every fault source reaches a store on the worker — in the Strike hook
-// or during a transaction — so the sweep that follows the job sees all of
-// it. A store whose token's low bit is clear holds no faulty word and is
-// skipped without taking its lock; only the words a store lists as bad
-// are visited. A correctable error is rewritten in place (counted and
-// traced as a scrub correction); a word that stays bad after the rewrite
-// — a stuck bit or multi-bit damage — is persistent memory damage, and
-// scrub returns its ROM-localized diagnosis. This is what catches
+// the shard's worker before every supervised delivery (and inside
+// diagnose): every fault source reaches a store on the worker — in the
+// Strike hook or during a transaction — so the sweep that ends the job
+// sees all of it. A store whose token's low bit is clear holds no faulty
+// word and is skipped without taking its lock; only the words a store
+// lists as bad are visited. A correctable error is rewritten in place
+// (counted and traced as a scrub correction); a word that stays bad after
+// the rewrite — a stuck bit or multi-bit damage — is persistent memory
+// damage, and scrub returns its ROM-localized diagnosis. This is what catches
 // EDAC-masked faults: a single stuck ROM bit is corrected on every read,
 // so no output check will ever fire for it.
 func (e *Engine) scrub(s *engineShard) (Diagnosis, bool) {
@@ -496,20 +502,23 @@ func (e *Engine) scrub(s *engineShard) (Diagnosis, bool) {
 }
 
 // quarantine takes a shard out of rotation after a persistent
-// classification. Only the shard's own worker classifies, so the state
-// change needs no arbitration; the worker's loop then runs respawn, which
-// hands queued jobs to healthy siblings while the shard is reconfigured.
+// classification and respawns it at once. Only the shard's own worker
+// classifies, so the state change needs no arbitration. Submitters and
+// siblings pass the shard by while it is quarantined; a job that reached
+// its queue before that waits for the respawn's verdict (see run).
 func (e *Engine) quarantine(s *engineShard) {
 	s.state.Store(shardQuarantined)
 	s.quarantines.Add(1)
 	e.emit(obs.Event{Kind: obs.KindQuarantine, Shard: s.id, Generation: s.gen.Load()})
+	e.respawn(s)
 }
 
 // requeue sends a detected-bad job back through the pool within its retry
 // budget; past the budget its blocks are served by the software reference
 // (correct data beats hardware pride). s is the shard that detected the
-// failure (it only names the trace event's origin — the job goes to a
-// sibling).
+// failure; it only names the trace event's origin. Its quarantine has
+// already run, so the job may go to any healthy shard, s's fresh
+// incarnation included.
 func (e *Engine) requeue(s *engineShard, j *engineJob) {
 	if j.attempt >= e.sup.RetryBudget {
 		e.fallback(j)
@@ -565,28 +574,14 @@ func (e *Engine) fallback(j *engineJob) {
 	j.batch.complete(nil)
 }
 
-// respawn reconfigures a quarantined shard on its own worker: exponential
-// backoff between attempts (jobs that reach the shard's queue meanwhile
-// are handed to healthy siblings), a power-on self-test before the shard
-// rejoins the pool, and the permanent-defect circuit breaker after
-// MaxRespawnFailures consecutive failures. It reports false if the engine
-// closed during a backoff.
-func (e *Engine) respawn(s *engineShard) bool {
-	backoff := e.sup.RespawnBackoff
-	for attempt := 1; ; attempt++ {
-		t := time.NewTimer(backoff)
-	wait:
-		for {
-			select {
-			case j := <-s.q:
-				e.redistribute(j)
-			case <-e.closed:
-				t.Stop()
-				return false
-			case <-t.C:
-				break wait
-			}
-		}
+// respawn reconfigures a quarantined shard on its own worker: up to
+// MaxRespawnFailures attempts back to back, each gated by a power-on
+// self-test, after which the shard is healthy with a bumped generation or
+// the permanent-defect circuit breaker has declared it dead. Nothing waits
+// between attempts: a reconfiguration is deterministic, so only the
+// RespawnHook can fail one, and waiting would not change its verdict.
+func (e *Engine) respawn(s *engineShard) {
+	for attempt := 1; attempt <= e.sup.MaxRespawnFailures; attempt++ {
 		err := e.respawnShard(s, attempt)
 		if err == nil {
 			gen := s.gen.Add(1)
@@ -594,20 +589,15 @@ func (e *Engine) respawn(s *engineShard) bool {
 			s.state.Store(shardHealthy)
 			e.emit(obs.Event{Kind: obs.KindRespawn, Shard: s.id, Generation: gen,
 				Attempt: attempt})
-			e.poke()
-			return true
+			return
 		}
 		s.respawnFailures.Add(1)
 		e.emit(obs.Event{Kind: obs.KindRespawnFailure, Shard: s.id,
 			Generation: s.gen.Load(), Attempt: attempt, Detail: err.Error()})
-		if attempt >= e.sup.MaxRespawnFailures {
-			s.state.Store(shardDead)
-			e.emit(obs.Event{Kind: obs.KindShardDead, Shard: s.id, Generation: s.gen.Load(),
-				Attempt: attempt, Detail: "respawn circuit breaker tripped"})
-			return true
-		}
-		backoff *= 2
 	}
+	s.state.Store(shardDead)
+	e.emit(obs.Event{Kind: obs.KindShardDead, Shard: s.id, Generation: s.gen.Load(),
+		Attempt: e.sup.MaxRespawnFailures, Detail: "respawn circuit breaker tripped"})
 }
 
 // respawnShard reconfigures the shard's device in place

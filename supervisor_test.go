@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 
 	"rijndaelip"
 	"rijndaelip/internal/bfm"
+	"rijndaelip/internal/chaos"
 	"rijndaelip/internal/edac"
 	"rijndaelip/internal/modes"
 	"rijndaelip/internal/netlist"
@@ -35,24 +38,6 @@ func supImpl(t testing.TB) *rijndaelip.Implementation {
 		t.Fatal(supImplErr)
 	}
 	return supImplVal
-}
-
-// waitEngine polls the engine stats until cond is satisfied or the
-// deadline passes (respawns land after their backoff, asynchronously to
-// the caller).
-func waitEngine(t *testing.T, eng *rijndaelip.Engine, what string, cond func(rijndaelip.EngineStats) bool) rijndaelip.EngineStats {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := eng.Stats()
-		if cond(st) {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s: %+v", what, st)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func checkECB(t *testing.T, got, src []byte, key []byte) {
@@ -116,10 +101,11 @@ func TestSupervisedEngineFaultFree(t *testing.T) {
 // stuck-at fault in a live shard mid-traffic: the lockstep comparator
 // must catch it, triage's strike-free in-place retry must fail (the
 // stuck bit re-asserts through the state restoration), the failed
-// submission must be re-queued to the healthy sibling (so every
+// submission must be re-queued to a healthy shard (so every
 // caller-visible block stays bit-exact and in order), the sick shard
 // must be quarantined with a flip-flop-region diagnosis, and its worker
-// must respawn it back into service with a bumped generation.
+// must have respawned it back into service, with a bumped generation,
+// by the time the call returns.
 func TestSupervisedEngineQuarantineRespawnRecovery(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("supervised-key-1")
@@ -170,10 +156,10 @@ func TestSupervisedEngineQuarantineRespawnRecovery(t *testing.T) {
 	if d := diags[0]; d.Cause != rijndaelip.CauseFF || d.Shard != 0 {
 		t.Fatalf("diagnosis = %v, want shard 0 cause %q", d, rijndaelip.CauseFF)
 	}
-	// The respawn lands after its backoff; wait for the shard to rejoin.
-	st = waitEngine(t, eng, "hot-respawn", func(st rijndaelip.EngineStats) bool {
-		return st.Respawns >= 1 && st.HealthyShards == 2
-	})
+	// The respawn ran inside the call: the shard has already rejoined.
+	if st.Respawns < 1 || st.HealthyShards != 2 {
+		t.Fatalf("pool not healed when the call returned: %+v", st)
+	}
 	if ss := st.Shards[0]; ss.Generation < 2 || ss.Respawns == 0 {
 		t.Errorf("respawned shard 0 generation=%d respawns=%d, want gen >= 2", ss.Generation, ss.Respawns)
 	}
@@ -265,10 +251,11 @@ func TestEDACReadCountersSurviveRespawn(t *testing.T) {
 		check(eng.Stats())
 	}
 	checkECB(t, got, src, key)
-	st := waitEngine(t, eng, "hot-respawn", func(st rijndaelip.EngineStats) bool {
-		check(st)
-		return st.Respawns >= 1 && st.HealthyShards == 2
-	})
+	st := eng.Stats()
+	check(st)
+	if st.Respawns < 1 || st.HealthyShards != 2 {
+		t.Fatalf("pool not healed when the call returned: %+v", st)
+	}
 	if ss := st.Shards[0]; ss.Generation < 2 || ss.ROMCorrectedReads == 0 || ss.ScrubCorrected == 0 {
 		t.Fatalf("shard 0 after respawn: generation %d, %d corrected reads, %d scrub repairs; want gen >= 2 and both counters moved",
 			ss.Generation, ss.ROMCorrectedReads, ss.ScrubCorrected)
@@ -319,15 +306,13 @@ func TestSupervisedEngineCircuitBreakerAndDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkECB(t, got, src, key)
-	st := waitEngine(t, eng, "circuit breaker", func(st rijndaelip.EngineStats) bool {
-		dead := 0
-		for _, ss := range st.Shards {
-			if ss.Health == "dead" {
-				dead++
-			}
+	// The circuit breaker tripped inside the call.
+	st := eng.Stats()
+	for _, ss := range st.Shards {
+		if ss.Health != "dead" {
+			t.Fatalf("shard %d is %s when the call returned, want dead: %+v", ss.Shard, ss.Health, st)
 		}
-		return dead == 2
-	})
+	}
 	if !st.Degraded || st.HealthyShards != 0 {
 		t.Errorf("dead pool not degraded: %+v", st)
 	}
@@ -596,9 +581,9 @@ func TestSupervisorTriageClassification(t *testing.T) {
 // TestScrubberDetectsEDACMaskedStuckBit pins the ROM scrub's key scenario:
 // a single stuck ROM bit is corrected by the EDAC code on every read, so
 // outputs stay bit-exact and no output comparator can ever fire — the
-// post-job scrub is the only detector. It must localize the word,
-// quarantine the shard with a ROM diagnosis, and respawn it, all without
-// a single data mismatch. Run with -race.
+// delivery scrub is the only detector. It must localize the word,
+// quarantine the shard with a ROM diagnosis, and respawn it before the
+// call returns, all without a single data mismatch. Run with -race.
 func TestScrubberDetectsEDACMaskedStuckBit(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("scrubber-key-000")
@@ -640,10 +625,11 @@ func TestScrubberDetectsEDACMaskedStuckBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkECB(t, got, src, key)
-	// The scrub must find the masked fault and the respawn heal it.
-	st := waitEngine(t, eng, "scrub-driven quarantine and respawn", func(st rijndaelip.EngineStats) bool {
-		return st.ScrubUncorrectable >= 1 && st.Respawns >= 1 && st.HealthyShards == 2
-	})
+	// The scrub found the masked fault and the respawn healed it.
+	st := eng.Stats()
+	if st.ScrubUncorrectable < 1 || st.Respawns < 1 || st.HealthyShards != 2 {
+		t.Fatalf("scrub-driven quarantine and respawn not settled when the call returned: %+v", st)
+	}
 	// The EDAC code masked the fault end to end: the output comparators
 	// never fired.
 	if st.Detections != 0 || st.Retries != 0 {
@@ -673,36 +659,39 @@ func TestScrubberDetectsEDACMaskedStuckBit(t *testing.T) {
 	}
 }
 
-// TestEngineCloseDuringRespawnBackoff is the shutdown race of the
-// recovery ladder: Close landing while a quarantined shard's worker is
-// parked in its (deliberately huge) respawn backoff must return promptly
-// and leak nothing. Run with -race.
-func TestEngineCloseDuringRespawnBackoff(t *testing.T) {
+// TestEngineCloseAfterRespawns is the shutdown edge of the recovery
+// ladder: a flip-flop weld on each shard quarantines both, shard 0's
+// respawn succeeds and every respawn of shard 1 is vetoed, so the call
+// ends with one shard respawned and one dead. A Close right after it must
+// return promptly and leak nothing. Run with -race.
+func TestEngineCloseAfterRespawns(t *testing.T) {
 	impl := supImpl(t)
-	key := []byte("close-backoff-k0")
+	key := []byte("close-respawn-k0")
 	baseline := runtime.NumGoroutine()
 	for iter := 0; iter < 3; iter++ {
-		var once sync.Once
+		var welded [2]sync.Once
 		eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
 			Shards:   2,
 			MaxLanes: 2,
 			Supervise: &rijndaelip.SupervisorOptions{
-				Check:          rijndaelip.CheckLockstep,
-				RespawnBackoff: time.Minute, // park the respawn mid-backoff
+				Check: rijndaelip.CheckLockstep,
 				Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
-					if shard != 0 {
-						return
-					}
-					once.Do(func() {
+					welded[shard].Do(func() {
 						sim.StickFF(sim.FindFF("s0[0]"), true)
 					})
+				},
+				RespawnHook: func(shard, attempt int) error {
+					if shard == 1 {
+						return errTestRespawnVeto
+					}
+					return nil
 				},
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := make([]byte, 8*16)
+		src := make([]byte, 16*16)
 		for i := range src {
 			src[i] = byte(i*17 + iter)
 		}
@@ -711,9 +700,10 @@ func TestEngineCloseDuringRespawnBackoff(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkECB(t, got, src, key)
-		waitEngine(t, eng, "quarantine before Close", func(st rijndaelip.EngineStats) bool {
-			return st.Quarantines >= 1
-		})
+		st := eng.Stats()
+		if s0, s1 := st.Shards[0], st.Shards[1]; s0.Health != "healthy" || s0.Respawns != 1 || s1.Health != "dead" {
+			t.Fatalf("iter %d: want shard 0 respawned once and shard 1 dead when the call returned: %+v", iter, st)
+		}
 		done := make(chan struct{})
 		go func() {
 			eng.Close()
@@ -722,7 +712,7 @@ func TestEngineCloseDuringRespawnBackoff(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
-			t.Fatal("Close deadlocked against an in-flight respawn backoff")
+			t.Fatal("Close deadlocked after a respawn and a dead shard")
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -735,38 +725,52 @@ func TestEngineCloseDuringRespawnBackoff(t *testing.T) {
 	}
 }
 
-// TestScrubDetectsWeldAfterItsJob pins the post-job scrub's detection
+// TestScrubDetectsWeldAfterItsJob pins the delivery scrub's detection
 // bound on a single self-checking device: a stuck ROM bit welded before
 // submission 3 is EDAC-masked, so no output check fires, yet the scrub
-// that follows that very job must localize it and quarantine the shard.
-// Submissions 4..10 therefore never reach hardware: the long respawn
-// backoff holds the shard out and the software reference serves them.
-// While it waits, the shard's worker is the engine's only goroutine.
-// Goroutines are counted by their stacks, so ones that other tests leave
-// winding down do not move the count.
+// that ends that very job must localize it, quarantine the shard and
+// respawn it. Submission 4's Strike hook therefore already sees the ROM
+// diagnosis, the quarantine and the respawn counted, and submissions
+// 4..10 run on the fresh hardware. The respawn runs on the shard's worker
+// inside the delivery of submission 3, while the caller waits: the worker
+// and the caller are the engine's only goroutines. Goroutines are counted
+// by their stacks, so ones that other tests leave winding down do not
+// move the count.
 func TestScrubDetectsWeldAfterItsJob(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("scrub-bound-key0")
 	const word, bit = 0x51, 6
 	var (
-		mu      sync.Mutex
-		romName string
+		eng *rijndaelip.Engine
+		// Written by the hooks on the shard's worker, read after the call.
+		romName               string
+		seen                  rijndaelip.EngineStats
+		seenDiags             []rijndaelip.Diagnosis
+		inRespawn, respawning int
+		all                   int
+		workerStack           string
 	)
 	baseline, _ := engineGoroutines()
 	eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
 		Shards:   1,
 		MaxLanes: 1,
 		Supervise: &rijndaelip.SupervisorOptions{
-			Check:          rijndaelip.CheckLockstep,
-			RespawnBackoff: time.Minute, // hold the shard quarantined
+			Check: rijndaelip.CheckLockstep,
 			Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
-				if submission != 3 {
-					return
+				switch submission {
+				case 3:
+					romName = sim.ROMName(0)
+					sim.StickROMBit(0, word, bit, !sim.ROMStore(0).CodewordBit(word, bit))
+				case 4:
+					seen, seenDiags = eng.Stats(), eng.Diagnoses()
 				}
-				mu.Lock()
-				romName = sim.ROMName(0)
-				mu.Unlock()
-				sim.StickROMBit(0, word, bit, !sim.ROMStore(0).CodewordBit(word, bit))
+			},
+			RespawnHook: func(shard, attempt int) error {
+				inRespawn++
+				all, respawning = engineGoroutines()
+				buf := make([]byte, 1<<14)
+				workerStack = string(buf[:runtime.Stack(buf, false)])
+				return nil
 			},
 		},
 	})
@@ -783,37 +787,36 @@ func TestScrubDetectsWeldAfterItsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkECB(t, got, src, key)
-	st := eng.Stats()
-	if st.Submissions != 3 || st.FallbackBlocks != 7 || st.Detections != 0 {
-		t.Errorf("weld before submission 3: submissions=%d fallback=%d detections=%d, want 3/7/0",
-			st.Submissions, st.FallbackBlocks, st.Detections)
+	if seen.Quarantines != 1 || seen.Respawns != 1 || seen.Shards[0].Health != "healthy" {
+		t.Errorf("at submission 4: quarantines=%d respawns=%d health=%q, want 1/1/healthy",
+			seen.Quarantines, seen.Respawns, seen.Shards[0].Health)
 	}
-	if h := st.Shards[0].Health; h != "quarantined" {
-		t.Errorf("shard health = %q, want quarantined", h)
-	}
-	mu.Lock()
-	wantROM := romName
-	mu.Unlock()
 	var rom []rijndaelip.Diagnosis
-	for _, d := range eng.Diagnoses() {
+	for _, d := range seenDiags {
 		if d.Cause == rijndaelip.CauseROM {
 			rom = append(rom, d)
 		}
 	}
-	if len(rom) != 1 || rom[0].ROM != wantROM || rom[0].Word != word {
-		t.Errorf("want one ROM diagnosis of rom %q word %#x, got %v", wantROM, word, eng.Diagnoses())
+	if len(rom) != 1 || rom[0].ROM != romName || rom[0].Word != word || rom[0].Generation != 1 {
+		t.Errorf("at submission 4: want one generation-1 ROM diagnosis of rom %q word %#x, got %v", romName, word, seenDiags)
 	}
-	// One worker and nothing else: the scrub and the respawn both run on
-	// it. The worker enters respawn just after the quarantine, which the
-	// caller may see first.
-	all, respawning := engineGoroutines()
-	for deadline := time.Now().Add(5 * time.Second); respawning == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		all, respawning = engineGoroutines()
+	st := eng.Stats()
+	if st.Submissions != 10 || st.Blocks != 10 || st.FallbackBlocks != 0 || st.Detections != 0 {
+		t.Errorf("weld before submission 3: submissions=%d blocks=%d fallback=%d detections=%d, want 10/10/0/0",
+			st.Submissions, st.Blocks, st.FallbackBlocks, st.Detections)
 	}
-	if all != baseline+1 || respawning != 1 {
-		t.Errorf("during respawn backoff: %d engine goroutines (%d in respawn), want %d (baseline %d + one worker, in respawn)",
-			all, respawning, baseline+1, baseline)
+	if ss := st.Shards[0]; ss.Health != "healthy" || ss.Generation != 2 || st.Quarantines != 1 || st.Respawns != 1 {
+		t.Errorf("shard after the call: health=%q generation=%d quarantines=%d respawns=%d, want healthy/2/1/1",
+			ss.Health, ss.Generation, st.Quarantines, st.Respawns)
+	}
+	// One respawn attempt, on the worker, inside the delivery scrub.
+	if inRespawn != 1 || !strings.Contains(workerStack, "rijndaelip.(*Engine).worker(") ||
+		!strings.Contains(workerStack, "rijndaelip.(*Engine).deliver(") {
+		t.Errorf("respawn attempts=%d, want 1 on the worker inside deliver; stack:\n%s", inRespawn, workerStack)
+	}
+	if all != baseline+2 || respawning != 1 {
+		t.Errorf("during the respawn: %d engine goroutines (%d in respawn), want %d (baseline %d + the worker, in respawn, + the caller)",
+			all, respawning, baseline+2, baseline)
 	}
 }
 
@@ -838,6 +841,123 @@ func engineGoroutines() (all, respawning int) {
 		}
 	}
 	return all, respawning
+}
+
+// TestLadderSettledAtReturn holds the engine to its recovery contract:
+// when a call returns, every quarantine its jobs caused has already ended
+// in a respawn or a dead shard. A seeded Strike schedule, keyed on each
+// shard's submission ordinal, walks a 2-shard pool through every rung:
+// on shard 0 a transient recovered in place (submission 2), a second one
+// that exhausts the one-transient budget and escalates (3), an
+// EDAC-masked ROM weld that only the delivery scrub finds (5) and a
+// flip-flop weld that fails the in-place retry (7), each respawned; on
+// shard 1 a flip-flop weld (2) whose respawns the RespawnHook vetoes
+// until the circuit breaker declares the shard dead. After every call,
+// without waiting, no shard may read quarantined, every quarantine must
+// be matched by a respawn or a dead shard, every weld must carry its ROM
+// diagnosis, and the trace must replay as a closed ladder.
+func TestLadderSettledAtReturn(t *testing.T) {
+	impl := supImpl(t)
+	key := []byte("ladder-settled-0")
+	var (
+		mu      sync.Mutex
+		planted []chaos.Planted
+	)
+	eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
+		Shards:   2,
+		MaxLanes: 2,
+		Supervise: &rijndaelip.SupervisorOptions{
+			Check:           rijndaelip.CheckLockstep,
+			TransientBudget: 1,
+			Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
+				// One stream per (shard, submission): the schedule does not
+				// depend on how the shards' strikes interleave.
+				rng := rand.New(rand.NewSource(int64(shard)<<32 | int64(submission)))
+				ff := sim.FindFF(fmt.Sprintf("s0[%d]", rng.Intn(8)))
+				switch {
+				case shard == 0 && (submission == 2 || submission == 3):
+					sim.ScheduleFlipLanes(1+rng.Intn(impl.Core.BlockLatency/2), 1, ff)
+				case shard == 0 && submission == 5:
+					ri, word, bit := rng.Intn(sim.NumROMs()), rng.Intn(edac.Words), rng.Intn(edac.CodeBits)
+					sim.StickROMBit(ri, word, bit, !sim.ROMStore(ri).CodewordBit(word, bit))
+					mu.Lock()
+					planted = append(planted, chaos.Planted{Shard: shard, ROM: sim.ROMName(ri), Word: word, Bit: bit})
+					mu.Unlock()
+				case (shard == 0 && submission == 7) || (shard == 1 && submission == 2):
+					sim.StickFF(ff, rng.Intn(2) == 1)
+				}
+			},
+			RespawnHook: func(shard, attempt int) error {
+				if shard == 1 {
+					return errTestRespawnVeto
+				}
+				return nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	src := make([]byte, 8*16)
+	for call := 0; call < 8; call++ {
+		for i := range src {
+			src[i] = byte(i*7 + call*31)
+		}
+		got, err := eng.EncryptECB(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkECB(t, got, src, key)
+		st := eng.Stats()
+		dead := uint64(0)
+		for _, ss := range st.Shards {
+			switch ss.Health {
+			case "quarantined":
+				t.Fatalf("call %d: shard %d still quarantined when the call returned: %+v", call, ss.Shard, st)
+			case "dead":
+				dead++
+			}
+		}
+		if st.Quarantines != st.Respawns+dead {
+			t.Fatalf("call %d: %d quarantines, %d respawns and %d dead shards: a ladder is still open",
+				call, st.Quarantines, st.Respawns, dead)
+		}
+		mu.Lock()
+		welds := append([]chaos.Planted(nil), planted...)
+		mu.Unlock()
+		diags := eng.Diagnoses()
+		for _, p := range welds {
+			found := false
+			for _, d := range diags {
+				found = found || d.Cause == rijndaelip.CauseROM && d.Shard == p.Shard && d.ROM == p.ROM && d.Word == p.Word
+			}
+			if !found {
+				t.Fatalf("call %d: weld %+v has no ROM diagnosis: %v", call, p, diags)
+			}
+		}
+		ring := eng.Trace()
+		rep := chaos.Report{Trace: ring.Snapshot(), TraceOverwritten: ring.Overwritten()}
+		if err := rep.VerifyLadder(); err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+	}
+	// Every rung was walked.
+	st := eng.Stats()
+	s0, s1 := st.Shards[0], st.Shards[1]
+	if s0.Transients < 1 || st.Escalations < 1 || s0.ScrubUncorrectable < 1 || s0.Respawns != 3 || s0.Health != "healthy" {
+		t.Errorf("shard 0 did not walk transient, escalation, ROM weld and flip-flop weld to three respawns: %+v", st)
+	}
+	if s1.Health != "dead" || s1.Respawns != 0 || st.RespawnFailures != 3 {
+		t.Errorf("shard 1 did not trip the circuit breaker after three vetoed respawns: %+v", st)
+	}
+	causes := make(map[string]int)
+	for _, d := range eng.Diagnoses() {
+		causes[d.Cause]++
+	}
+	if len(planted) != 1 || causes[rijndaelip.CauseROM] != 1 || causes[rijndaelip.CauseFF] != 2 || causes[rijndaelip.CauseErrorBudget] != 1 {
+		t.Errorf("want 1 weld and rom/ff/error-budget diagnoses 1/2/1, got %d welds and %v", len(planted), eng.Diagnoses())
+	}
 }
 
 // TestScrubCorrectTraceMatchesCounter holds the trace to the counters
@@ -876,9 +996,10 @@ func TestScrubCorrectTraceMatchesCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkECB(t, got, src, key)
-	st := waitEngine(t, eng, "respawn after the flip-flop weld", func(st rijndaelip.EngineStats) bool {
-		return st.Respawns >= 1
-	})
+	st := eng.Stats()
+	if st.Respawns < 1 {
+		t.Fatalf("no respawn after the flip-flop weld when the call returned: %+v", st)
+	}
 	if d := eng.Diagnoses(); len(d) == 0 || d[0].Cause != rijndaelip.CauseFF {
 		t.Fatalf("want a flip-flop diagnosis from diagnose, got %v", d)
 	}
