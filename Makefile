@@ -24,7 +24,8 @@ bench:
 # throughput-scaling regressions without the full bench suite. Both lines
 # run with -benchmem, so BenchmarkBuild prints the mapper's transient
 # bytes and BenchmarkVectorLockstep its allocs/op (2: the lane boundary
-# allocates only the result).
+# allocates only the result) and its comparator's compares/op and
+# skips/op (52 and 50).
 # BenchmarkObsOverhead reports the instrumented/uninstrumented throughput
 # ratio (best of 5 alternating rounds per twin even at -benchtime=1x;
 # budget >= 0.95) as a metric; it does not fail on it, since a

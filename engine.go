@@ -223,7 +223,9 @@ func (s *engineShard) observe(j *engineJob) {
 // engineBatch tracks one Process call's fan-out: the submitter adds each
 // job to wg before submitting it, and every job calls complete exactly
 // once, successfully or not. The first error wins. A one-job call's job
-// lives in one, so the call allocates the batch and nothing else.
+// lives in one, so the call allocates the batch and nothing else; a
+// chained mode runs all its blocks, one after another, on one batch
+// (chainBlock).
 type engineBatch struct {
 	wg  sync.WaitGroup
 	mu  sync.Mutex
@@ -541,12 +543,13 @@ func (e *Engine) transact(s *engineShard, j *engineJob, sub uint64, first bool) 
 }
 
 // process packs the concatenated 16-byte blocks of src into lane groups
-// of up to MaxLanes, fans the groups across the shard pool, and writes
-// each result into the matching offset of dst. It returns after every
-// submitted group has completed; ctx cancels groups that are still
-// waiting for queue space (in-flight transactions always finish — a bus
-// transaction is bounded by the driver watchdog).
-func (e *Engine) process(ctx context.Context, dst, src []byte, encrypt bool) error {
+// of up to MaxLanes, fans the groups across the shard pool on batch, and
+// writes each result into the matching offset of dst. It returns after
+// every submitted group has completed, so the caller may then reuse
+// batch; ctx cancels groups that are still waiting for queue space
+// (in-flight transactions always finish — a bus transaction is bounded by
+// the driver watchdog).
+func (e *Engine) process(ctx context.Context, batch *engineBatch, dst, src []byte, encrypt bool) error {
 	if len(src)%16 != 0 || len(dst) < len(src) {
 		return fmt.Errorf("rijndaelip: engine: need whole blocks and dst >= src, got src=%d dst=%d",
 			len(src), len(dst))
@@ -556,7 +559,7 @@ func (e *Engine) process(ctx context.Context, dst, src []byte, encrypt bool) err
 		return nil
 	}
 	lanes := e.opts.MaxLanes
-	batch := new(engineBatch)
+	batch.err = nil
 	jobs := batch.one[:]
 	if n > lanes {
 		jobs = make([]engineJob, (n+lanes-1)/lanes)
@@ -612,7 +615,7 @@ func (e *Engine) Process(ctx context.Context, blocks [][]byte, encrypt bool) ([]
 		src = append(src, b...)
 	}
 	dst := make([]byte, len(src))
-	if err := e.process(ctx, dst, src, encrypt); err != nil {
+	if err := e.process(ctx, new(engineBatch), dst, src, encrypt); err != nil {
 		return nil, err
 	}
 	outs := make([][]byte, len(blocks))
@@ -671,14 +674,15 @@ func (b *EngineBlock) record(err error) error {
 	return err
 }
 
-func (b *EngineBlock) one(dst, src []byte, encrypt bool) {
+// one runs a single block through the pool on batch.
+func (b *EngineBlock) one(batch *engineBatch, dst, src []byte, encrypt bool) {
 	if len(src) < 16 || len(dst) < 16 {
 		b.record(fmt.Errorf("rijndaelip: engine block: need 16-byte src and dst, got src=%d dst=%d",
 			len(src), len(dst)))
 		zeroBlock(dst)
 		return
 	}
-	if b.record(b.e.process(b.ctx, dst[:16], src[:16], encrypt)) != nil {
+	if b.record(b.e.process(b.ctx, batch, dst[:16], src[:16], encrypt)) != nil {
 		zeroBlock(dst)
 	}
 }
@@ -690,21 +694,33 @@ func zeroBlock(dst []byte) {
 }
 
 // Encrypt runs one block through the pool in the encrypt direction.
-func (b *EngineBlock) Encrypt(dst, src []byte) { b.one(dst, src, true) }
+func (b *EngineBlock) Encrypt(dst, src []byte) { b.one(new(engineBatch), dst, src, true) }
 
 // Decrypt runs one block through the pool in the decrypt direction.
-func (b *EngineBlock) Decrypt(dst, src []byte) { b.one(dst, src, false) }
+func (b *EngineBlock) Decrypt(dst, src []byte) { b.one(new(engineBatch), dst, src, false) }
 
 // EncryptBlocks fans the concatenated independent blocks of src across
 // the shard pool (modes.BatchBlock).
 func (b *EngineBlock) EncryptBlocks(dst, src []byte) error {
-	return b.record(b.e.process(b.ctx, dst, src, true))
+	return b.record(b.e.process(b.ctx, new(engineBatch), dst, src, true))
 }
 
 // DecryptBlocks is the decrypt-direction counterpart of EncryptBlocks.
 func (b *EngineBlock) DecryptBlocks(dst, src []byte) error {
-	return b.record(b.e.process(b.ctx, dst, src, false))
+	return b.record(b.e.process(b.ctx, new(engineBatch), dst, src, false))
 }
+
+// chainBlock is the block adapter of one chained-mode call (EncryptCBC,
+// EncryptCFB). A chain has one block in flight at a time, so every block
+// of the call runs on the adapter's one batch and its one job. It belongs
+// to the call that made it and is never shared.
+type chainBlock struct {
+	EngineBlock
+	batch engineBatch
+}
+
+// Encrypt runs one block of the chain through the pool on the call's batch.
+func (c *chainBlock) Encrypt(dst, src []byte) { c.one(&c.batch, dst, src, true) }
 
 // blockErr folds an EngineBlock's recorded error into a mode result.
 func blockErr(out []byte, err error, blk *EngineBlock) ([]byte, error) {
@@ -744,9 +760,9 @@ func (e *Engine) DecryptECB(ctx context.Context, src []byte) ([]byte, error) {
 // fan out: it streams sequentially through the pool (single shard busy at
 // a time). Use CTR when throughput matters.
 func (e *Engine) EncryptCBC(ctx context.Context, iv, src []byte) ([]byte, error) {
-	blk := e.BlockContext(ctx)
+	blk := &chainBlock{EngineBlock: EngineBlock{e: e, ctx: ctx}}
 	out, err := modes.EncryptCBC(blk, iv, src)
-	return blockErr(out, err, blk)
+	return blockErr(out, err, &blk.EngineBlock)
 }
 
 // DecryptCBC decrypts CBC ciphertext with the block decrypts fanned out
@@ -760,9 +776,9 @@ func (e *Engine) DecryptCBC(ctx context.Context, iv, src []byte) ([]byte, error)
 // EncryptCFB chains like CBC encryption and therefore streams
 // sequentially through the pool.
 func (e *Engine) EncryptCFB(ctx context.Context, iv, src []byte) ([]byte, error) {
-	blk := e.BlockContext(ctx)
+	blk := &chainBlock{EngineBlock: EngineBlock{e: e, ctx: ctx}}
 	out, err := modes.EncryptCFB(blk, iv, src)
-	return blockErr(out, err, blk)
+	return blockErr(out, err, &blk.EngineBlock)
 }
 
 // DecryptCFB inverts EncryptCFB. Every keystream input is known up front

@@ -404,21 +404,23 @@ func TestEngineKeyValidation(t *testing.T) {
 // (a one-job call keeps its job inside the batch), whatever its block
 // count. EncryptECB's count must not grow with the message: 4 KiB and
 // 16 KiB are 4 and 16 lane-packed submissions, on a plain engine and on a
-// lockstep-supervised one. The counts include every shard worker's
-// allocations and are exact, not timing. They are averaged over 20 calls
-// and rounded down, so a per-call allocation shows while a one-off one (a
-// shard record's first growth, a runtime wait record after a collection)
-// does not.
+// lockstep-supervised one. Nor may the chained EncryptCBC's and
+// EncryptCFB's, which run 256 and 1024 one-block submissions on one
+// batch. The counts include every shard worker's allocations and are
+// exact, not timing. They are averaged over 20 calls (3 for a chained
+// mode, whose every block is a transaction) and rounded down, so a
+// per-call allocation shows while a one-off one (a shard record's first
+// growth, a runtime wait record after a collection) does not.
 func TestEngineCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
 	const maxProcessAllocs = 4
 	impl := engineImpl(t)
-	allocs := func(f func() error) float64 {
+	allocs := func(runs int, f func() error) float64 {
 		t.Helper()
 		var failed error
-		n := testing.AllocsPerRun(20, func() {
+		n := testing.AllocsPerRun(runs, func() {
 			if err := f(); err != nil {
 				failed = err
 			}
@@ -446,7 +448,7 @@ func TestEngineCallAllocs(t *testing.T) {
 			for i := range blocks {
 				blocks[i] = bytes.Repeat([]byte{byte(i + 1)}, 16)
 			}
-			got := allocs(func() error {
+			got := allocs(20, func() error {
 				_, err := eng.Process(ctx, blocks, n%2 == 1)
 				return err
 			})
@@ -454,19 +456,30 @@ func TestEngineCallAllocs(t *testing.T) {
 				t.Errorf("%s: Process of %d blocks makes %.0f allocations, want at most %d", c.name, n, got, maxProcessAllocs)
 			}
 		}
-		// A call that fans its blocks out in one batch allocates the same
-		// at any length: no submission allocates.
+		// A call that fans its blocks out in one batch, or runs its chain
+		// on one, allocates the same at any length: no submission
+		// allocates. The chained modes run on the Encrypt core's engine,
+		// whose generated kernel keeps their 1024 one-block transactions
+		// cheap.
+		enc, err := supImpl(t).NewEngine(engineKey, rijndaelip.EngineOptions{Shards: 2, Supervise: c.sup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer enc.Close()
 		small, large := make([]byte, 4<<10), make([]byte, 16<<10)
 		iv := make([]byte, 16)
 		for _, call := range []struct {
 			name string
+			runs int
 			f    func(src []byte) ([]byte, error)
 		}{
-			{"EncryptECB", func(src []byte) ([]byte, error) { return eng.EncryptECB(ctx, src) }},
-			{"DecryptCFB", func(src []byte) ([]byte, error) { return eng.DecryptCFB(ctx, iv, src) }},
+			{"EncryptECB", 20, func(src []byte) ([]byte, error) { return eng.EncryptECB(ctx, src) }},
+			{"DecryptCFB", 20, func(src []byte) ([]byte, error) { return eng.DecryptCFB(ctx, iv, src) }},
+			{"EncryptCBC", 3, func(src []byte) ([]byte, error) { return enc.EncryptCBC(ctx, iv, src) }},
+			{"EncryptCFB", 3, func(src []byte) ([]byte, error) { return enc.EncryptCFB(ctx, iv, src) }},
 		} {
 			size := func(src []byte) float64 {
-				return allocs(func() error {
+				return allocs(call.runs, func() error {
 					_, err := call.f(src)
 					return err
 				})

@@ -14,7 +14,9 @@ import (
 // netlist simulator and its shadow twin under a VectorLockstep), 64
 // divergent blocks per ProcessVector. This is the device a
 // lockstep-supervised engine shard runs, without the engine around it.
-// The first transaction is checked against internal/aes.
+// The first transaction is checked against internal/aes. It reports the
+// comparator's compares run and skipped per transaction
+// (TestLockstepCompareCounts pins them).
 func BenchmarkVectorLockstep(b *testing.B) {
 	core, nl := buildEncryptCore(b)
 	dev, err := NewDevice(core, nl, true)
@@ -47,6 +49,8 @@ func BenchmarkVectorLockstep(b *testing.B) {
 			b.Fatalf("lane %d: got %x, want %x", lane, outs[lane], want)
 		}
 	}
+	lock := dev.Lockstep
+	compares, skips := lock.compares, lock.skips
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,6 +59,8 @@ func BenchmarkVectorLockstep(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(lock.compares-compares)/float64(b.N), "compares/op")
+	b.ReportMetric(float64(lock.skips-skips)/float64(b.N), "skips/op")
 	if dev.Lockstep.MismatchMask() != 0 {
 		b.Fatal("lockstep replicas diverged on a fault-free run")
 	}

@@ -13,14 +13,21 @@ import (
 
 // twinPairs drives two lockstep pairs with identical calls: pair 0 is a
 // lockstep Device, whose shadow (netlist.NewShadow) reuses the primary's
-// golden ROM gathers, and pair 1 has two independent simulators. A
-// device's driver drives both pairs once its Sim points at the twinPairs.
-// After every Reset, Eval and Step it compares every net word of the two
-// primaries and of the two shadows (the outputs among them), the
-// comparators' MismatchMask and FirstMismatch on every lane, and the EDAC
-// counters and tokens of every store, and keeps the first difference.
-// Reads are served by pair 0. strike runs just before each Step, on both
-// pairs alike.
+// golden ROM gathers and takes its stimulus, and whose comparator skips a
+// compare when neither replica moved; pair 1 has two independent
+// simulators behind passSim, so it drives both and compares after every
+// call. A device's driver drives both pairs once its Sim points at the
+// twinPairs. After every Reset, Eval and Step it compares every net word
+// of the two primaries and of the two shadows (the outputs among them),
+// the comparators' MismatchMask and FirstMismatch on every lane, and the
+// EDAC counters and tokens of every store, and keeps the first
+// difference. After every Eval and Step it also checks that pair 0's
+// shadow holds its primary's input words, and that a compare pair 0
+// skipped saw no net word of either replica move since its last compare:
+// the outputs are registered, so a skip that missed a move inside the
+// replicas would not show in the mismatch mask. Reads are served by pair 0.
+// strike runs just before each Step and evalStrike just before the first
+// Eval after each Step, on both pairs alike.
 //
 // With base set, pair 0 was reconfigured in place (see reconfiguredPair)
 // and pair 1 is a freshly built device's: pair 0's stores then keep the
@@ -28,15 +35,24 @@ import (
 // compared as the deltas from base and the tokens by their view flags
 // alone.
 type twinPairs struct {
-	nl     *netlist.Netlist
-	dev    *Device // owns pair 0
-	pairs  [2]*VectorLockstep
-	sims   [2][2]*netlist.Simulator // [pair][primary, shadow]
-	steps  int
-	strike func(step int, primary, shadow *netlist.Simulator)
-	diff   error
-	base   [2][]edac.Stats // [primary, shadow][ROM]: pair 0's counters when reconfigured
+	nl         *netlist.Netlist
+	dev        *Device // owns pair 0
+	pairs      [2]*VectorLockstep
+	sims       [2][2]*netlist.Simulator // [pair][primary, shadow]
+	steps      int
+	stepped    bool // a Step ran since the last Eval
+	strike     func(step int, primary, shadow *netlist.Simulator)
+	evalStrike func(step int, primary, shadow *netlist.Simulator)
+	diff       error
+	base       [2][]edac.Stats // [primary, shadow][ROM]: pair 0's counters when reconfigured
+	compares   int             // pair 0's compares run at the last check
+	seen       [2][]uint64     // [primary, shadow]: pair 0's net words at its last compare
 }
+
+// passSim hides a simulator's type, so a VectorLockstep over two of them
+// drives both replicas and compares through OutputWords after every Eval
+// and Step.
+type passSim struct{ bfm.Sim }
 
 // tokenView keeps the flag bits of an edac.ROM token: bit 0 (a word is
 // faulty) and bit 63 (a word decodes to a byte other than golden).
@@ -56,7 +72,7 @@ func newTwinPairs(t *testing.T, core *rijndael.Core, nl *netlist.Netlist) *twinP
 	tp := &twinPairs{
 		nl:    nl,
 		dev:   dev,
-		pairs: [2]*VectorLockstep{dev.Lockstep, NewVectorLockstep(sims[0], sims[1])},
+		pairs: [2]*VectorLockstep{dev.Lockstep, NewVectorLockstep(passSim{sims[0]}, passSim{sims[1]})},
 		sims:  [2][2]*netlist.Simulator{{dev.Primary, dev.Shadow}, sims},
 	}
 	dev.Driver.Sim = tp
@@ -120,6 +136,36 @@ func (tp *twinPairs) check(op string) {
 			}
 		}
 	}
+	if op != "Eval" && op != "Step" {
+		return
+	}
+	prim, shadow := tp.sims[0][0], tp.sims[0][1]
+	for _, port := range tp.nl.Inputs {
+		for bit, n := range port.Nets {
+			if wp, ws := prim.NetWord(n), shadow.NetWord(n); wp != ws {
+				fail("shadow input %s[%d] %#x, its primary %#x", port.Name, bit, ws, wp)
+				return
+			}
+		}
+	}
+	if a.compares != tp.compares {
+		tp.compares = a.compares
+		for role, s := range tp.sims[0] {
+			tp.seen[role] = tp.seen[role][:0]
+			for n := 0; n < tp.nl.NumNets(); n++ {
+				tp.seen[role] = append(tp.seen[role], s.NetWord(netlist.NetID(n)))
+			}
+		}
+		return
+	}
+	for role, s := range tp.sims[0] {
+		for n, w := range tp.seen[role] {
+			if s.NetWord(netlist.NetID(n)) != w {
+				fail("compare skipped, but %s net %d moved since the last compare", [2]string{"primary", "shadow"}[role], n)
+				return
+			}
+		}
+	}
 }
 
 func (tp *twinPairs) Reset() {
@@ -130,6 +176,12 @@ func (tp *twinPairs) Reset() {
 }
 
 func (tp *twinPairs) Eval() {
+	if tp.evalStrike != nil && tp.stepped {
+		for _, s := range tp.sims {
+			tp.evalStrike(tp.steps, s[0], s[1])
+		}
+	}
+	tp.stepped = false
 	for _, p := range tp.pairs {
 		p.Eval()
 	}
@@ -146,6 +198,7 @@ func (tp *twinPairs) Step() {
 		p.Step()
 	}
 	tp.steps++
+	tp.stepped = true
 	tp.check("Step")
 }
 
@@ -187,24 +240,30 @@ func (tp *twinPairs) OutputWords(name string) ([]uint64, error) {
 
 func (tp *twinPairs) RegValue(name string) ([]byte, bool) { return tp.pairs[0].RegValue(name) }
 
-// TestSharedShadowEquivalence is the equivalence fuzz of gather sharing: a
-// lockstep pair whose shadow reuses the primary's golden ROM gathers must be
-// indistinguishable, cycle by cycle, from a pair of independent simulators
-// under the same primary faults. Each seeded round loads a random key and
-// runs two 64-lane transactions of random blocks; before the first, one
-// fault class is armed on both primaries: flip-flop upsets on random lanes
-// (ScheduleFlipLanes), a transient ROM upset (FlipROMBit), a stuck ROM bit
-// (StickROMBit), or a four-bit clean alias that turns a ROM word into
-// another valid codeword, which decodes Clean to the wrong byte; one more
-// class upsets the shadow's store instead, whose corrected reads the shadow
-// must count itself. The second transaction runs on whatever damage is left.
-// The alias must be detected: a shadow that took the aliased primary's
-// gathers, trusting a clean token, would hide it. Each round ends with
-// the engine's respawn sequence (see reconfiguredPair).
+// TestSharedShadowEquivalence is the equivalence fuzz of the lockstep
+// pair a Device builds: a pair whose shadow reuses the primary's golden
+// ROM gathers and takes its stimulus, and whose comparator skips a compare
+// when neither replica moved, must be indistinguishable, cycle by cycle,
+// from a pair of independent simulators that are both driven and compared
+// after every call, under the same primary faults. Each seeded round loads
+// a random key and runs two 64-lane transactions of random blocks; before
+// the first, one fault class is armed on both primaries: flip-flop upsets
+// on random lanes (ScheduleFlipLanes), a transient ROM upset (FlipROMBit),
+// a stuck ROM bit (StickROMBit), or a four-bit clean alias that turns a ROM
+// word into another valid codeword, which decodes Clean to the wrong byte;
+// one more class upsets the shadow's store instead, whose corrected reads
+// the shadow must count itself; and the last strikes the primary between a
+// Step and the next Eval, where the driver's Eval would find nothing
+// driven, with each of the four primary faults in turn (the alias on the
+// word lane 0 addresses, so that Eval takes moved ROM data). The second
+// transaction runs on whatever damage is left. The alias must be detected:
+// a shadow that took the aliased primary's gathers, trusting a clean
+// token, would hide it. Each round ends with the engine's respawn sequence
+// (see reconfiguredPair).
 func TestSharedShadowEquivalence(t *testing.T) {
 	core, nl := buildEncryptCore(t)
 	alias := edac.Encode(1) // weight four: XORed into a codeword, another valid one
-	const classes = 6
+	const classes = 7
 	rounds := 4 * classes
 	for round := 0; round < rounds; round++ {
 		r := rand.New(rand.NewSource(int64(round)))
@@ -257,6 +316,34 @@ func TestSharedShadowEquivalence(t *testing.T) {
 			tp.strike = func(step int, _, shadow *netlist.Simulator) {
 				if step == at {
 					shadow.FlipROMBit(rom, word, bit)
+				}
+			}
+		case 6:
+			ff, lanes := r.Intn(prims[0].NumFFs()), r.Uint64()
+			val := !prims[0].ROMStore(rom).CodewordBit(word, bit)
+			kind := round / classes % 4
+			tp.evalStrike = func(step int, p, _ *netlist.Simulator) {
+				if step != at {
+					return
+				}
+				switch kind {
+				case 0:
+					p.FlipFFLanes(ff, lanes)
+				case 1:
+					p.FlipROMBit(rom, word, bit)
+				case 2:
+					p.StickROMBit(rom, word, bit, val)
+				case 3:
+					rom := rom % 4
+					word := 0
+					for b, n := range nl.ROMs[rom].Addr {
+						word |= int(p.NetWord(n)&1) << b
+					}
+					for b := 0; b < edac.CodeBits; b++ {
+						if alias>>uint(b)&1 != 0 {
+							p.FlipROMBit(rom, word, b)
+						}
+					}
 				}
 			}
 		}

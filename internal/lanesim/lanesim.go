@@ -6,7 +6,8 @@
 // tape: the lane words, write-tracked stimulus and state, the
 // per-simulator EDAC ROM stores and the token check that skips their
 // clean, unchanged gathers, the segmented Eval, the latching Step, Reset,
-// the cycle counter and the per-port buffers OutputWords hands out. What
+// the cycle counter and the per-port buffers OutputWords hands out. A
+// Pair runs a machine and its twin as a lockstep pair. What
 // differs between the two simulators stays with them: a Tape that sweeps
 // a range, an independent reference evaluator, and their literal or net
 // accessors.
@@ -129,6 +130,11 @@ type Machine struct {
 	primary *Machine
 	outs    map[string]outPort
 	w       Words
+	// moves counts the Evals that may have moved Vals: each that presented
+	// state, swept or took moved ROM data, and every reference Eval.
+	// driven counts the stimulus writes that moved a word, and Resets.
+	// Pair reads both to skip work on a machine that held still.
+	moves, driven uint64
 }
 
 // gatherRec is one ROM Gather: the store token read just before it, the
@@ -180,8 +186,8 @@ func newMachine(lay *Layout, tape Tape, ref func()) (*Machine, *Words) {
 }
 
 // Reset restores every state word and ROM output register to its power-up
-// value on every lane, clears the stimulus and the cycle count, and makes
-// the next Eval sweep.
+// value on every lane, clears the stimulus (which counts as a drive, see
+// Pair) and the cycle count, and makes the next Eval sweep.
 func (m *Machine) Reset() {
 	clear(m.w.Src)
 	for i, v := range m.lay.Init {
@@ -189,6 +195,7 @@ func (m *Machine) Reset() {
 	}
 	clear(m.w.ROMQ)
 	m.w.Cycle = 0
+	m.driven++
 	m.stateWritten()
 }
 
@@ -225,10 +232,12 @@ func (m *Machine) ROMStores() []*edac.ROM { return m.roms }
 // resumes right after that ROM: the skipped prefix provably held still.
 // Fault injection therefore needs no special casing: a struck state word
 // is written through WriteState, which sets Dirty, and a struck ROM word
-// moves its store's token.
+// moves its store's token. Every pass that presented state, swept or took
+// moved ROM data, and every reference pass, counts one move (see Pair).
 func (m *Machine) Eval() {
 	if m.ref != nil {
 		m.ref()
+		m.moves++
 		return
 	}
 	lay, w := m.lay, &m.w
@@ -266,7 +275,11 @@ func (m *Machine) Eval() {
 			}
 		}
 	}
-	if dirty && pos < lay.End {
+	if !dirty {
+		return
+	}
+	m.moves++
+	if pos < lay.End {
 		m.tape.EvalRange(pos, lay.End, src, w.Vals)
 	}
 }
@@ -446,8 +459,9 @@ func (m *Machine) setBits(name string, lanes uint64, bits []byte) error {
 }
 
 // drive sets stimulus word at[i] to bit i of bits on the masked lanes,
-// without a branch per bit. It sets Dirty if and only if a word moved, so
-// rewriting what the port already holds leaves the next Eval quiescent.
+// without a branch per bit. It sets Dirty, and counts a drive, if and only
+// if a word moved, so rewriting what the port already holds leaves the
+// next Eval quiescent.
 func (m *Machine) drive(at []int32, lanes uint64, bits []byte) {
 	src := m.w.Src
 	var moved uint64
@@ -459,6 +473,7 @@ func (m *Machine) drive(at []int32, lanes uint64, bits []byte) {
 	}
 	if moved != 0 {
 		m.w.Dirty = true
+		m.driven++
 	}
 }
 

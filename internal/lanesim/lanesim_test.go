@@ -448,3 +448,79 @@ func TestUnpackLanesMatchesOutputBitsLane(t *testing.T) {
 		}
 	}
 }
+
+// TestPair: the twin takes the primary's stimulus only when a drive or a
+// Reset moved it, Diverged compares in place what OutputWords would, and
+// it skips a compare only when neither machine moved since the last one
+// and Rearm was not called since.
+func TestPair(t *testing.T) {
+	lay := toyLayout()
+	p, pw := New(lay, &recTape{})
+	m, w := New(lay, &recTape{})
+	if NewPair(p, m, "q") != nil {
+		t.Fatal("NewPair paired a machine that is not a twin")
+	}
+	m.ShareGathers(p)
+	pair := NewPair(p, m, "q", "no such port")
+	evalBoth := func() { p.Eval(); m.Eval() }
+	diverged := func(what string, lanes uint64, compared bool) {
+		t.Helper()
+		got, ran := pair.Diverged()
+		if ran != compared || got != lanes {
+			t.Fatalf("%s: Diverged = %#x, %v; want %#x, %v", what, got, ran, lanes, compared)
+		}
+		if !ran {
+			return
+		}
+		pq, _ := p.OutputWords("q")
+		mq, _ := m.OutputWords("q")
+		var want uint64
+		for i := range pq {
+			want |= pq[i] ^ mq[i]
+		}
+		if got != want {
+			t.Fatalf("%s: Diverged %#x in place, %#x through OutputWords", what, got, want)
+		}
+	}
+	take := func(what string, dirty bool) {
+		t.Helper()
+		m.Eval() // clears Dirty
+		pair.TakeStimulus()
+		if w.Dirty != dirty {
+			t.Fatalf("%s: twin Dirty %v, want %v", what, w.Dirty, dirty)
+		}
+		if !slices.Equal(w.Src[2:10], pw.Src[2:10]) {
+			t.Fatalf("%s: twin input %#x, primary %#x", what, w.Src[2:10], pw.Src[2:10])
+		}
+	}
+
+	evalBoth()
+	diverged("first compare", 0, true)
+	evalBoth()
+	diverged("nothing moved", 0, false)
+	if err := p.SetInput("a", 0x11); err != nil {
+		t.Fatal(err)
+	}
+	take("drive", true)
+	take("no drive since", false)
+	if err := p.SetInput("a", 0x11); err != nil {
+		t.Fatal(err)
+	}
+	take("a drive that moved nothing", false)
+	evalBoth()
+	diverged("both moved", 0, true)
+	if err := m.SetInputLane("a", 7, 0x40); err != nil {
+		t.Fatal(err)
+	}
+	m.Eval()
+	diverged("the twin driven on its own", 1<<7, true)
+	p.Eval()
+	diverged("neither moved since", 0, false)
+	pair.Rearm()
+	diverged("rearmed", 1<<7, true)
+	p.Reset()
+	take("primary Reset", true)
+	if pw.Src[2] != 0 {
+		t.Fatal("Reset left the primary's stimulus")
+	}
+}
