@@ -42,7 +42,7 @@ bench-smoke:
 # (detections, transients, in-place recoveries, quarantines, respawns,
 # scrub corrected/uncorrectable) and the observability registry's
 # final snapshot — to BENCH_engine.json, so regressions are diffable
-# across PRs. The chaos_recovery faultfree row includes the post-job ROM
+# across PRs. The chaos_recovery faultfree row includes the delivery ROM
 # scrub, which finds every store clean. Each sub-benchmark runs one untimed warmup
 # iteration plus twenty timed ones, three times over (-count=3, best run
 # kept per grid point): rates come from the warm steady state, not shard

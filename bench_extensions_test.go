@@ -100,7 +100,7 @@ func BenchmarkRadiationHardening(b *testing.B) {
 // lockstep/watchdog (~2x, the shadow replica) and inverse/watchdog (2x
 // cycles, the second transaction). The engine's cycle account includes
 // the wr_data load edge, so a supervised block costs 51 cycles against
-// HardwareBlock's 50. Nothing is struck, so the post-job ROM scrub finds
+// HardwareBlock's 50. Nothing is struck, so the delivery ROM scrub finds
 // every store clean and each row prices its check policy alone.
 func BenchmarkResilience(b *testing.B) {
 	encImpl, err := rijndaelip.Build(rijndaelip.Encrypt, rijndaelip.Acex1K())
@@ -165,17 +165,16 @@ func BenchmarkResilience(b *testing.B) {
 
 	b.Run("degraded-software", func(b *testing.B) {
 		// A hard defect struck before every submission fails the in-place
-		// retry, so the shard is quarantined; every respawn attempt is
-		// vetoed, so the circuit breaker declares it dead and the engine
+		// retry, so the shard is quarantined; its respawn is vetoed, so
+		// the circuit breaker declares it dead and the engine
 		// serves everything from the software reference — the floor the
 		// hardware path is compared against.
 		eng := device(b, encImpl, rijndaelip.SupervisorOptions{
-			Check:              rijndaelip.CheckLockstep,
-			MaxRespawnFailures: 1,
+			Check: rijndaelip.CheckLockstep,
 			Strike: func(_ int, _ uint64, sim *netlist.Simulator) {
 				sim.StickFF(sim.FindFF("s0[0]"), true)
 			},
-			RespawnHook: func(shard, attempt int) error { return errors.New("replica slot damaged") },
+			RespawnHook: func(shard int) error { return errors.New("replica slot damaged") },
 		})
 		blk := eng.Block()
 		blk.Encrypt(out, block) // burn the hardware path, trip quarantine

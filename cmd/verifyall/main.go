@@ -18,7 +18,6 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -210,53 +209,23 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			ref := ct
-			dir := true
-			inBlock := pt
+			in := pt
 			if v == rijndael.Decrypt {
-				ref, inBlock, dir = pt, ct, false
+				in = ct
 			}
-			dev, err := faultcampaign.NewDevice(core, hard, false)
+			res, err := faultcampaign.Run(faultcampaign.Config{
+				Netlist: hard, Core: core, Key: key, Plaintext: in,
+				Decrypt: v == rijndael.Decrypt, Trials: 12, Seed: 16,
+			})
 			if err != nil {
 				return "", err
 			}
-			sim := dev.Primary
-			rng := rand.New(rand.NewSource(16))
-			const trials = 12
-			for trial := 0; trial < trials; trial++ {
-				if err := dev.Key(key); err != nil {
-					return "", err
-				}
-				// Inject a random upset mid-transaction by driving manually.
-				sim.SetInput("wr_data", 1)
-				sim.SetInputBits("din", inBlock)
-				if core.Config.Variant == rijndael.Both {
-					if dir {
-						sim.SetInput("encdec", 1)
-					} else {
-						sim.SetInput("encdec", 0)
-					}
-				}
-				sim.Step()
-				sim.SetInput("wr_data", 0)
-				hit := rng.Intn(sim.NumFFs())
-				at := rng.Intn(core.BlockLatency)
-				for c := 0; c < core.BlockLatency; c++ {
-					if c == at {
-						sim.FlipFF(hit)
-					}
-					sim.Step()
-				}
-				sim.Eval()
-				out, err := sim.OutputBits("dout")
-				if err != nil {
-					return "", err
-				}
-				if !bytes.Equal(out, ref) {
-					return "", fmt.Errorf("upset in %s at cycle %d corrupted the output", sim.FFName(hit), at)
+			for _, tr := range res.Trials {
+				if tr.Outcome != faultcampaign.SilentCorrect {
+					return "", fmt.Errorf("upset of flip-flop %v at cycle %d: %s", tr.Fault.FFs, tr.Fault.Cycle, tr.Outcome)
 				}
 			}
-			return fmt.Sprintf("%d upsets tolerated (%d voters)", trials, st.VoterLUTs), nil
+			return fmt.Sprintf("%d upsets tolerated (%d voters)", len(res.Trials), st.VoterLUTs), nil
 		})
 		fmt.Println()
 	}

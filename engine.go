@@ -92,10 +92,6 @@ type Engine struct {
 type EngineOptions struct {
 	// Shards is the number of replicated core instances. Default 1.
 	Shards int
-	// QueueDepth bounds each shard's queue; a submitter that finds every
-	// slot of the chosen queue full blocks until the pool catches up
-	// (backpressure) or its context is cancelled. Default 2.
-	QueueDepth int
 	// MaxLanes caps how many blocks one submission packs into the
 	// simulator's 64 parallel lanes. Default (0) and any value above
 	// bfm.Lanes mean full packing (64); 1 forces scalar one-block
@@ -123,6 +119,12 @@ type EngineOptions struct {
 	// a 5% budget. Disable only for A/B overhead measurements.
 	DisableObs bool
 }
+
+// queueDepth bounds each shard's queue; a submitter that finds every slot
+// of the chosen queue full blocks until the pool catches up (backpressure)
+// or its context is cancelled. Two is the smallest depth that leaves work
+// to steal: trySteal leaves a queue's last job for its owner.
+const queueDepth = 2
 
 // ErrEngineClosed is returned for blocks submitted after Close.
 var ErrEngineClosed = errors.New("rijndaelip: engine closed")
@@ -170,9 +172,6 @@ type engineShard struct {
 	detections  atomic.Uint64
 	quarantines atomic.Uint64
 	respawns    atomic.Uint64
-	// respawnFailures is this shard's share of
-	// EngineStats.RespawnFailures.
-	respawnFailures atomic.Uint64
 
 	// Triage and scrub counters (per-shard shares of the engine totals).
 	transients         atomic.Uint64
@@ -253,9 +252,6 @@ func (im *Implementation) NewEngine(key []byte, opts EngineOptions) (*Engine, er
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 2
-	}
 	if opts.MaxLanes <= 0 || opts.MaxLanes > bfm.Lanes {
 		opts.MaxLanes = bfm.Lanes
 	}
@@ -330,7 +326,9 @@ func (e *Engine) registerMetrics() {
 	e.reg.CounterFunc("aesip_engine_respawn_failures_total", func() uint64 {
 		var n uint64
 		for _, s := range e.shards {
-			n += s.respawnFailures.Load()
+			if s.state.Load() == shardDead {
+				n++
+			}
 		}
 		return n
 	})
@@ -871,8 +869,10 @@ type EngineStats struct {
 	// Retries counts detected-bad submissions re-queued to a healthy
 	// shard. Quarantines counts shards taken out of rotation (a shard can
 	// be quarantined more than once across its lifetime). Respawns counts
-	// successful hot-respawns; RespawnFailures counts failed attempts
-	// (hook veto, key-load error, or power-on self-test mismatch).
+	// successful hot-respawns; RespawnFailures counts failed ones (hook
+	// veto, key-load error, or power-on self-test mismatch). A failed
+	// respawn parks its shard dead for good, so RespawnFailures is the
+	// number of dead shards, counted from the same state load as Health.
 	// FallbackBlocks counts blocks served by the software reference —
 	// retry budgets exhausted or no healthy shard available.
 	Detections      uint64
@@ -887,12 +887,12 @@ type EngineStats struct {
 	// Every detection is classified: Transients recovered with one
 	// in-place retry and stayed within the shard's error budget (no
 	// quarantine); Persistents quarantined the shard — repeat failures,
-	// ROM damage found by triage or the post-job scrub, and budget
+	// ROM damage found by triage or the delivery scrub, and budget
 	// Escalations all count here. InPlaceRecoveries counts successful
 	// strike-free retries (a budget escalation still recovered its data in
 	// place, so InPlaceRecoveries >= Transients). Detections may exceed
 	// Transients+Persistents (classification in flight), and Persistents
-	// may exceed what detections explain: the post-job scrub classifies
+	// may exceed what detections explain: the delivery scrub classifies
 	// EDAC-masked ROM damage persistent without any transaction-level
 	// detection ever firing.
 	Transients        uint64
@@ -925,16 +925,16 @@ type EngineStats struct {
 // the per-shard counters (never from separately maintained engine totals,
 // which could be loaded at a different instant), so Blocks, Detections,
 // Quarantines, Respawns, the triage counters and HealthyShards are always
-// exactly the sum/count of the Shards slice in the same snapshot. Within
-// each shard the counters are loaded in the reverse of their increment
-// order, which preserves the monotonic invariants even mid-flight:
+// exactly the sum/count of the Shards slice in the same snapshot;
+// RespawnFailures is the count of dead shards among them. Within each
+// shard the state is loaded first and the counters after it, in the
+// reverse of their increment order, which preserves the monotonic
+// invariants even mid-flight:
 //
 //	Retries            <= Detections
 //	Transients         <= InPlaceRecoveries <= Detections
 //	Escalations        <= Persistents
-//	Respawns           <= Quarantines       <= Persistents
-//	MaxRespawnFailures × dead shards <= RespawnFailures
-//	                   <= MaxRespawnFailures × Quarantines
+//	Respawns + RespawnFailures <= Quarantines <= Persistents
 //
 // (TestStatsSnapshotInvariants and TestStatsDeadShardFailures hold these
 // under -race chaos load.)
@@ -953,12 +953,10 @@ func (e *Engine) Stats() EngineStats {
 	for i, s := range e.shards {
 		// Load order (reverse of increment order): a counter that is
 		// incremented later in the recovery ladder is loaded earlier, so
-		// its snapshot can never exceed the counter that precedes it.
-		// A respawn failure is counted before the circuit breaker stores
-		// shardDead, and after the quarantine it follows.
+		// its snapshot can never exceed the counter that precedes it. The
+		// circuit breaker stores shardDead after the quarantine it ends.
 		state := s.state.Load()
 		respawns := s.respawns.Load()
-		st.RespawnFailures += s.respawnFailures.Load()
 		quarantines := s.quarantines.Load()
 		persistents := s.persistents.Load()
 		transients := s.transients.Load()
@@ -990,8 +988,11 @@ func (e *Engine) Stats() EngineStats {
 		if ss.Blocks > 0 {
 			ss.CyclesPerBlock = float64(ss.Cycles) / float64(ss.Blocks)
 		}
-		if state == shardHealthy {
+		switch state {
+		case shardHealthy:
 			st.HealthyShards++
+		case shardDead:
+			st.RespawnFailures++
 		}
 		st.Blocks += ss.Blocks
 		st.Submissions += ss.Submissions

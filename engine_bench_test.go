@@ -472,7 +472,7 @@ func BenchmarkVectorLanes(b *testing.B) {
 // BenchmarkChaosRecovery measures the supervised engine's throughput with
 // the recovery machinery live: sub-benchmark "faultfree" is a supervised
 // 4-shard pool with no strikes (the cost of lockstep supervision itself,
-// post-job ROM scrub included), and "chaos" adds seeded strikes about once
+// delivery ROM scrub included), and "chaos" adds seeded strikes about once
 // per 5 submissions, so the rows in BENCH_engine.json track the recovery
 // tax (detection → triage retry → quarantine → hot-respawn) across PRs,
 // alongside the detections/triage/scrub counters.

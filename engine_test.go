@@ -3,6 +3,7 @@ package rijndaelip_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -313,16 +314,15 @@ func TestEngineScalingCTR(t *testing.T) {
 }
 
 // TestEngineBackpressureAndCancel pins the bounded-queue semantics: with
-// one deliberately slow shard and a tiny queue, a cancelled context must
-// abort a stuck submission, and the batch must still settle (no leaked
-// goroutines, no hung Process).
+// one deliberately slow shard and its two-slot queue full, a cancelled
+// context must abort a stuck submission, and the batch must still settle
+// (no leaked goroutines, no hung Process).
 func TestEngineBackpressureAndCancel(t *testing.T) {
 	impl := engineImpl(t)
 	block := make(chan struct{})
 	var once sync.Once
 	eng, err := impl.NewEngine(engineKey, rijndaelip.EngineOptions{
-		Shards:     1,
-		QueueDepth: 1,
+		Shards: 1,
 		// One block per submission so the 8-block batch actually exercises
 		// the bounded queue (a packed batch would be a single submission).
 		MaxLanes: 1,
@@ -340,12 +340,12 @@ func TestEngineBackpressureAndCancel(t *testing.T) {
 		cancel()
 		close(block)
 	}()
-	// Shard busy on block 0, queue holds block 1, block 2's submission
+	// Shard busy on block 0, queue holds blocks 1-2, block 3's submission
 	// must park on backpressure until the context cancels it.
 	src := make([]byte, 8*16)
 	_, err = eng.EncryptECB(ctx, src)
-	if err == nil {
-		t.Fatal("cancelled batch reported success")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch blocked on a full queue: got %v, want the cancellation", err)
 	}
 	// After cancellation the pool must still be serviceable.
 	out, err := eng.EncryptECB(context.Background(), src[:2*16])

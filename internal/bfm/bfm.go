@@ -1,8 +1,10 @@
 // Package bfm is a bus-functional model for the Rijndael IP: it drives the
 // device interface of Table 1 (setup/wr_key/wr_data/din/encdec), watches
 // data_ok/dout, and measures the protocol timing (latency in cycles,
-// sustained throughput) the way the paper's evaluation does. It works
-// against the cycle-accurate RTL simulator of a generated core.
+// sustained throughput) the way the paper's evaluation does. It drives any
+// Sim: the simulator of the technology-mapped netlist, which every engine
+// shard and fault campaign runs, or the cycle-accurate RTL simulator of a
+// generated core.
 //
 // Allocation budget. Like the paper's IP, which moves every block through
 // fixed din/dout registers, a data transaction creates nothing but its

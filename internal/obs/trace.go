@@ -33,12 +33,11 @@ const (
 	KindQuarantine Kind = "quarantine"
 	// KindRespawn: a hot-respawn succeeded and the shard rejoined.
 	KindRespawn Kind = "respawn"
-	// KindRespawnFailure: one respawn attempt failed.
-	KindRespawnFailure Kind = "respawn-failure"
-	// KindShardDead: the permanent-defect circuit breaker parked a shard.
+	// KindShardDead: a respawn failed and the permanent-defect circuit
+	// breaker parked the shard; Detail carries the failure.
 	KindShardDead Kind = "shard-dead"
-	// KindScrubCorrect: a ROM scrub (after a job, or in diagnosis)
-	// rewrote a correctable EDAC word in place.
+	// KindScrubCorrect: a ROM scrub (before a job's delivery, or in
+	// diagnosis) rewrote a correctable EDAC word in place.
 	KindScrubCorrect Kind = "scrub-correct"
 	// KindFallback: blocks were served by the software reference.
 	KindFallback Kind = "fallback"
@@ -59,7 +58,7 @@ type Event struct {
 	Generation uint64 `json:"generation,omitempty"`
 	// Submission is the shard-local submission ordinal, when relevant.
 	Submission uint64 `json:"submission,omitempty"`
-	// Attempt is the retry/respawn attempt ordinal, when relevant.
+	// Attempt is the job's retry ordinal, on retry and fallback events.
 	Attempt int `json:"attempt,omitempty"`
 	// Cause is the machine-matchable classification: a detection cause
 	// ("timeout", "latency", "divergence", "inverse") or a Diagnosis

@@ -282,7 +282,8 @@ func TestEngineThroughputZeroBlocks(t *testing.T) {
 // TestStatsQuarantinedShardSnapshot snapshots a pool with one shard
 // parked dead by the respawn circuit breaker: the per-shard health, the
 // healthy-shard count and the aggregate counters must describe the same
-// instant, and the trace must record the shard-dead verdict.
+// instant, and the trace must record the shard-dead verdict with the
+// vetoed respawn's error.
 func TestStatsQuarantinedShardSnapshot(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("quarantine-snap0")
@@ -291,9 +292,8 @@ func TestStatsQuarantinedShardSnapshot(t *testing.T) {
 		Shards:   2,
 		MaxLanes: 2,
 		Supervise: &rijndaelip.SupervisorOptions{
-			Check:              rijndaelip.CheckLockstep,
-			MaxRespawnFailures: 2,
-			RespawnHook: func(shard, attempt int) error {
+			Check: rijndaelip.CheckLockstep,
+			RespawnHook: func(shard int) error {
 				if shard == 0 {
 					return errTestRespawnVeto
 				}
@@ -335,12 +335,17 @@ func TestStatsQuarantinedShardSnapshot(t *testing.T) {
 	if st.Quarantines != st.Shards[0].Quarantines+st.Shards[1].Quarantines {
 		t.Errorf("aggregate quarantines %d != sum of shard counters", st.Quarantines)
 	}
-	if st.RespawnFailures < 2 {
-		t.Errorf("respawn failures = %d, want >= 2 (vetoed attempts)", st.RespawnFailures)
+	if st.RespawnFailures != 1 {
+		t.Errorf("respawn failures = %d, want 1 (the vetoed respawn)", st.RespawnFailures)
 	}
 	events := eng.Trace().Snapshot()
-	if !ladderSeq(events, 0, obs.KindQuarantine, obs.KindRespawnFailure, obs.KindShardDead) {
-		t.Errorf("trace missing quarantine → respawn-failure → shard-dead for shard 0: %v", events)
+	if !ladderSeq(events, 0, obs.KindQuarantine, obs.KindShardDead) {
+		t.Errorf("trace missing quarantine → shard-dead for shard 0: %v", events)
+	}
+	for _, ev := range events {
+		if ev.Kind == obs.KindShardDead && ev.Detail != errTestRespawnVeto.Error() {
+			t.Errorf("shard-dead event %v does not carry the hook's error %q", ev, errTestRespawnVeto)
+		}
 	}
 }
 
@@ -456,14 +461,15 @@ func TestStatsSnapshotInvariants(t *testing.T) {
 // TestStatsDeadShardFailures snapshots Stats concurrently with a ladder
 // that kills every shard: each submission takes a transient strike, the
 // one-strike error budget escalates the second one, and every respawn is
-// vetoed, so each shard walks quarantine → failed respawns → dead. A shard
-// is stored dead only after its last failure is counted, so no snapshot
-// may show a dead shard without MaxRespawnFailures failures behind it, nor
-// more failures than its quarantines allow.
+// vetoed, so each shard walks quarantine → failed respawn → dead.
+// RespawnFailures is counted from the shard states the snapshot loads, so
+// every snapshot must show exactly one failure per dead shard, and never
+// more failures and respawns than quarantines. The circuit breaker trips
+// on the first veto: the hook runs once per quarantine.
 func TestStatsDeadShardFailures(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("dead-shard-fails")
-	const shards, maxFailures = 2, 2
+	const shards = 2
 	rounds := 12
 	if testing.Short() {
 		rounds = 4
@@ -474,18 +480,21 @@ func TestStatsDeadShardFailures(t *testing.T) {
 	}
 	snapshots, deadSeen := 0, 0
 	for round := 0; round < rounds; round++ {
+		var hookCalls [shards]atomic.Uint64
 		eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
 			Shards:   shards,
 			MaxLanes: 2,
 			Supervise: &rijndaelip.SupervisorOptions{
-				Check:              rijndaelip.CheckLockstep,
-				RetryBudget:        1,
-				MaxRespawnFailures: maxFailures,
-				TransientBudget:    1,
+				Check:           rijndaelip.CheckLockstep,
+				RetryBudget:     1,
+				TransientBudget: 1,
 				Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
 					sim.ScheduleFlipLanes(9, 1, sim.FindFF("s0[0]"))
 				},
-				RespawnHook: func(shard, attempt int) error { return errTestRespawnVeto },
+				RespawnHook: func(shard int) error {
+					hookCalls[shard].Add(1)
+					return errTestRespawnVeto
+				},
 			},
 		})
 		if err != nil {
@@ -506,11 +515,11 @@ func TestStatsDeadShardFailures(t *testing.T) {
 					dead++
 				}
 			}
-			if st.RespawnFailures < uint64(maxFailures*dead) {
-				t.Fatalf("round %d: torn snapshot: %d dead shards with %d respawn failures, want >= %d: %+v",
-					round, dead, st.RespawnFailures, maxFailures*dead, st)
+			if st.RespawnFailures != uint64(dead) {
+				t.Fatalf("round %d: torn snapshot: %d dead shards with %d respawn failures: %+v",
+					round, dead, st.RespawnFailures, st)
 			}
-			if st.RespawnFailures > maxFailures*st.Quarantines || st.Respawns > st.Quarantines {
+			if st.RespawnFailures+st.Respawns > st.Quarantines {
 				t.Fatalf("round %d: torn snapshot: %d respawn failures, %d respawns after %d quarantines",
 					round, st.RespawnFailures, st.Respawns, st.Quarantines)
 			}
@@ -532,6 +541,12 @@ func TestStatsDeadShardFailures(t *testing.T) {
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("round %d: timed out waiting for every shard to die: %+v", round, st)
+			}
+		}
+		for _, ss := range eng.Stats().Shards {
+			if calls := hookCalls[ss.Shard].Load(); calls != ss.Quarantines {
+				t.Fatalf("round %d: shard %d: %d RespawnHook calls for %d quarantines, want one each",
+					round, ss.Shard, calls, ss.Quarantines)
 			}
 		}
 		eng.Close()

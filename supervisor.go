@@ -47,11 +47,10 @@ const (
 // home it scrubs the ROM words its stores report faulty (correctable
 // errors are rewritten; a word that stays bad quarantines the shard with a
 // ROM diagnosis), and a quarantine respawns the shard on the spot: the
-// worker reconfigures the shard's simulators in place, attempt after
-// attempt, until the shard is healthy again or the circuit breaker has
-// declared it dead. The ladder is therefore settled when a call returns:
-// every quarantine its jobs caused has already ended in a respawn or a
-// dead shard.
+// worker reconfigures the shard's simulators in place, once, and the
+// shard is healthy again or the circuit breaker has declared it dead. The
+// ladder is therefore settled when a call returns: every quarantine its
+// jobs caused has already ended in a respawn or a dead shard.
 //
 // A single self-checking device is the one-shard, one-lane case:
 //
@@ -78,11 +77,6 @@ type SupervisorOptions struct {
 	// to a healthy shard before its blocks are served by the software
 	// reference instead. Default 2.
 	RetryBudget int
-	// MaxRespawnFailures is the permanent-defect circuit breaker: a
-	// quarantined shard gets this many respawn attempts, back to back, and
-	// is declared dead and never retried once they have all failed.
-	// Default 3.
-	MaxRespawnFailures int
 	// Strike, when set, is invoked on the shard's worker goroutine
 	// immediately before every hardware submission with the shard id, the
 	// shard's submission ordinal, and its primary simulator. Chaos
@@ -92,12 +86,11 @@ type SupervisorOptions struct {
 	// ROM damage it plants is found by the scrub that precedes the job's
 	// delivery.
 	Strike func(shard int, submission uint64, sim *netlist.Simulator)
-	// RespawnHook, when set, gates every respawn attempt: it is invoked
-	// with the shard id and the consecutive-failure ordinal before the
-	// shard is reconfigured, and a non-nil return fails the attempt.
-	// Tests use it to model a permanently damaged replica slot and drive
-	// the circuit breaker.
-	RespawnHook func(shard, attempt int) error
+	// RespawnHook, when set, gates every respawn: it is invoked with the
+	// shard id before the shard is reconfigured, and a non-nil return
+	// fails the respawn, which trips the permanent-defect circuit breaker.
+	// Tests use it to model a permanently damaged replica slot.
+	RespawnHook func(shard int) error
 
 	// TransientBudget is the per-shard sliding-window error budget for
 	// triage: a detection whose in-place retry succeeds is classified
@@ -115,7 +108,8 @@ type SupervisorOptions struct {
 // Shard supervision states. Unsupervised engines keep every shard healthy
 // forever; under supervision a persistent fault moves the shard to
 // quarantined for as long as its worker spends respawning it, a successful
-// respawn moves it back, and the circuit breaker parks it at dead.
+// respawn moves it back, and a failed one (the circuit breaker) parks it
+// at dead.
 const (
 	shardHealthy int32 = iota
 	shardQuarantined
@@ -157,7 +151,7 @@ const (
 	// (Diagnosis.ROM / Diagnosis.Word name the word).
 	CauseROM = "rom"
 	// CauseFF: the memory sweep came back clean, implicating the
-	// flip-flop region (POST failure or unreproducible state corruption).
+	// flip-flop region (state damage that survived a state reload).
 	CauseFF = "ff"
 	// CauseErrorBudget: no single fault localized, but the shard burned
 	// through its transient error budget — persistently sick by policy.
@@ -218,9 +212,6 @@ func normalizedSupervisor(im *Implementation, opts *SupervisorOptions) (*Supervi
 	if s.RetryBudget <= 0 {
 		s.RetryBudget = 2
 	}
-	if s.MaxRespawnFailures <= 0 {
-		s.MaxRespawnFailures = 3
-	}
 	if s.TransientBudget <= 0 {
 		s.TransientBudget = 3
 	}
@@ -247,7 +238,7 @@ func (e *Engine) newShard(id int) (*engineShard, error) {
 	if err := dev.Key(e.key); err != nil {
 		return nil, err
 	}
-	s := &engineShard{id: id, dev: dev, q: make(chan *engineJob, e.opts.QueueDepth)}
+	s := &engineShard{id: id, dev: dev, q: make(chan *engineJob, queueDepth)}
 	s.gen.Store(1)
 	return s, nil
 }
@@ -267,8 +258,8 @@ func (e *Engine) newShard(id int) (*engineShard, error) {
 //
 // A transient costs one extra transaction and a budget strike — no
 // quarantine, no respawn. A persistent classification runs the targeted
-// diagnosis pass (ROM sweep, then power-on self-test) to localize the
-// fault, records a Diagnosis, and walks the recovery ladder
+// diagnosis pass (the ROM sweep) to localize the fault, records a
+// Diagnosis, and walks the recovery ladder
 // (quarantine → hot-respawn → degrade) to its end before the job moves
 // on. Detected faults are never surfaced to the caller either way —
 // correct data comes from the retry, a sibling, or the software fallback.
@@ -451,18 +442,17 @@ func (e *Engine) classifyPersistent(s *engineShard, d Diagnosis) {
 	e.quarantine(s)
 }
 
-// diagnose localizes a persistent fault after a failed in-place retry:
-// first the ROM scrub (damage the read path has not touched yet still
-// shows up in the stores' faulty-word lists), then the power-on self-test
-// on the live driver to implicate the flip-flop region.
+// diagnose localizes a persistent fault after a failed in-place retry by
+// the ROM scrub: damage the read path has not touched yet still shows up
+// in the stores' faulty-word lists. Clean stores implicate the flip-flop
+// region. It runs no transaction: a self-test here could not change that
+// verdict, and the quarantine's respawn runs its own on the reconfigured
+// device straight after.
 func (e *Engine) diagnose(s *engineShard) Diagnosis {
 	if d, ok := e.scrub(s); ok {
 		return d
 	}
-	if err := e.selfTest(s.dev.Driver); err != nil {
-		return Diagnosis{Cause: CauseFF, Detail: "POST failed: " + err.Error()}
-	}
-	return Diagnosis{Cause: CauseFF, Detail: "POST passed after failed retry; intermittent state corruption"}
+	return Diagnosis{Cause: CauseFF, Detail: "ROM clean after failed retry; flip-flop state damage"}
 }
 
 // scrub repairs the primary simulation's damaged ROM words. It runs on
@@ -574,30 +564,22 @@ func (e *Engine) fallback(j *engineJob) {
 	j.batch.complete(nil)
 }
 
-// respawn reconfigures a quarantined shard on its own worker: up to
-// MaxRespawnFailures attempts back to back, each gated by a power-on
-// self-test, after which the shard is healthy with a bumped generation or
-// the permanent-defect circuit breaker has declared it dead. Nothing waits
-// between attempts: a reconfiguration is deterministic, so only the
-// RespawnHook can fail one, and waiting would not change its verdict.
+// respawn reconfigures a quarantined shard on its own worker, once,
+// gated by a power-on self-test: the shard is then healthy with a bumped
+// generation, or the permanent-defect circuit breaker has declared it
+// dead. A reconfiguration is deterministic, so a second attempt would
+// fail the same way; a failure is final.
 func (e *Engine) respawn(s *engineShard) {
-	for attempt := 1; attempt <= e.sup.MaxRespawnFailures; attempt++ {
-		err := e.respawnShard(s, attempt)
-		if err == nil {
-			gen := s.gen.Add(1)
-			s.respawns.Add(1)
-			s.state.Store(shardHealthy)
-			e.emit(obs.Event{Kind: obs.KindRespawn, Shard: s.id, Generation: gen,
-				Attempt: attempt})
-			return
-		}
-		s.respawnFailures.Add(1)
-		e.emit(obs.Event{Kind: obs.KindRespawnFailure, Shard: s.id,
-			Generation: s.gen.Load(), Attempt: attempt, Detail: err.Error()})
+	if err := e.respawnShard(s); err != nil {
+		s.state.Store(shardDead)
+		e.emit(obs.Event{Kind: obs.KindShardDead, Shard: s.id, Generation: s.gen.Load(),
+			Detail: err.Error()})
+		return
 	}
-	s.state.Store(shardDead)
-	e.emit(obs.Event{Kind: obs.KindShardDead, Shard: s.id, Generation: s.gen.Load(),
-		Attempt: e.sup.MaxRespawnFailures, Detail: "respawn circuit breaker tripped"})
+	gen := s.gen.Add(1)
+	s.respawns.Add(1)
+	s.state.Store(shardHealthy)
+	e.emit(obs.Event{Kind: obs.KindRespawn, Shard: s.id, Generation: gen})
 }
 
 // respawnShard reconfigures the shard's device in place
@@ -606,9 +588,9 @@ func (e *Engine) respawn(s *engineShard) {
 // their read counters, so Stats' lifetime totals carry across
 // generations. Respawning resets the transient error budget — it belongs
 // to the previous hardware incarnation.
-func (e *Engine) respawnShard(s *engineShard, attempt int) error {
+func (e *Engine) respawnShard(s *engineShard) error {
 	if e.sup.RespawnHook != nil {
-		if err := e.sup.RespawnHook(s.id, attempt); err != nil {
+		if err := e.sup.RespawnHook(s.id); err != nil {
 			return err
 		}
 	}

@@ -272,7 +272,7 @@ func TestEDACReadCountersSurviveRespawn(t *testing.T) {
 // on every shard and vetoes every respawn: each strike recovers in place
 // (transient), but the one-strike error budget escalates the second
 // detection to persistent, so each shard walks escalation → quarantine →
-// failed respawns → dead (the permanent-defect circuit breaker), the
+// failed respawn → dead (the permanent-defect circuit breaker), the
 // engine degrades to the software reference — and every block the caller
 // sees must still be correct.
 func TestSupervisedEngineCircuitBreakerAndDegrade(t *testing.T) {
@@ -283,14 +283,13 @@ func TestSupervisedEngineCircuitBreakerAndDegrade(t *testing.T) {
 		Shards:   2,
 		MaxLanes: 2,
 		Supervise: &rijndaelip.SupervisorOptions{
-			Check:              rijndaelip.CheckLockstep,
-			RetryBudget:        1,
-			MaxRespawnFailures: 2,
-			TransientBudget:    1,
+			Check:           rijndaelip.CheckLockstep,
+			RetryBudget:     1,
+			TransientBudget: 1,
 			Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
 				sim.ScheduleFlipLanes(9, 1, sim.FindFF("s0[0]"))
 			},
-			RespawnHook: func(shard, attempt int) error { return respawnErr },
+			RespawnHook: func(shard int) error { return respawnErr },
 		},
 	})
 	if err != nil {
@@ -316,8 +315,8 @@ func TestSupervisedEngineCircuitBreakerAndDegrade(t *testing.T) {
 	if !st.Degraded || st.HealthyShards != 0 {
 		t.Errorf("dead pool not degraded: %+v", st)
 	}
-	if st.Quarantines != 2 || st.Respawns != 0 || st.RespawnFailures < 4 {
-		t.Errorf("circuit-breaker accounting off (want 2 quarantines, 0 respawns, >=4 failures): %+v", st)
+	if st.Quarantines != 2 || st.Respawns != 0 || st.RespawnFailures != 2 {
+		t.Errorf("circuit-breaker accounting off (want 2 quarantines, 0 respawns, 2 failures): %+v", st)
 	}
 	if st.Escalations < 2 || st.Transients == 0 || st.InPlaceRecoveries < st.Transients {
 		t.Errorf("budget escalation accounting off (want >=2 escalations after transient saves): %+v", st)
@@ -413,10 +412,10 @@ func TestSupervisedEngineInverseNeedsBothVariant(t *testing.T) {
 // TestSupervisorTriageClassification is the table-driven triage matrix:
 // each case plants one fault shape into a single-shard pool and pins the
 // classification the state machine must reach — transient (in-place
-// retry, no quarantine), persistent flip-flop damage (failed retry, POST
-// diagnosis), persistent ROM damage (short-circuit on known bad words,
+// retry, no quarantine), persistent flip-flop damage (failed retry, clean
+// ROM diagnosis), persistent ROM damage (short-circuit on known bad words,
 // word-accurate diagnosis), and error-budget escalation. In every case
-// triage classifies before the post-job ROM scrub could. Run with -race.
+// triage classifies before the delivery ROM scrub could. Run with -race.
 func TestSupervisorTriageClassification(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("triage-table-key")
@@ -680,7 +679,7 @@ func TestEngineCloseAfterRespawns(t *testing.T) {
 						sim.StickFF(sim.FindFF("s0[0]"), true)
 					})
 				},
-				RespawnHook: func(shard, attempt int) error {
+				RespawnHook: func(shard int) error {
 					if shard == 1 {
 						return errTestRespawnVeto
 					}
@@ -765,7 +764,7 @@ func TestScrubDetectsWeldAfterItsJob(t *testing.T) {
 					seen, seenDiags = eng.Stats(), eng.Diagnoses()
 				}
 			},
-			RespawnHook: func(shard, attempt int) error {
+			RespawnHook: func(shard int) error {
 				inRespawn++
 				all, respawning = engineGoroutines()
 				buf := make([]byte, 1<<14)
@@ -851,8 +850,8 @@ func engineGoroutines() (all, respawning int) {
 // that exhausts the one-transient budget and escalates (3), an
 // EDAC-masked ROM weld that only the delivery scrub finds (5) and a
 // flip-flop weld that fails the in-place retry (7), each respawned; on
-// shard 1 a flip-flop weld (2) whose respawns the RespawnHook vetoes
-// until the circuit breaker declares the shard dead. After every call,
+// shard 1 a flip-flop weld (2) whose respawn the RespawnHook vetoes,
+// so the circuit breaker declares the shard dead. After every call,
 // without waiting, no shard may read quarantined, every quarantine must
 // be matched by a respawn or a dead shard, every weld must carry its ROM
 // diagnosis, and the trace must replay as a closed ladder.
@@ -887,7 +886,7 @@ func TestLadderSettledAtReturn(t *testing.T) {
 					sim.StickFF(ff, rng.Intn(2) == 1)
 				}
 			},
-			RespawnHook: func(shard, attempt int) error {
+			RespawnHook: func(shard int) error {
 				if shard == 1 {
 					return errTestRespawnVeto
 				}
@@ -948,8 +947,8 @@ func TestLadderSettledAtReturn(t *testing.T) {
 	if s0.Transients < 1 || st.Escalations < 1 || s0.ScrubUncorrectable < 1 || s0.Respawns != 3 || s0.Health != "healthy" {
 		t.Errorf("shard 0 did not walk transient, escalation, ROM weld and flip-flop weld to three respawns: %+v", st)
 	}
-	if s1.Health != "dead" || s1.Respawns != 0 || st.RespawnFailures != 3 {
-		t.Errorf("shard 1 did not trip the circuit breaker after three vetoed respawns: %+v", st)
+	if s1.Health != "dead" || s1.Respawns != 0 || st.RespawnFailures != 1 {
+		t.Errorf("shard 1 did not trip the circuit breaker after its vetoed respawn: %+v", st)
 	}
 	causes := make(map[string]int)
 	for _, d := range eng.Diagnoses() {
@@ -963,9 +962,9 @@ func TestLadderSettledAtReturn(t *testing.T) {
 // TestScrubCorrectTraceMatchesCounter holds the trace to the counters
 // for the repairs diagnose makes: a strike flips one correctable ROM bit
 // and welds a flip-flop, so the in-place retry fails and diagnose's ROM
-// scrub rewrites the flipped word before POST implicates the flip-flops.
-// Every repair counted in ScrubCorrected must appear in the trace as a
-// scrub correction.
+// scrub rewrites the flipped word, and the clean stores implicate the
+// flip-flops. Every repair counted in ScrubCorrected must appear in the
+// trace as a scrub correction.
 func TestScrubCorrectTraceMatchesCounter(t *testing.T) {
 	impl := supImpl(t)
 	key := []byte("scrub-trace-key0")
@@ -1021,6 +1020,71 @@ func TestScrubCorrectTraceMatchesCounter(t *testing.T) {
 	}
 }
 
+// TestDiagnoseRunsNoTransaction holds a failed in-place retry on clean
+// ROM stores to the two transactions that decided it: a flip-flop weld
+// fails the first attempt and the retry, diagnose finds the stores clean
+// and returns CauseFF, and the quarantine's respawn must then be the next
+// thing the shard does. Every cycle the primary steps between the strike
+// and the RespawnHook must be counted in the shard's Cycles, which count
+// only job transactions, so no self-test or other transaction runs there.
+func TestDiagnoseRunsNoTransaction(t *testing.T) {
+	impl := supImpl(t)
+	key := []byte("diagnose-no-post")
+	var (
+		eng *rijndaelip.Engine
+		// Written by the hooks on the shard's worker, read after the call.
+		primary           *netlist.Simulator
+		simAt, countedAt  uint64
+		simRan, counted   uint64
+		struck, respawned int
+	)
+	eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
+		Shards:   1,
+		MaxLanes: 1,
+		Supervise: &rijndaelip.SupervisorOptions{
+			Check: rijndaelip.CheckLockstep,
+			Strike: func(shard int, submission uint64, sim *netlist.Simulator) {
+				if submission != 2 {
+					return
+				}
+				struck++
+				primary = sim
+				simAt, countedAt = uint64(sim.Cycle()), eng.Stats().Shards[0].Cycles
+				sim.StickFF(sim.FindFF("s0[0]"), true)
+			},
+			RespawnHook: func(shard int) error {
+				respawned++
+				simRan = uint64(primary.Cycle()) - simAt
+				counted = eng.Stats().Shards[0].Cycles - countedAt
+				return nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	src := make([]byte, 4*16)
+	for i := range src {
+		src[i] = byte(i*13 + 3)
+	}
+	got, err := eng.EncryptECB(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkECB(t, got, src, key)
+	if struck != 1 || respawned != 1 {
+		t.Fatalf("strike ran %d times and respawn %d times, want 1 each", struck, respawned)
+	}
+	if d := eng.Diagnoses(); len(d) != 1 || d[0].Cause != rijndaelip.CauseFF {
+		t.Fatalf("want one flip-flop diagnosis, got %v", d)
+	}
+	if simRan == 0 || simRan != counted {
+		t.Errorf("the primary stepped %d cycles between the strike and the respawn, the shard counted %d in its transactions",
+			simRan, counted)
+	}
+}
+
 // TestEngineTimeoutSentinelSurvivesBatch is the error-wrapping satellite:
 // a shard-path watchdog expiry must stay matchable with
 // errors.Is(err, bfm.ErrTimeout) through Engine.Process, the mode
@@ -1072,9 +1136,8 @@ func TestEngineCloseRacesInflightProcess(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for iter := 0; iter < 3; iter++ {
 		eng, err := impl.NewEngine(key, rijndaelip.EngineOptions{
-			Shards:     2,
-			QueueDepth: 1,
-			MaxLanes:   1, // per-block submissions keep the queues busy
+			Shards:   2,
+			MaxLanes: 1, // per-block submissions keep the queues busy
 		})
 		if err != nil {
 			t.Fatal(err)
